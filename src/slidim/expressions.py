@@ -241,8 +241,10 @@ def parse_field(source, params=None):
 
 
 def _stack3(values, like):
-    cols = [np.broadcast_to(np.asarray(v, dtype=float), np.shape(like)) for v in values]
-    return np.stack(cols, axis=-1)
+    out = np.empty(np.shape(like) + (3,))
+    for k, v in enumerate(values):
+        out[..., k] = v
+    return out
 
 
 class VectorFieldExpr:

@@ -414,7 +414,8 @@ class TimeStop:
     t: float
 
 
-def _sliding_events(sys, stop):
+def fold_events(sys):
+    """Events Xg = 0 (index 0) and Yg = 0 (index 1): the sliding region's folds."""
     X, Y, g = sys.X, sys.Y, sys.g
 
     def xg(pts):
@@ -425,8 +426,12 @@ def _sliding_events(sys, stop):
         _, grad = g.value_and_gradient(pts)
         return np.sum(Y(pts) * grad, axis=-1)
 
+    return [odeint.EventSpec(xg), odeint.EventSpec(yg)]
+
+
+def _sliding_events(sys, stop):
     if isinstance(stop, FoldBoundary):
-        return [odeint.EventSpec(xg), odeint.EventSpec(yg)], None
+        return fold_events(sys), None
     if isinstance(stop, SectionStop):
         return [odeint.EventSpec(stop.fn)], None
     if isinstance(stop, TimeStop):

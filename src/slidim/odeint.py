@@ -3,9 +3,10 @@
 All flows in the package go through :func:`integrate_batch`.  It advances N
 trajectories simultaneously, each with its own adaptive step size, which is
 what makes scans over thousands of return-map seeds affordable.  Events are
-located by sign-change bracketing followed by bisection that re-integrates
-short steps from the last accepted state (no dense output), down to
-``|event| < tol_event``.
+located by sign-change bracketing followed by Illinois (modified false
+position) iteration on the crossing fraction of the step; every probe
+re-integrates one short step from the last accepted state (no dense
+output), down to ``|event| <= tol_event``.
 
 The scheme is the Dormand-Prince 5(4) pair; the 5th-order solution is
 propagated.
@@ -134,10 +135,7 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
         idx = np.nonzero(active)[0]
         ui, ti, hi = u[idx], t[idx], h[idx]
         hi = np.minimum(hi, t_max[idx] - ti)
-        if row_args is not None:
-            fi = lambda uu, _a=row_args[idx]: f(uu, _a)  # noqa: E731
-        else:
-            fi = f
+        fi = _bind(f, row_args, idx)
 
         with np.errstate(all="ignore"):
             u_new, err = _rk_step(fi, ui, hi)
@@ -176,6 +174,7 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
         # event handling on accepted rows
         hit_event = np.full(rows.size, -1, dtype=int)
         hit_frac = np.full(rows.size, np.inf)
+        hit_u = np.empty((rows.size, 3))
         if n_ev:
             for j, ev in enumerate(events):
                 vals = np.asarray(ev.fn(ua), dtype=float)
@@ -192,17 +191,16 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                         continue
                     sub = np.nonzero(mask)[0]
                     if kind == "cross":
-                        if row_args is not None:
-                            fsub = lambda uu, _a=row_args[rows[sub]]: f(uu, _a)  # noqa: E731
-                        else:
-                            fsub = f
-                        frac = _refine(fsub, u[rows[sub]], ha[sub], ev.fn,
-                                       prev[sub], tol_event, project)
+                        args = row_args[rows[sub]] if row_args is not None else None
+                        frac, u_land = _refine(f, u[rows[sub]], ha[sub], ev.fn,
+                                               prev[sub], vals[sub], ua[sub],
+                                               tol_event, project, args)
                     else:
-                        frac = np.ones(sub.size)
+                        frac, u_land = np.ones(sub.size), ua[sub]
                     better = frac < hit_frac[sub]
                     hit_event[sub[better]] = j
                     hit_frac[sub[better]] = frac[better]
+                    hit_u[sub[better]] = u_land[better]
                 ev_prev[rows, j] = vals
                 departed[rows, j] |= np.abs(vals) > tol_event
 
@@ -210,11 +208,7 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
         if hit.any():
             sub = np.nonzero(hit)[0]
             tau = hit_frac[sub] * ha[sub]
-            if row_args is not None:
-                fsub = lambda uu, _a=row_args[rows[sub]]: f(uu, _a)  # noqa: E731
-            else:
-                fsub = f
-            u_hit = _substep(fsub, u[rows[sub]], tau, project)
+            u_hit = hit_u[sub]
             rr = rows[sub]
             if winding is not None:
                 th = _angles(u_hit, winding)
@@ -265,39 +259,68 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
     return res
 
 
+def _bind(f, row_args, idx):
+    """f restricted to the rows ``idx`` of ``row_args`` (f itself without them)."""
+    if row_args is None:
+        return f
+    return lambda uu, _a=row_args[idx]: f(uu, _a)  # noqa: E731
+
+
 def _substep(f, u0, tau, project):
     """One RK step of per-row size tau from u0, with projection."""
     u1, _ = _rk_step(f, u0, tau)
     return project(u1) if project is not None else u1
 
 
-def _refine(f, u0, h, ev_fn, ev_lo, tol_event, project, max_iter=80):
-    """Bisection for the crossing fraction in (0, 1] of each row's step.
+def _refine(f, u0, h, ev_fn, ev_lo, ev_hi, u_hi, tol_event, project,
+            row_args=None, max_iter=80):
+    """Illinois iteration for the crossing fraction in (0, 1] of each row's step.
 
-    Brackets [lo, hi] maintain opposite event signs; each probe re-integrates
-    a single short step from the accepted pre-step state u0.
+    ``ev_lo`` / ``ev_hi`` are the event values, of opposite sign, at the
+    accepted pre-step state ``u0`` (fraction 0) and at the end of the step
+    ``u_hi`` (fraction 1), so the first probe is the secant point.  Each
+    probe re-integrates one step of size frac * h from ``u0``; only rows not
+    yet converged are probed, with their rows of ``row_args``.  A
+    false-position point that is not finite or not strictly inside the
+    bracket is replaced by the midpoint.  Returns the fraction and the
+    (projected) state there: the probe with ``|event| <= tol_event``, else
+    the upper bracket end once the bracket is narrower than 1e-16 or
+    ``max_iter`` probes are spent.
     """
     m = u0.shape[0]
-    lo = np.zeros(m)
-    hi = np.ones(m)
-    sign_lo = np.sign(ev_lo)
-    frac = np.full(m, np.nan)
-    live = np.ones(m, dtype=bool)
+    lo, hi = np.zeros(m), np.ones(m)
+    f_lo = np.array(ev_lo, dtype=float)
+    f_hi = np.array(ev_hi, dtype=float)
+    u_out = np.array(u_hi, dtype=float)
+    side = np.zeros(m, dtype=int)      # bracket end the last probe replaced
+    live = np.arange(m)
     for _ in range(max_iter):
-        if not live.any():
+        if not live.size:
             break
-        mid = np.where(live, 0.5 * (lo + hi), hi)
-        probe = _substep(f, u0, mid * h, project)
+        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+        with np.errstate(all="ignore"):
+            x = a - fa * (b - a) / (fb - fa)
+        off = ~(np.isfinite(x) & (x > a) & (x < b))
+        x[off] = 0.5 * (a[off] + b[off])
+        probe = _substep(_bind(f, row_args, live), u0[live], x * h[live], project)
         vals = np.asarray(ev_fn(probe), dtype=float)
-        ok = live & (np.abs(vals) <= tol_event)
-        frac[ok] = mid[ok]
-        live &= ~ok
-        same = live & (np.sign(vals) == sign_lo)
-        lo[same] = mid[same]
-        other = live & ~same
-        hi[other] = mid[other]
-        tight = live & ((hi - lo) < 1e-16)
-        frac[tight] = hi[tight]
-        live &= ~tight
-    frac[live] = hi[live]
-    return frac
+
+        done = np.abs(vals) <= tol_event
+        low = ~done & (np.sign(vals) == np.sign(fa))
+        up = ~done & ~low
+        # converged rows collapse the bracket onto the probe
+        r = live[done]
+        hi[r], u_out[r] = x[done], probe[done]
+        # Illinois: halve the value kept at an end retained twice in a row
+        r = live[low]
+        lo[r], f_lo[r] = x[low], vals[low]
+        f_hi[r[side[r] == -1]] *= 0.5
+        side[r] = -1
+        r = live[up]
+        hi[r], f_hi[r], u_out[r] = x[up], vals[up], probe[up]
+        f_lo[r[side[r] == 1]] *= 0.5
+        side[r] = 1
+
+        live = live[~done]
+        live = live[hi[live] - lo[live] >= 1e-16]
+    return hi, u_out

@@ -28,9 +28,9 @@ from .errors import (BackwardDivergence, BranchResolutionExceeded,
                      NotAFocus, NotSurjective, NoValidCutoff, SectionMiss,
                      SlidimError)
 from .filippov import (Region, classify_region, classify_tangency,
-                       find_pseudo_equilibrium, is_visible_fold_regular,
-                       lie_pair, manifold_project, sliding_field,
-                       tangent_basis, _sliding_rhs)
+                       find_pseudo_equilibrium, fold_events,
+                       is_visible_fold_regular, lie_pair, manifold_project,
+                       sliding_field, tangent_basis, _sliding_rhs)
 
 
 def lie_value_and_gradient(F, g, u):
@@ -320,20 +320,6 @@ def theta_x(sys, fold, w):
     return hit
 
 
-def _section_events(sys):
-    X, Y, g = sys.X, sys.Y, sys.g
-
-    def xg(pts):
-        _, grad = g.value_and_gradient(pts)
-        return np.sum(X(pts) * grad, axis=-1)
-
-    def yg(pts):
-        _, grad = g.value_and_gradient(pts)
-        return np.sum(Y(pts) * grad, axis=-1)
-
-    return [odeint.EventSpec(xg), odeint.EventSpec(yg)]
-
-
 def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0, t_flight_max=60.0):
     """Vectorized pi: chart coords -> (return coord, turns, ok, raw exit coord).
 
@@ -358,7 +344,7 @@ def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0, t_flight_max=6
     rhs = _sliding_rhs(sys, 1.0)
     idx = np.nonzero(ok)[0]
     slide = odeint.integrate_batch(
-        rhs, flight.u[idx], t_slide_max, _section_events(sys),
+        rhs, flight.u[idx], t_slide_max, fold_events(sys),
         rtol=sys.tol.rtol, atol=sys.tol.atol, tol_event=sys.tol.event,
         project=lambda pts: manifold_project(sys.g, pts, 1),
         winding=(np.asarray(center, dtype=float), e1, e2), domain=sys.domain)

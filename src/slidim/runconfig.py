@@ -16,6 +16,7 @@ from .errors import ConfigError, SlidimError
 from .filippov import make_system
 
 SCHEMA_VERSION = 1
+_TOLERANCE_FIELDS = ("event", "manifold", "tangency", "rtol", "atol")
 
 
 @dataclass
@@ -42,7 +43,7 @@ class RunConfig:
             raise ConfigError("analysis.i_max must be >= 1")
         if self.depth < 1:
             raise ConfigError("analysis.depth must be >= 1")
-        for name in ("event", "manifold", "tangency"):
+        for name in _TOLERANCE_FIELDS:
             if getattr(self.tolerances, name) <= 0:
                 raise ConfigError(f"tolerances.{name} must be positive")
 
@@ -107,8 +108,7 @@ def parse_config(doc):
         if not isinstance(v, (int, float)):
             raise ConfigError(f"system.params.{k} must be a number")
     tol = Tolerances().updated(**{
-        name: float(tols[name]) for name in ("event", "manifold", "tangency")
-        if name in tols})
+        name: float(tols[name]) for name in _TOLERANCE_FIELDS if name in tols})
     kwargs = {}
     if "r" in analysis:
         kwargs["radius"] = float(analysis["r"])

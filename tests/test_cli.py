@@ -6,6 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from slidim.config import Tolerances
+from slidim.errors import ConfigError
+from slidim.runconfig import load_config, parse_config
+
 LN3_LN4 = np.log(3) / np.log(4)
 
 
@@ -132,6 +136,18 @@ def test_config_errors_exit_one(tmp_path):
     cfg2.write_text(json.dumps(broken))
     r = run_cli("--config", str(cfg2), "--out", str(tmp_path), "classify")
     assert r.returncode == 1
+
+
+def test_config_tolerances_reach_the_run(tmp_path):
+    doc = {**ESCAPE_CONFIG,
+           "tolerances": {"event": 1e-13, "rtol": 1e-9, "atol": 1e-11}}
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps(doc))
+    tol = load_config(cfg).tolerances
+    assert (tol.event, tol.rtol, tol.atol) == (1e-13, 1e-9, 1e-11)
+    assert tol.manifold == Tolerances().manifold
+    with pytest.raises(ConfigError, match="tolerances.atol"):
+        parse_config({**ESCAPE_CONFIG, "tolerances": {"atol": 0}})
 
 
 def test_return_map_command(tmp_path):
