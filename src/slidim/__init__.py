@@ -23,16 +23,14 @@ from .filippov import (EscapePolicy, FilippovSystem, FoldBoundary, Mode,
                        filippov_trajectory, find_pseudo_equilibrium,
                        flow_sliding, flow_to_manifold, lie_derivative,
                        make_system, second_lie_derivative, sliding_field)
-from .oracle import (BoxCountFit, PointSample, Provenance, box_counting,
-                     cover_length, crosscheck, sample_from_cover,
-                     sample_word_images)
+from .oracle import (BoxCountFit, PointSample, box_counting, cover_length,
+                     crosscheck, sample_word_images)
 from .pipeline import (forward_backward_check, run_dimension_pipeline,
                        run_fixture_pipeline)
 from .returnmap import (Branch, FoldSegment, ShilnikovCertificate,
-                        branch_contractions, branch_inverse,
-                        branch_width_lambda, build_fold_segment,
-                        enumerate_branches, first_return, first_return_batch,
-                        select_u, theta_x, validate_inverse_maps,
-                        verify_connection)
+                        branch_contractions, branch_width_lambda,
+                        build_fold_segment, enumerate_branches, first_return,
+                        first_return_batch, select_u, theta_x,
+                        validate_inverse_maps, verify_connection)
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ import numpy as np
 from . import odeint
 from .config import Tolerances
 from .errors import NoConvergence
+from .expressions import parse_field
 from .filippov import FilippovSystem, make_system
 
 ARC_RATE = 2.0     # rotation rate of the off-manifold (x, z) arc
@@ -72,28 +73,12 @@ class BenchConnection:
         return float(np.exp(2 * np.pi * self.alpha / self.beta))
 
 
-def _shoot_field(alpha, beta):
-    om, binv = ARC_RATE, BLEND_INV
-
-    def f(pts, args):
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        s = z * np.exp(-z)
-        rho = np.tanh(binv * z)
-        return np.stack([
-            (alpha * x - beta * y) * (1 - rho) - om * z * rho + args[:, 0] * s,
-            (beta * x + alpha * y) * (1 - rho) + args[:, 1] * s,
-            (x - 1.0) * (1 - rho) + om * (x - 0.5) * rho,
-        ], axis=1)
-
-    return f
-
-
-def _landings(alpha, beta, pairs, tol):
+def _landings(field, pairs, tol):
     """First z = 0 return of the flight from q for each (u1, u2) row."""
-    field = _shoot_field(alpha, beta)
     u0 = np.tile(_Q, (len(pairs), 1))
     ev = odeint.EventSpec(lambda pts: pts[:, 2])
-    res = odeint.integrate_batch(field, u0, 40.0, [ev], rtol=tol.rtol,
+    res = odeint.integrate_batch(lambda pts, a: field(pts, u1=a[:, 0], u2=a[:, 1]),
+                                 u0, 40.0, [ev], rtol=tol.rtol,
                                  atol=tol.atol, tol_event=tol.event,
                                  domain=BENCH_DOMAIN,
                                  row_args=np.asarray(pairs, dtype=float))
@@ -108,9 +93,10 @@ def solve_connection_params(alpha=0.4, beta=1.0, target=1e-10, tol=None):
     grid fallback for parameter sets where the plain start stalls.
     """
     tol = tol or Tolerances()
+    field = parse_field(BENCH_X, {"al": alpha, "be": beta, "u1": 0.0, "u2": 0.0})
 
     def residuals(pairs):
-        land, ok, ts = _landings(alpha, beta, pairs, tol)
+        land, ok, ts = _landings(field, pairs, tol)
         norm = np.where(ok, np.hypot(land[:, 0], land[:, 1]), np.inf)
         return land, norm, ts
 

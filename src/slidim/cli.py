@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cifs, oracle, pipeline, returnmap
 from .errors import ConfigError, SlidimError
-from .filippov import EscapePolicy, filippov_trajectory, lie_pair, region_grid
+from .filippov import EscapePolicy, filippov_trajectory, region_grid
 from .runconfig import bench_config, load_config
 
 
@@ -203,7 +203,7 @@ def cmd_dimension(cfg, system, out, args):
 
     res = pipeline.run_dimension_pipeline(
         system, cfg.p_seed, cfg.q_seed, radius=cfg.radius, i_max=cfg.i_max,
-        n_scan=cfg.n_scan, schedule=cfg.schedule)
+        n_scan=cfg.n_scan, cantor_depth=cfg.depth, schedule=cfg.schedule)
     doc = {
         "version": 1, "kind": "dimension",
         "seed": cfg.seed,

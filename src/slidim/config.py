@@ -13,7 +13,6 @@ class Tolerances:
     event: float = 1e-12        # |g| at localized events
     manifold: float = 1e-10     # allowed drift from g = 0
     tangency: float = 1e-9      # Lie-derivative magnitude treated as zero
-    regular: float = 1e-8       # minimal |grad g| near the manifold
     connection: float = 1e-8    # allowed |flow_X(q) - p|
     hyperbolic: float = 1e-8    # minimal |Re eigenvalue| for hyperbolicity
     rtol: float = 1e-10

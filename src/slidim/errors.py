@@ -104,10 +104,6 @@ class BranchResolutionExceeded(SlidimError):
     """Branch width at the noise floor set by residual/event tolerances."""
 
 
-class NotSurjective(SlidimError):
-    """Requested inverse-branch value outside the branch image."""
-
-
 class NoValidCutoff(SlidimError):
     """No index from which all branches are surjective with summable tail."""
 

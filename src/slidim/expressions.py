@@ -12,17 +12,21 @@ with ``func`` one of sin, cos, exp, log, sqrt, tanh and ``ident`` one of
 x, y, z or a declared parameter.  Note that per this grammar unary minus
 binds tighter than '^', so ``-x^2`` parses as ``(-x)^2``.
 
-Each parsed expression is compiled once into a plain Python function whose
-arithmetic goes through :mod:`slidim.dmath` dispatchers, so the same
-compiled code evaluates floats, numpy batches and dual numbers.
+Each parsed expression is compiled once into a plain Python function over
+numpy ufuncs, so the same code evaluates floats and numpy batches.
+Derivatives come from the parse tree itself: :func:`_diff` differentiates a
+tree symbolically into another tree of the same form (folding the constants
+0 and 1), which is compiled like any parsed expression.  Gradients, Lie
+derivatives Fg = sum_i F_i dg/dx_i and second Lie derivatives F(Fg) are all
+built this way, once per expression.
 """
 
 import re
+from functools import cached_property
 
 import numpy as np
 
-from . import dmath
-from .errors import ExpressionSyntaxError, NonFinite, UnknownIdentifier
+from .errors import ExpressionSyntaxError, UnknownIdentifier
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 VARIABLES = ("x", "y", "z")
@@ -145,7 +149,78 @@ def _codegen(node):
     return f"({_codegen(left)} {op} {_codegen(right)})"
 
 
-_NAMESPACE = {f"_{name}": getattr(dmath, name) for name in FUNCTIONS}
+_NAMESPACE = {f"_{name}": getattr(np, name) for name in FUNCTIONS}
+
+ZERO = ("num", 0.0)
+ONE = ("num", 1.0)
+
+
+def _add(a, b):
+    if a == ZERO:
+        return b
+    return a if b == ZERO else ("bin", "+", a, b)
+
+
+def _sub(a, b):
+    if a[0] == "num" and b[0] == "num":
+        return ("num", a[1] - b[1])
+    if b == ZERO:
+        return a
+    return ("neg", b) if a == ZERO else ("bin", "-", a, b)
+
+
+def _mul(a, b):
+    if a == ZERO or b == ZERO:
+        return ZERO
+    if a == ONE:
+        return b
+    return a if b == ONE else ("bin", "*", a, b)
+
+
+def _div(a, b):
+    if a == ZERO:
+        return ZERO
+    return a if b == ONE else ("bin", "/", a, b)
+
+
+# d f(a) / da for each builtin, as a tree in a
+_CHAIN = {
+    "sin": lambda a: ("call", "cos", a),
+    "cos": lambda a: ("neg", ("call", "sin", a)),
+    "exp": lambda a: ("call", "exp", a),
+    "log": lambda a: ("bin", "/", ONE, a),
+    "sqrt": lambda a: ("bin", "/", ("num", 0.5), ("call", "sqrt", a)),
+    "tanh": lambda a: ("bin", "-", ONE,
+                       ("bin", "*", ("call", "tanh", a), ("call", "tanh", a))),
+}
+
+
+def _diff(node, var):
+    """d(node)/d(var) as a tree of the same form, constants 0 and 1 folded."""
+    kind = node[0]
+    if kind == "var":
+        return ONE if node[1] == var else ZERO
+    if kind in ("num", "param"):
+        return ZERO
+    if kind == "neg":
+        d = _diff(node[1], var)
+        return ZERO if d == ZERO else ("neg", d)
+    if kind == "call":
+        return _mul(_CHAIN[node[1]](node[2]), _diff(node[2], var))
+    _, op, a, b = node
+    da, db = _diff(a, var), _diff(b, var)
+    if op == "+":
+        return _add(da, db)
+    if op == "-":
+        return _sub(da, db)
+    if op == "*":
+        return _add(_mul(da, b), _mul(a, db))
+    if op == "/":
+        return _div(_sub(da, _mul(node, db)), b)
+    if db == ZERO:  # constant exponent: b a^(b-1) da
+        return _mul(_mul(b, ("bin", "^", a, _sub(b, ONE))), da)
+    # a^b (db log a + b da / a)
+    return _mul(node, _add(_mul(db, ("call", "log", a)), _mul(b, _div(da, a))))
 
 
 def _compile(tree, params):
@@ -158,38 +233,40 @@ def _compile(tree, params):
 
 
 class ScalarExpr:
-    """One parsed scalar expression over (x, y, z) and named parameters."""
+    """One parsed scalar expression over (x, y, z) and named parameters.
 
-    def __init__(self, text, params=None):
+    ``tree`` builds the expression from an already parsed (or derived) tree
+    instead of parsing ``text``.
+    """
+
+    def __init__(self, text, params=None, tree=None):
         self.text = text
         self.params = dict(params or {})
-        self.tree = _parse_tree(text, self.params)
+        self.tree = _parse_tree(text, self.params) if tree is None else tree
         self.fn = _compile(self.tree, self.params)
+        self._derivatives = {}
 
     def with_params(self, **updates):
         unknown = set(updates) - set(self.params)
         if unknown:
             raise KeyError(f"undeclared parameters: {sorted(unknown)}")
         merged = {**self.params, **{k: float(v) for k, v in updates.items()}}
-        return ScalarExpr(self.text, merged)
+        return ScalarExpr(self.text, merged, self.tree)
 
-    def __call__(self, x, y, z):
+    def __call__(self, x, y, z, **params):
+        """Evaluate; keyword parameters (scalars, or arrays of one value per
+        point) override the bound values for this call only."""
+        if params:
+            return self.fn(x, y, z, **{"p_" + k: v for k, v in params.items()})
         return self.fn(x, y, z)
 
-    def eval_checked(self, x, y, z):
-        w = self.fn(x, y, z)
-        if not np.all(np.isfinite(dmath.value(w))):
-            raise NonFinite(f"expression {self.text!r} evaluated to a non-finite value")
-        return w
-
-    def value_and_grad(self, x, y, z):
-        """One dual pass: value and exact gradient of the parsed expression."""
-        d = self.fn(dmath.Dual(x, (1.0, 0.0, 0.0)),
-                    dmath.Dual(y, (0.0, 1.0, 0.0)),
-                    dmath.Dual(z, (0.0, 0.0, 1.0)))
-        if not isinstance(d, dmath.Dual):  # constant expression
-            return d, (0.0, 0.0, 0.0)
-        return d.val, d.partials
+    def diff(self, var):
+        """The compiled partial derivative along ``var``, built once."""
+        d = self._derivatives.get(var)
+        if d is None:
+            d = ScalarExpr(f"d({self.text})/d{var}", self.params, _diff(self.tree, var))
+            self._derivatives[var] = d
+        return d
 
 
 def _parse_tree(text, params):
@@ -240,6 +317,13 @@ def parse_field(source, params=None):
     return VectorFieldExpr([ScalarExpr(p, params) for p in parts])
 
 
+def _rows(value, like):
+    """``value`` as a float array shaped like ``like``: an expression that
+    folded to a constant evaluates to a scalar."""
+    out = np.asarray(value, dtype=float)
+    return out if out.shape == like.shape else np.full(like.shape, out)
+
+
 def _stack3(values, like):
     out = np.empty(np.shape(like) + (3,))
     for k, v in enumerate(values):
@@ -259,19 +343,31 @@ class VectorFieldExpr:
     def with_params(self, **updates):
         return VectorFieldExpr([c.with_params(**updates) for c in self.components])
 
-    def __call__(self, u):
-        """Evaluate at points ``u`` of shape (..., 3); returns (..., 3)."""
+    def __call__(self, u, **params):
+        """Evaluate at points ``u`` of shape (..., 3); returns (..., 3).
+
+        Keyword parameters (scalars, or arrays of one value per point)
+        override the bound values for this call only.
+        """
         u = np.asarray(u, dtype=float)
         x, y, z = u[..., 0], u[..., 1], u[..., 2]
-        return _stack3([c(x, y, z) for c in self.components], x)
+        return _stack3([c(x, y, z, **params) for c in self.components], x)
 
-    def eval_components(self, x, y, z):
-        """Raw component evaluation; accepts floats, arrays or duals."""
-        return tuple(c(x, y, z) for c in self.components)
+    def lie(self, expr):
+        """The Lie derivative sum_i F_i d(expr)/dx_i as a compiled expression."""
+        tree = ZERO
+        for comp, var in zip(self.components, VARIABLES):
+            tree = _add(tree, _mul(comp.tree, expr.diff(var).tree))
+        return ScalarExpr(f"L({expr.text})", {**self.params, **expr.params}, tree)
 
 
 class SwitchingFunction:
-    """Scalar switching function g with its dual-derived gradient."""
+    """A scalar function of the state with its compiled gradient.
+
+    Used for the switching function g and for Lie derivatives such as Xg.
+    Values always come back with the row shape of the points, also where
+    the expression folded to a constant.
+    """
 
     def __init__(self, text_or_expr, params=None):
         if isinstance(text_or_expr, ScalarExpr):
@@ -288,25 +384,18 @@ class SwitchingFunction:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        return np.asarray(self.expr(u[..., 0], u[..., 1], u[..., 2]), dtype=float)
-
-    def value(self, x, y, z):
-        return self.expr(x, y, z)
-
-    def gradient(self, u):
-        """Gradient at points ``u`` of shape (..., 3); returns (..., 3)."""
-        u = np.asarray(u, dtype=float)
-        _, grad = self.expr.value_and_grad(u[..., 0], u[..., 1], u[..., 2])
-        return _stack3(grad, u[..., 0])
+        x = u[..., 0]
+        return _rows(self.expr.fn(x, u[..., 1], u[..., 2]), x)
 
     def value_and_gradient(self, u):
+        """Values (...,) and gradients (..., 3) at points ``u`` of shape (..., 3)."""
         u = np.asarray(u, dtype=float)
-        val, grad = self.expr.value_and_grad(u[..., 0], u[..., 1], u[..., 2])
-        return np.asarray(val, dtype=float), _stack3(grad, u[..., 0])
+        x, y, z = u[..., 0], u[..., 1], u[..., 2]
+        return (_rows(self.expr.fn(x, y, z), x),
+                _stack3([d(x, y, z) for d in self._gradient], x))
 
-    def check_regular(self, points, tol_manifold=1e-10, tol_regular=1e-8):
-        """0 must be a regular value: |grad g| > tol where |g| is small."""
-        val, grad = self.value_and_gradient(points)
-        near = np.abs(val) < tol_manifold
-        norms = np.linalg.norm(grad, axis=-1)
-        return bool(np.all(norms[near] > tol_regular)) if np.any(near) else True
+    @cached_property
+    def _gradient(self):
+        # the compiled partials, looked up once: this is on the integrator's
+        # hot path (projection and sliding right-hand side)
+        return [self.expr.diff(v).fn for v in VARIABLES]

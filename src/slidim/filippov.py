@@ -11,12 +11,12 @@ manifold along the visible field.
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import odeint
 from .config import Tolerances
-from .dmath import Dual, value as dvalue
 from .errors import (DegenerateTangency, DenominatorVanishes, LeftSlidingRegion,
                      NoConvergence, NoHit, NonFinite, NonUniqueForward,
                      NotHyperbolic, OffManifold, StepFailure)
@@ -60,7 +60,11 @@ class EscapePolicy(enum.Enum):
 
 @dataclass
 class FilippovSystem:
-    """Pair (X, Y) with switching function g over one parameter namespace."""
+    """Pair (X, Y) with switching function g over one parameter namespace.
+
+    The Lie derivatives Xg, Yg and the second derivatives X(Xg), Y(Yg) are
+    differentiated and compiled on first use, once per system.
+    """
 
     X: VectorFieldExpr
     Y: VectorFieldExpr
@@ -77,6 +81,22 @@ class FilippovSystem:
                               self.Y.with_params(**updates),
                               self.g.with_params(**updates) if self.g.params else self.g,
                               self.domain, self.tol)
+
+    @cached_property
+    def xg(self):
+        return SwitchingFunction(self.X.lie(self.g.expr))
+
+    @cached_property
+    def yg(self):
+        return SwitchingFunction(self.Y.lie(self.g.expr))
+
+    @cached_property
+    def xxg(self):
+        return SwitchingFunction(self.X.lie(self.xg.expr))
+
+    @cached_property
+    def yyg(self):
+        return SwitchingFunction(self.Y.lie(self.yg.expr))
 
 
 def make_system(x_src, y_src, g_src, params=None, domain=None, tol=None):
@@ -95,7 +115,7 @@ def make_system(x_src, y_src, g_src, params=None, domain=None, tol=None):
 
 
 def lie_derivative(F, g, u):
-    """Fg(u) = <F(u), grad g(u)>, gradient by one dual pass."""
+    """Fg(u) = <F(u), grad g(u)>."""
     u = np.asarray(u, dtype=float)
     with np.errstate(all="ignore"):
         fu = F(u)
@@ -107,29 +127,13 @@ def lie_derivative(F, g, u):
 
 
 def lie_pair(sys, u):
-    """(Xg, Yg) sharing one gradient evaluation."""
-    u = np.asarray(u, dtype=float)
-    _, grad = sys.g.value_and_gradient(u)
-    return np.sum(sys.X(u) * grad, axis=-1), np.sum(sys.Y(u) * grad, axis=-1)
+    """(Xg, Yg) from the system's compiled Lie derivatives."""
+    return sys.xg(u), sys.yg(u)
 
 
 def second_lie_derivative(F, g, u):
-    """F(Fg)(u): one dual pass over the scalar field Fg (nested duals)."""
-    u = np.asarray(u, dtype=float)
-    sx = Dual(u[..., 0], (1.0, 0.0, 0.0))
-    sy = Dual(u[..., 1], (0.0, 1.0, 0.0))
-    sz = Dual(u[..., 2], (0.0, 0.0, 1.0))
-    comps = F.eval_components(sx, sy, sz)
-    inner = g.expr.fn(Dual(sx, (1.0, 0.0, 0.0)),
-                      Dual(sy, (0.0, 1.0, 0.0)),
-                      Dual(sz, (0.0, 0.0, 1.0)))
-    if not isinstance(inner, Dual):
-        return np.zeros(u.shape[:-1])
-    fg = sum(c * p for c, p in zip(comps, inner.partials))
-    if not isinstance(fg, Dual):
-        return np.zeros(u.shape[:-1])
-    out = sum(dvalue(c) * dvalue(p) for c, p in zip(comps, fg.partials))
-    return np.broadcast_to(np.asarray(out, dtype=float), u.shape[:-1])
+    """F(Fg)(u), from the symbolic derivative of the expression Fg."""
+    return SwitchingFunction(F.lie(F.lie(g.expr)))(u)
 
 
 # --- region and tangency classification --------------------------------------
@@ -189,13 +193,13 @@ def classify_tangency(sys, u):
     if abs(xg) > tol and abs(yg) > tol:
         raise OffManifold("not a tangency point: both Lie derivatives nonzero")
     if abs(xg) <= tol:
-        xxg = float(np.asarray(second_lie_derivative(sys.X, sys.g, u)))
+        xxg = float(sys.xxg(u))
         if abs(xxg) <= tol:
             raise DegenerateTangency(f"|X^2g| = {abs(xxg):.3e} below tolerance")
         regular = abs(yg) > tol
         boundary = None if not regular else ("s" if yg > 0 else "e")
         return FoldLabel("X", xxg > 0, regular, boundary, xxg, yg)
-    yyg = float(np.asarray(second_lie_derivative(sys.Y, sys.g, u)))
+    yyg = float(sys.yyg(u))
     if abs(yyg) <= tol:
         raise DegenerateTangency(f"|Y^2g| = {abs(yyg):.3e} below tolerance")
     regular = abs(xg) > tol
@@ -214,31 +218,31 @@ def is_visible_fold_regular(sys, u):
 # --- sliding field ------------------------------------------------------------
 
 
-def sliding_field(sys, u):
-    """(Yg X - Xg Y)/(Yg - Xg): the convex combination tangent to M."""
-    u = np.asarray(u, dtype=float)
+def _sliding(sys, u, sign):
+    """sign (Yg X - Xg Y)/(Yg - Xg) and its denominator Yg - Xg.
+
+    Xg and Yg come from the X(u), Y(u) already in hand, so no field is
+    evaluated twice.
+    """
     xu, yu = sys.X(u), sys.Y(u)
     _, grad = sys.g.value_and_gradient(u)
     xg = np.sum(xu * grad, axis=-1)
     yg = np.sum(yu * grad, axis=-1)
     den = yg - xg
+    return sign * (yg[..., None] * xu - xg[..., None] * yu) / den[..., None], den
+
+
+def sliding_field(sys, u):
+    """(Yg X - Xg Y)/(Yg - Xg): the convex combination tangent to M."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zt, den = _sliding(sys, np.asarray(u, dtype=float), 1.0)
     if np.any(np.abs(den) < sys.tol.tangency):
         raise DenominatorVanishes("Yg - Xg below tolerance; point is not in M^{s,e}")
-    return (yg[..., None] * xu - xg[..., None] * yu) / den[..., None]
+    return zt
 
 
 def _sliding_rhs(sys, sign=1.0):
-    X, Y, g = sys.X, sys.Y, sys.g
-
-    def rhs(u):
-        xu, yu = X(u), Y(u)
-        _, grad = g.value_and_gradient(u)
-        xg = np.sum(xu * grad, axis=-1)
-        yg = np.sum(yu * grad, axis=-1)
-        den = yg - xg
-        return sign * (yg[..., None] * xu - xg[..., None] * yu) / den[..., None]
-
-    return rhs
+    return lambda u: _sliding(sys, u, sign)[0]
 
 
 def manifold_project(g, u, iterations=2):
@@ -416,17 +420,7 @@ class TimeStop:
 
 def fold_events(sys):
     """Events Xg = 0 (index 0) and Yg = 0 (index 1): the sliding region's folds."""
-    X, Y, g = sys.X, sys.Y, sys.g
-
-    def xg(pts):
-        _, grad = g.value_and_gradient(pts)
-        return np.sum(X(pts) * grad, axis=-1)
-
-    def yg(pts):
-        _, grad = g.value_and_gradient(pts)
-        return np.sum(Y(pts) * grad, axis=-1)
-
-    return [odeint.EventSpec(xg), odeint.EventSpec(yg)]
+    return [odeint.EventSpec(sys.xg), odeint.EventSpec(sys.yg)]
 
 
 def _sliding_events(sys, stop):

@@ -6,7 +6,6 @@ band), and exact cover lengths certify the per-level Lebesgue decay.
 These share no code with the contraction-system solvers they check.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,16 +13,9 @@ import numpy as np
 from .errors import DegenerateFit
 
 
-class Provenance(enum.Enum):
-    COVER_MIDPOINTS = "cover_midpoints"
-    WORD_IMAGES = "word_images"
-    ORBIT_SAMPLE = "orbit_sample"
-
-
 @dataclass
 class PointSample:
     points: np.ndarray
-    provenance: Provenance
 
     def __post_init__(self):
         pts = np.sort(np.asarray(self.points, dtype=float))
@@ -32,17 +24,12 @@ class PointSample:
         self.points = pts[keep]
 
 
-def sample_from_cover(cover):
-    mids = 0.5 * (cover.intervals[:, 0] + cover.intervals[:, 1])
-    return PointSample(mids, Provenance.COVER_MIDPOINTS)
-
-
 def sample_word_images(sys, depth, x0=0.0):
     """All depth-``depth`` word images of x0 under the system's maps."""
     pts = np.array([float(x0)])
     for _ in range(depth):
         pts = np.concatenate([np.asarray(m.eval(pts), dtype=float) for m in sys.maps])
-    return PointSample(pts, Provenance.WORD_IMAGES)
+    return PointSample(pts)
 
 
 @dataclass

@@ -21,36 +21,13 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import odeint
-from .dmath import Dual, value as dvalue
 from .errors import (BackwardDivergence, BranchResolutionExceeded,
                      ConnectionResidualTooLarge, CurveEscapesDomain,
                      FoldRegularityLost, HitOutsideSliding, NoHit,
-                     NotAFocus, NotSurjective, NoValidCutoff, SectionMiss,
-                     SlidimError)
-from .filippov import (Region, classify_region, classify_tangency,
-                       find_pseudo_equilibrium, fold_events,
-                       is_visible_fold_regular, lie_pair, manifold_project,
-                       sliding_field, tangent_basis, _sliding_rhs)
-
-
-def lie_value_and_gradient(F, g, u):
-    """(Fg(u), grad(Fg)(u)) by one nested dual pass."""
-    u = np.asarray(u, dtype=float)
-    sx = Dual(u[..., 0], (1.0, 0.0, 0.0))
-    sy = Dual(u[..., 1], (0.0, 1.0, 0.0))
-    sz = Dual(u[..., 2], (0.0, 0.0, 1.0))
-    comps = F.eval_components(sx, sy, sz)
-    inner = g.expr.fn(Dual(sx, (1.0, 0.0, 0.0)),
-                      Dual(sy, (0.0, 1.0, 0.0)),
-                      Dual(sz, (0.0, 0.0, 1.0)))
-    fg = sum(c * p for c, p in zip(comps, inner.partials))
-    val = dvalue(fg)
-    if isinstance(fg, Dual):
-        grad = np.stack([np.broadcast_to(np.asarray(dvalue(p), dtype=float), np.shape(val))
-                         for p in fg.partials], axis=-1)
-    else:
-        grad = np.zeros(np.shape(val) + (3,))
-    return np.asarray(val, dtype=float), grad
+                     NotAFocus, NoValidCutoff, SectionMiss, SlidimError)
+from .filippov import (Region, classify_region, find_pseudo_equilibrium,
+                       fold_events, is_visible_fold_regular, manifold_project,
+                       tangent_basis, _sliding_rhs)
 
 
 def project_to_fold(sys, seed, max_iter=40):
@@ -58,7 +35,7 @@ def project_to_fold(sys, seed, max_iter=40):
     u = np.asarray(seed, dtype=float)
     for _ in range(max_iter):
         gval, ggrad = sys.g.value_and_gradient(u)
-        xg, xggrad = lie_value_and_gradient(sys.X, sys.g, u)
+        xg, xggrad = sys.xg.value_and_gradient(u)
         r = np.array([float(gval), float(xg)])
         if np.max(np.abs(r)) < 1e-13:
             return u
@@ -175,7 +152,7 @@ def build_fold_segment(sys, q, r, n_per_side=64):
 
     def tangent_at(u, ref=None):
         _, ggrad = sys.g.value_and_gradient(u)
-        _, xggrad = lie_value_and_gradient(sys.X, sys.g, u)
+        _, xggrad = sys.xg.value_and_gradient(u)
         t = np.cross(ggrad, xggrad)
         t = t / np.linalg.norm(t)
         if ref is not None and np.dot(t, ref) < 0:
@@ -186,7 +163,7 @@ def build_fold_segment(sys, q, r, n_per_side=64):
         u = pred
         for _ in range(30):
             gval, ggrad = sys.g.value_and_gradient(u)
-            xg, xggrad = lie_value_and_gradient(sys.X, sys.g, u)
+            xg, xggrad = sys.xg.value_and_gradient(u)
             r3 = np.array([float(gval), float(xg), float(np.dot(u - pred, t))])
             if np.max(np.abs(r3[:2])) < 1e-13:
                 return u
@@ -581,42 +558,6 @@ def branch_width_lambda(branches):
 
 
 # --- inverse branches ----------------------------------------------------------------
-
-
-def branch_inverse(sys, fold, branch, x, cert=None, center=None, iters=80):
-    """psi_J(x): monotone bisection solve of pi(w) = x inside the branch.
-
-    Deterministic bracketed bisection down to float-adjacent brackets;
-    satisfies pi(psi_J(x)) = x to the event-localization level.
-    """
-    center = cert.p if cert is not None else center
-    t_slide = (branch.index + 10) * (cert.flight_time_scale if cert else 15.0)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(xs) > 1 + 1e-9):
-        raise NotSurjective("requested value outside [-1, 1]")
-
-    lo = np.full(xs.shape, branch.interval[0])
-    hi = np.full(xs.shape, branch.interval[1])
-    increasing = branch.samples_pi[-1] > branch.samples_pi[0]
-
-    def pi_of(ws):
-        ret, _, ok, exit_s = first_return_batch(sys, fold, ws, center, t_slide)
-        # near the boundary the orbit can slip just off-section; the raw exit
-        # coordinate still orders correctly for the bisection
-        vals = np.where(ok, ret, exit_s)
-        return vals
-
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        done = (mid <= lo) | (mid >= hi)
-        if done.all():
-            break
-        vals = pi_of(mid)
-        too_low = (vals < xs) == increasing
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def select_u(branches, lam, a_hat=None):

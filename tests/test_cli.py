@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from slidim import cli, pipeline
 from slidim.config import Tolerances
 from slidim.errors import ConfigError
 from slidim.runconfig import load_config, parse_config
@@ -148,6 +149,25 @@ def test_config_tolerances_reach_the_run(tmp_path):
     assert tol.manifold == Tolerances().manifold
     with pytest.raises(ConfigError, match="tolerances.atol"):
         parse_config({**ESCAPE_CONFIG, "tolerances": {"atol": 0}})
+
+
+def test_dimension_passes_depth_to_the_pipeline(tmp_path, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    seen = {}
+
+    def fake_pipeline(*args, **kwargs):
+        seen.update(kwargs)
+        raise Reached
+
+    monkeypatch.setattr(pipeline, "run_dimension_pipeline", fake_pipeline)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(ESCAPE_CONFIG))
+    with pytest.raises(Reached):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), "--depth", "4",
+                  "dimension"])
+    assert seen["cantor_depth"] == 4
 
 
 def test_return_map_command(tmp_path):

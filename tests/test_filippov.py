@@ -7,9 +7,9 @@ from slidim.filippov import (EscapePolicy, FoldBoundary, Mode, Region,
                              SectionStop, TerminalEvent, TimeStop,
                              classify_region, classify_tangency,
                              filippov_trajectory, find_pseudo_equilibrium,
-                             flow_sliding, flow_to_manifold, lie_derivative,
-                             lie_pair, make_system, second_lie_derivative,
-                             sliding_field)
+                             flow_sliding, flow_to_manifold, fold_events,
+                             lie_derivative, lie_pair, make_system,
+                             second_lie_derivative, sliding_field)
 from slidim.expressions import parse_field
 
 
@@ -24,6 +24,18 @@ def test_lie_derivative_trivials():
     assert lie_derivative(s.X, s.g, [4.0, 5.0, 6.0]) == 1.0
     s2 = make_system("1, 2, 3", "0, 0, 1", "x + y + z")
     assert lie_derivative(s2.X, s2.g, [0.3, 0.4, 0.5]) == 6.0
+
+
+def test_folded_lie_derivatives_keep_the_row_shape():
+    s = canonical()
+    assert s.xg.expr.tree == s.X.components[2].tree  # g = z: Xg is X's third component
+    pts = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [1.0, 0.5, 0.0]])
+    xg, yg = lie_pair(s, pts)
+    assert xg.shape == yg.shape == (3,)
+    assert np.array_equal(xg, [-1.0, 1.0, 0.0]) and np.array_equal(yg, [1.0, 1.0, 1.0])
+    for ev in fold_events(s):
+        assert ev.fn(pts).shape == (3,)
+    assert np.array_equal(s.yyg(pts), np.zeros(3))
 
 
 def test_lie_derivative_vanishes_at_fold():

@@ -15,21 +15,19 @@ def test_middle_thirds_slope():
 
 
 def test_uniform_interval_slope_one():
-    sample = oracle.PointSample(np.linspace(-1, 1, 200001),
-                                oracle.Provenance.ORBIT_SAMPLE)
+    sample = oracle.PointSample(np.linspace(-1, 1, 200001))
     assert oracle.box_counting(sample).slope == pytest.approx(1.0, abs=0.01)
 
 
 def test_single_point_slope_zero():
-    sample = oracle.PointSample(np.array([0.25]), oracle.Provenance.ORBIT_SAMPLE)
+    sample = oracle.PointSample(np.array([0.25]))
     assert oracle.box_counting(sample).slope == 0.0
 
 
 def test_affine_rescale_invariance():
     pts = oracle.sample_word_images(cifs.middle_thirds(), 12).points
-    a = oracle.box_counting(oracle.PointSample(pts, oracle.Provenance.WORD_IMAGES))
-    b = oracle.box_counting(oracle.PointSample(0.37 * pts - 0.41,
-                                               oracle.Provenance.WORD_IMAGES))
+    a = oracle.box_counting(oracle.PointSample(pts))
+    b = oracle.box_counting(oracle.PointSample(0.37 * pts - 0.41))
     assert abs(a.slope - b.slope) < 1e-6
 
 
@@ -41,7 +39,7 @@ def test_counts_nonincreasing_in_scale():
 
 
 def test_needs_enough_points_and_decades():
-    small = oracle.PointSample(np.linspace(0, 1, 10), oracle.Provenance.ORBIT_SAMPLE)
+    small = oracle.PointSample(np.linspace(0, 1, 10))
     with pytest.raises(ValueError):
         oracle.box_counting(small)
     sample = oracle.sample_word_images(cifs.middle_thirds(), 12)
@@ -53,7 +51,7 @@ def test_degenerate_fit_detected():
     # two clusters separated by a huge gap: log-log counts are a step
     pts = np.concatenate([np.linspace(0, 1e-5, 600), np.linspace(1, 1 + 1e-5, 600)])
     with pytest.raises(DegenerateFit):
-        oracle.box_counting(oracle.PointSample(pts, oracle.Provenance.ORBIT_SAMPLE))
+        oracle.box_counting(oracle.PointSample(pts))
 
 
 def test_cover_length_values():

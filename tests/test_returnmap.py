@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from slidim import returnmap
-from slidim.errors import (BranchResolutionExceeded, NotSurjective,
-                           NoValidCutoff, SectionMiss, SlidimError)
-from slidim.returnmap import (Branch, branch_inverse, branch_width_lambda,
+from slidim.errors import (BranchResolutionExceeded, NoValidCutoff,
+                           SectionMiss, SlidimError)
+from slidim.returnmap import (Branch, branch_width_lambda,
                               build_fold_segment, check_lambda_agreement,
                               enumerate_branches, first_return,
-                              geometric_tail_sum, noise_floor_imax, precise,
-                              select_u, theta_x, verify_connection)
+                              geometric_tail_sum, noise_floor_imax, select_u,
+                              theta_x, verify_connection)
 
 
 # --- connection certificate (shared pipeline run) ---------------------------------
@@ -144,23 +144,6 @@ def test_branch_bounds_and_expansion(bench_pipeline):
         assert b.winding == b.index - 1
         assert np.all(b.samples_dpi >= 1 / s)
         assert np.all(b.samples_dpi > 1)
-
-
-def test_branch_inverse_round_trip_and_range(bench, bench_pipeline):
-    branch = [b for b in bench_pipeline.branches if b.side == "R" and b.index == 1][0]
-    hs = precise(bench.system)
-    xs = np.array([-0.75, 0.1, 0.8])
-    ws = branch_inverse(hs, bench_pipeline.fold, branch, xs,
-                        cert=bench_pipeline.cert)
-    assert np.all((ws >= branch.interval[0]) & (ws <= branch.interval[1]))
-    from slidim.returnmap import first_return_batch
-    vals, _, ok, _ = first_return_batch(hs, bench_pipeline.fold, ws,
-                                        bench_pipeline.cert.p, 80.0)
-    assert ok.all()
-    assert np.abs(vals - xs).max() < 1e-9
-    with pytest.raises(NotSurjective):
-        branch_inverse(hs, bench_pipeline.fold, branch, 1.5,
-                       cert=bench_pipeline.cert)
 
 
 def test_inverse_maps_contract_and_compose(bench_pipeline):
