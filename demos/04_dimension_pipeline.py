@@ -22,20 +22,20 @@ print(f"  pressure root      t~ = {rep.pressure_root:.6f}")
 print(f"  Moran upper bound  t  = {rep.moran_upper:.6f}")
 print("  truncation curve:", [(n, round(v, 5)) for n, v in rep.truncation_schedule])
 
-lens = [c.total_length for c in res.covers_decay]
+lens = [c.total_length for c in res.covers]
 print("\ncover lengths by level (Lebesgue decay):")
 for k, ln in enumerate(lens, start=1):
     print(f"  level {k}: {ln:.3e}")
 print(f"  worst per-level ratio {max(b / a for a, b in zip(lens, lens[1:])):.4f} "
-      f"<= sum of contraction bounds {res.decay_subsystem_sum_c:.4f}")
+      f"<= sum of contraction bounds {res.sum_c:.4f}")
 
 print("\nCantor certificate (depth", res.cantor.depth, "):",
       "PASS" if res.cantor.passed else "FAIL")
 for name, clause in res.cantor.clauses.items():
     print(f"  clause {name}: {clause['passed']}")
 
-print(f"\nbox-counting slope {res.box_fit.slope:.4f} "
-      f"(R^2 = {res.box_fit.r_squared:.4f}) vs bracket "
+print(f"\nbox-counting slope {res.verdict.box_slope:.4f} "
+      f"(R^2 = {res.verdict.margins['r_squared']:.4f}) vs bracket "
       f"[{rep.moran_lower:.4f}, {rep.moran_upper:.4f}]")
 print("oracle verdict:", "PASS" if res.verdict.passed else "FAIL")
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CertificateFailure, ConditionViolated, DegenerateSystem,
-                     EquivalenceFailure, InsufficientMaps, NonMonotone,
-                     NoRootInUnitInterval, ParameterInfeasible, TailDiverges)
+                     EquivalenceFailure, InsufficientData, InsufficientMaps,
+                     NonMonotone, NoRootInUnitInterval, ParameterInfeasible,
+                     TailDiverges)
 
 AMBIENT = (-1.0, 1.0)
 
@@ -510,8 +511,10 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
     """
     covers = sorted(covers, key=lambda c: c.level)
     levels = [c.level for c in covers]
+    if len(levels) < 2:
+        raise InsufficientData(f"need at least two cover levels, got {len(levels)}")
     if len(set(levels)) != len(levels):
-        raise ValueError("duplicate cover levels (budget-truncated input?)")
+        raise InsufficientData("duplicate cover levels (tower truncated by its interval budget)")
     depth = covers[-1].level
     lengths = np.array([c.total_length for c in covers])
     ratios = lengths[1:] / lengths[:-1]

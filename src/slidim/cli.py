@@ -15,7 +15,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import cifs, oracle, pipeline, returnmap
+from . import cifs, pipeline, returnmap
 from .errors import ConfigError, SlidimError
 from .filippov import EscapePolicy, filippov_trajectory, region_grid
 from .runconfig import bench_config, load_config
@@ -123,14 +123,9 @@ def cmd_simulate(cfg, system, out, args):
     return 0
 
 
-def _connection_stages(cfg, system):
+def cmd_return_map(cfg, system, out, args):
     cert = returnmap.verify_connection(system, cfg.p_seed, cfg.q_seed)
     fold = returnmap.build_fold_segment(system, cert.q, cfg.radius)
-    return cert, fold
-
-
-def cmd_return_map(cfg, system, out, args):
-    cert, fold = _connection_stages(cfg, system)
     branches = returnmap.enumerate_branches(system, fold, cert, cfg.i_max,
                                             n_scan=cfg.n_scan)
     rows = [(b.side, b.index, b.interval[0], b.interval[1], b.deriv_lo,
@@ -161,7 +156,8 @@ def _fixture_system(args):
     if args.model == "middle-thirds":
         return cifs.middle_thirds()
     if args.model == "geometric":
-        return cifs.make_geometric_model(args.a, args.lam, args.imin, args.imax)
+        return cifs.make_geometric_model(args.a, args.lam, args.imin,
+                                         args.imax_model)
     raise ConfigError(f"unknown model {args.model!r}")
 
 
@@ -181,55 +177,50 @@ def _cantor_dict(cert):
     return {"passed": cert.passed, "depth": cert.depth, "clauses": cert.clauses}
 
 
+def _run_pipeline(cfg, system, **depths):
+    return pipeline.run_dimension_pipeline(
+        system, cfg.p_seed, cfg.q_seed, radius=cfg.radius, i_max=cfg.i_max,
+        n_scan=cfg.n_scan, schedule=cfg.schedule, **depths)
+
+
 def cmd_dimension(cfg, system, out, args):
     if args.model:
-        ifs = _fixture_system(args)
         depth = 12 if args.depth is None else args.depth
-        res = pipeline.run_fixture_pipeline(ifs, cover_depth=depth,
-                                            box_depth=depth)
+        res = pipeline.run_fixture_pipeline(_fixture_system(args),
+                                            cover_depth=depth, box_depth=depth)
+        doc = {"version": 1, "kind": "dimension-fixture", "model": args.model,
+               "sum_c": res.sum_c}
+    else:
+        res = _run_pipeline(cfg, system, cantor_depth=cfg.depth)
         doc = {
-            "version": 1, "kind": "dimension-fixture", "model": args.model,
-            "report": _report_dict(res.report),
-            "cantor": _cantor_dict(res.cantor),
-            "box": {"slope": res.box_fit.slope, "r_squared": res.box_fit.r_squared},
-            "cover_lengths": [c.total_length for c in res.covers],
-            "sum_c": res.sum_c,
-            "verdict": _verdict_dict(res.verdict),
+            "version": 1, "kind": "dimension",
+            "seed": cfg.seed,
+            "system": {"X": cfg.x_src, "Y": cfg.y_src, "g": cfg.g_src,
+                       "params": cfg.params},
+            "certificate": _cert_dict(res.cert),
+            "lambda_estimates": res.lambda_estimates,
+            "i_min": res.i_min, "a_hat": res.a_hat,
+            "branches": [{"side": b.side, "index": b.index,
+                          "lo": b.interval[0], "hi": b.interval[1],
+                          "deriv_lo": b.deriv_lo, "deriv_hi": b.deriv_hi,
+                          "surjective": b.surjective} for b in res.branches],
+            "roundtrip_max": float(res.roundtrip.max()),
+            "decay_cap": res.sum_c,
         }
-        _write_json(os.path.join(out, "report.json"), doc)
-        _write_csv(os.path.join(out, "covers.csv"), ["lo", "hi", "level"],
-                   _covers_rows(res.covers))
-        return 0 if res.verdict.passed else 3
-
-    res = pipeline.run_dimension_pipeline(
-        system, cfg.p_seed, cfg.q_seed, radius=cfg.radius, i_max=cfg.i_max,
-        n_scan=cfg.n_scan, cantor_depth=cfg.depth, schedule=cfg.schedule)
-    doc = {
-        "version": 1, "kind": "dimension",
-        "seed": cfg.seed,
-        "system": {"X": cfg.x_src, "Y": cfg.y_src, "g": cfg.g_src,
-                   "params": cfg.params},
-        "certificate": _cert_dict(res.cert),
-        "lambda_estimates": res.lambda_estimates,
-        "i_min": res.i_min, "a_hat": res.a_hat,
-        "branches": [{"side": b.side, "index": b.index,
-                      "lo": b.interval[0], "hi": b.interval[1],
-                      "deriv_lo": b.deriv_lo, "deriv_hi": b.deriv_hi,
-                      "surjective": b.surjective} for b in res.branches],
-        "roundtrip_max": float(res.roundtrip.max()),
+        print("verdict:", "PASS" if res.verdict.passed else "FAIL",
+              "timings:", {k: round(v, 1) for k, v in res.timings.items()},
+              file=_sys.stderr)
+    doc.update({
         "report": _report_dict(res.report),
-        "cover_lengths": [c.total_length for c in res.covers_decay],
-        "decay_cap": res.decay_subsystem_sum_c,
         "cantor": _cantor_dict(res.cantor),
-        "box": {"slope": res.box_fit.slope, "r_squared": res.box_fit.r_squared},
+        "box": {"slope": res.verdict.box_slope,
+                "r_squared": res.verdict.margins["r_squared"]},
         "verdict": _verdict_dict(res.verdict),
-    }
+        "cover_lengths": [c.total_length for c in res.covers],
+    })
     _write_json(os.path.join(out, "report.json"), doc)
     _write_csv(os.path.join(out, "covers.csv"), ["lo", "hi", "level"],
-               _covers_rows(res.covers_decay))
-    print("verdict:", "PASS" if res.verdict.passed else "FAIL",
-          "timings:", {k: round(v, 1) for k, v in res.timings.items()},
-          file=_sys.stderr)
+               _covers_rows(res.covers))
     return 0 if res.verdict.passed else 3
 
 
@@ -237,28 +228,18 @@ def cmd_attractor(cfg, system, out, args):
     if args.model:
         depth = 12 if args.depth is None else args.depth
         ifs = _fixture_system(args)
+        covers = [cifs.attractor_iterate(ifs, j) for j in range(1, depth + 1)]
+        scaffold, cantor = pipeline.certify_cantor(ifs, covers, depth)
     else:
-        depth = cfg.depth if args.depth is None else args.depth
-        cert, fold = _connection_stages(cfg, system)
-        branches = returnmap.enumerate_branches(system, fold, cert, cfg.i_max,
-                                                 n_scan=cfg.n_scan)
-        i_min, a_hat = returnmap.select_u(branches, cert.lambda_hat)
-        selected = [b for b in branches if b.index >= i_min]
-        maps = returnmap.branch_contractions(selected)
-        ifs = pipeline.branch_ifs(selected, maps, cert.lambda_hat, a_hat,
-                                  cfg.i_max + 1)
-        # certificate depth needs float-resolvable chains: keep the two
-        # strongest contractions per side, as the dimension pipeline does
-        sorted_b = sorted(selected, key=lambda b: b.interval[0])
-        ifs = pipeline._subsystem(list(zip(sorted_b, ifs.maps)), 2)
-    covers = [cifs.attractor_iterate(ifs, j) for j in range(1, depth + 1)]
-    scaffold = cifs.closure_scaffold(ifs, 0.0, depth)
-    cert_obj = cifs.cantor_certify(covers, scaffold)
+        # the dimension run, checks included, at cover and certificate depth
+        depth = cfg.depth
+        res = _run_pipeline(cfg, system, cover_depth=depth, cantor_depth=depth)
+        covers, scaffold, cantor = res.covers[:depth], res.scaffold, res.cantor
     _write_csv(os.path.join(out, "covers.csv"), ["lo", "hi", "level"],
                _covers_rows(covers))
     _write_csv(os.path.join(out, "scaffold.csv"), ["coordinate", "word_length"],
                list(zip(scaffold.points, scaffold.word_lengths)))
-    doc = _cantor_dict(cert_obj)
+    doc = _cantor_dict(cantor)
     doc["truncated"] = bool(any(c.truncated for c in covers) or scaffold.truncated)
     _write_json(os.path.join(out, "certificate.json"), doc)
     return 0
@@ -330,7 +311,7 @@ def build_parser():
         p.add_argument("--lambda", dest="lam", type=float, default=4.0)
         p.add_argument("--a", type=float, default=1.0)
         p.add_argument("--imin", type=int, default=1)
-        p.add_argument("--imax-model", dest="imax", type=int, default=1)
+        p.add_argument("--imax-model", type=int, default=1)
     return ap
 
 

@@ -159,6 +159,11 @@ class DegenerateFit(SlidimError):
     """Box-count regression below the R^2 threshold."""
 
 
+class InsufficientData(SlidimError, ValueError):
+    """Too few points or scale decades for a fit, or too few distinct cover
+    levels for the Cantor certificate (a tower cut short by its budget)."""
+
+
 # --- front end ----------------------------------------------------------------
 
 class ConfigError(SlidimError):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit
+from .errors import DegenerateFit, InsufficientData
 
 
 @dataclass
@@ -58,11 +58,11 @@ def box_counting(sample, scales=None, window=(1e-6, 1e-2), min_points=1000,
         sc = scales if scales is not None else default_scales()
         return BoxCountFit(0.0, 1.0, sc, np.ones(sc.size, dtype=int), window)
     if pts.size < min_points:
-        raise ValueError(f"need at least {min_points} points, got {pts.size}")
+        raise InsufficientData(f"need at least {min_points} points, got {pts.size}")
     scales = np.asarray(scales, dtype=float) if scales is not None else default_scales()
     span = np.log10(scales.max() / scales.min())
     if span < 3:
-        raise ValueError(f"scales span {span:.2f} decades; need at least 3")
+        raise InsufficientData(f"scales span {span:.2f} decades; need at least 3")
 
     # canonical unit frame: counts (hence the slope) are invariant under
     # affine rescaling of the sample, and scales read as fractions of the

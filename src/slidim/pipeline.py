@@ -1,9 +1,11 @@
 """End-to-end dimension pipeline for a system with a verified connection.
 
 certificate -> fold segment -> branch family -> index cutoff -> inverse
-contractions -> Moran/pressure report -> covers, scaffold and Cantor
-certificate -> box-counting cross-check.  Each stage output is kept on the
-result object so tests and the front end can interrogate any of them.
+contractions -> ``analyze_ifs``: Moran/pressure report -> covers, scaffold
+and Cantor certificate -> box-counting cross-check.  Analytic fixtures
+enter at ``analyze_ifs`` through ``run_fixture_pipeline``.  Each stage
+output is kept on the result object so tests and the front end can
+interrogate any of them.
 """
 
 import time
@@ -15,8 +17,27 @@ from . import cifs, oracle, returnmap
 from .errors import SlidimError
 
 
+# Covers and the Cantor certificate run on the strongest contractions of
+# each side: chains through the thinnest branches drop below float
+# resolution within a few levels.
+CERTIFIED_PER_SIDE = 2
+
+
 @dataclass
-class DimensionPipelineResult:
+class IfsAnalysis:
+    """The report, covers, certificate and cross-check of one contraction system."""
+
+    ifs: cifs.IfsSystem
+    report: cifs.DimensionReport
+    covers: list
+    scaffold: object
+    cantor: cifs.CantorCertificate
+    verdict: oracle.Verdict
+    sum_c: float
+
+
+@dataclass
+class DimensionPipelineResult(IfsAnalysis):
     cert: object
     fold: object
     branches: list
@@ -24,25 +45,44 @@ class DimensionPipelineResult:
     a_hat: float
     lambda_estimates: dict
     roundtrip: np.ndarray
-    ifs: cifs.IfsSystem
-    report: cifs.DimensionReport
-    covers_decay: list
-    covers_cantor: list
-    scaffold: object
-    cantor: cifs.CantorCertificate
-    box_fit: oracle.BoxCountFit
-    verdict: oracle.Verdict
-    decay_subsystem_sum_c: float
     timings: dict = field(default_factory=dict)
 
 
-def _subsystem(maps_by_branch, per_side):
-    """The strongest ``per_side`` contractions of each side, as an IfsSystem."""
+def certify_cantor(sys, covers, depth):
+    """Scaffold of q = 0 to word length ``depth`` and the Cantor certificate
+    on the first ``depth`` cover levels."""
+    scaffold = cifs.closure_scaffold(sys, 0.0, depth)
+    return scaffold, cifs.cantor_certify(covers[:depth], scaffold)
+
+
+def analyze_ifs(ifs, certified, *, cover_depth, cantor_depth, box_depth,
+                band=0.03, schedule=None):
+    """Conditions and dimension report on ``ifs``; one cover tower, the
+    scaffold and the Cantor certificate on ``certified``; then the
+    box-counting cross-check against the first ``cover_depth`` levels.
+
+    The certificate runs before the word sample is drawn, so a tower cut
+    short by its interval budget fails before a sample of that size is built.
+    """
+    cifs.check_conditions(ifs)
+    report = cifs.dimension_report(ifs, schedule=schedule)
+    covers = [cifs.attractor_iterate(certified, j)
+              for j in range(1, max(cover_depth, cantor_depth) + 1)]
+    scaffold, cantor = certify_cantor(certified, covers, cantor_depth)
+    sample = oracle.sample_word_images(ifs, box_depth)
+    sum_c = float(sum(m.c for m in certified.maps))
+    verdict = oracle.crosscheck(report, sample, covers[:cover_depth],
+                                band=band, decay_cap=sum_c + 1e-9)
+    return IfsAnalysis(ifs, report, covers, scaffold, cantor, verdict, sum_c)
+
+
+def _subsystem(ifs):
+    """The strongest contractions of each side, as an IfsSystem."""
     chosen = []
     for side in ("L", "R"):
-        side_maps = [cm for br, cm in maps_by_branch if br.side == side]
+        side_maps = [m for m in ifs.maps if m.tag.startswith(side)]
         side_maps.sort(key=lambda m: -(m.image[1] - m.image[0]))
-        chosen.extend(side_maps[:per_side])
+        chosen.extend(side_maps[:CERTIFIED_PER_SIDE])
     return cifs.IfsSystem(sorted(chosen, key=lambda m: m.image[0]))
 
 
@@ -58,10 +98,9 @@ def branch_ifs(branches, maps, lam, a_hat, i_tail_start):
 
 
 def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
-                           n_scan=20000, cover_depth=8, cover_per_side=2,
-                           cantor_depth=6, cantor_per_side=2, box_depth=5,
-                           roundtrip_budget=1e-9, lambda_rel=0.10, band=0.03,
-                           schedule=None):
+                           n_scan=20000, cover_depth=8, cantor_depth=6,
+                           box_depth=5, roundtrip_budget=1e-9, lambda_rel=0.10,
+                           band=0.03, schedule=None):
     """Full analysis for one system; deterministic for fixed arguments."""
     timings = {}
     t0 = time.time()
@@ -90,35 +129,15 @@ def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
             f"inverse-branch round trip {resid.max():.2e} above {roundtrip_budget:.0e}")
     timings["inverses"] = time.time() - t0
 
-    ifs = branch_ifs(selected, inv_maps, cert.lambda_hat, a_hat, i_max + 1)
-    cifs.check_conditions(ifs)
-    report = cifs.dimension_report(ifs, schedule=schedule)
-
     t0 = time.time()
-    sorted_branches = sorted(selected, key=lambda b: b.interval[0])
-    pairs = list(zip(sorted_branches, ifs.maps))
-    decay_sub = _subsystem(pairs, cover_per_side)
-    covers_decay = [cifs.attractor_iterate(decay_sub, j) for j in range(1, cover_depth + 1)]
-    # depth-resolvable certificate family: chains through the thinnest
-    # branches drop below float resolution, so the certificate runs on the
-    # strongest contractions of each side
-    cantor_sub = _subsystem(pairs, cantor_per_side)
-    covers_cantor = [cifs.attractor_iterate(cantor_sub, j) for j in range(1, cantor_depth + 1)]
-    scaffold = cifs.closure_scaffold(cantor_sub, 0.0, cantor_depth)
-    cantor = cifs.cantor_certify(covers_cantor, scaffold)
-    timings["covers"] = time.time() - t0
-
-    sample = oracle.sample_word_images(ifs, box_depth)
-    box_fit = oracle.box_counting(sample)
-    sum_c = float(sum(m.c for m in decay_sub.maps))
-    verdict = oracle.crosscheck(report, sample, covers_decay,
-                                band=band, decay_cap=sum_c + 1e-9)
+    ifs = branch_ifs(selected, inv_maps, cert.lambda_hat, a_hat, i_max + 1)
+    analysis = analyze_ifs(ifs, _subsystem(ifs), cover_depth=cover_depth,
+                           cantor_depth=cantor_depth, box_depth=box_depth,
+                           band=band, schedule=schedule)
+    timings["analysis"] = time.time() - t0
     return DimensionPipelineResult(
-        cert=cert, fold=fold, branches=branches, i_min=i_min, a_hat=a_hat,
-        lambda_estimates=lambdas, roundtrip=resid, ifs=ifs, report=report,
-        covers_decay=covers_decay, covers_cantor=covers_cantor,
-        scaffold=scaffold, cantor=cantor, box_fit=box_fit, verdict=verdict,
-        decay_subsystem_sum_c=sum_c, timings=timings)
+        **vars(analysis), cert=cert, fold=fold, branches=branches, i_min=i_min,
+        a_hat=a_hat, lambda_estimates=lambdas, roundtrip=resid, timings=timings)
 
 
 def return_map_fn(system, fold, cert, t_slide_max=None):
@@ -143,32 +162,7 @@ def forward_backward_check(system, result, k=3, n_points=10000, collar=1e-8,
                                         threshold=threshold)
 
 
-# --- analytic fixture pipeline ------------------------------------------------------
-
-
-@dataclass
-class FixturePipelineResult:
-    ifs: cifs.IfsSystem
-    report: cifs.DimensionReport
-    covers: list
-    scaffold: object
-    cantor: cifs.CantorCertificate
-    box_fit: oracle.BoxCountFit
-    verdict: oracle.Verdict
-    sum_c: float
-
-
 def run_fixture_pipeline(ifs, *, cover_depth=12, box_depth=12, band=0.03):
-    """The same report/cover/oracle chain for an analytic contraction system."""
-    cifs.check_conditions(ifs)
-    report = cifs.dimension_report(ifs)
-    covers = [cifs.attractor_iterate(ifs, j) for j in range(1, cover_depth + 1)]
-    scaffold = cifs.closure_scaffold(ifs, 0.0, min(cover_depth, 8))
-    cantor = cifs.cantor_certify(covers, scaffold)
-    sample = oracle.sample_word_images(ifs, box_depth)
-    box_fit = oracle.box_counting(sample)
-    sum_c = float(sum(m.c for m in ifs.maps))
-    verdict = oracle.crosscheck(report, sample, covers, band=band,
-                                decay_cap=sum_c + 1e-9)
-    return FixturePipelineResult(ifs, report, covers, scaffold, cantor,
-                                 box_fit, verdict, sum_c)
+    """The same analysis for an analytic system: every map is certified."""
+    return analyze_ifs(ifs, ifs, cover_depth=cover_depth, cantor_depth=cover_depth,
+                       box_depth=box_depth, band=band)

@@ -54,9 +54,9 @@ def test_criterion_2_pressure_closed_form():
 def test_criterion_3_dimension_bracket_and_decay(bench_pipeline):
     rep = bench_pipeline.report
     assert 0 < rep.moran_lower <= rep.pressure_root <= rep.moran_upper < 1
-    lens = [c.total_length for c in bench_pipeline.covers_decay]
+    lens = [c.total_length for c in bench_pipeline.covers]
     assert len(lens) == 8
-    cap = bench_pipeline.decay_subsystem_sum_c
+    cap = bench_pipeline.sum_c
     assert 0 < cap < 1
     for a, b in zip(lens, lens[1:]):
         assert b <= cap * a * (1 + 1e-9)
@@ -82,7 +82,7 @@ def test_criterion_4_cantor_certificates(bench_pipeline):
                 assert lookup[j].contains(np.array([pt]))[0]
 
     scaffold = bench_pipeline.scaffold
-    lookup = {c.level: c for c in bench_pipeline.covers_cantor}
+    lookup = {c.level: c for c in bench_pipeline.covers}
     for pt, wl in zip(scaffold.points, scaffold.word_lengths):
         for j in range(1, int(wl) + 1):
             assert lookup[j].contains(np.array([pt]))[0]

@@ -168,6 +168,56 @@ def test_dimension_passes_depth_to_the_pipeline(tmp_path, monkeypatch):
         cli.main(["--config", str(cfg), "--out", str(tmp_path), "--depth", "4",
                   "dimension"])
     assert seen["cantor_depth"] == 4
+    assert seen["i_max"] == 3  # analysis.i_max default
+    with pytest.raises(Reached):
+        cli.main(["--config", str(cfg), "--out", str(tmp_path), "--imax", "2",
+                  "dimension"])
+    assert seen["i_max"] == 2
+
+
+def test_attractor_system_path_writes_the_pipeline_result(tmp_path, monkeypatch,
+                                                          bench_pipeline):
+    seen = {}
+
+    def fake_pipeline(*args, **kwargs):
+        seen.update(kwargs)
+        return bench_pipeline
+
+    monkeypatch.setattr(pipeline, "run_dimension_pipeline", fake_pipeline)
+    assert cli.main(["--out", str(tmp_path), "--depth", "6", "attractor"]) == 0
+    assert seen["cover_depth"] == seen["cantor_depth"] == 6
+
+    covers = bench_pipeline.covers[:6]
+    assert [c.level for c in covers] == list(range(1, 7))
+    rows = list(csv.reader((tmp_path / "covers.csv").open()))[1:]
+    assert [(float(lo), float(hi), int(level)) for lo, hi, level in rows] == \
+        [(lo, hi, c.level) for c in covers for lo, hi in c.intervals]
+    rows = list(csv.reader((tmp_path / "scaffold.csv").open()))[1:]
+    assert np.array_equal([float(p) for p, _ in rows], bench_pipeline.scaffold.points)
+    assert np.array_equal([int(w) for _, w in rows],
+                          bench_pipeline.scaffold.word_lengths)
+    doc = json.loads((tmp_path / "certificate.json").read_text())
+    cantor = bench_pipeline.cantor
+    assert (doc["passed"], doc["depth"], doc["truncated"]) == \
+        (cantor.passed, cantor.depth, False)
+    assert doc["clauses"] == json.loads(json.dumps(cli._jsonable(cantor.clauses)))
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--depth", "5", "dimension", "--model", "middle-thirds"),
+     "need at least 1000 points, got 32"),
+    (("--depth", "12", "attractor", "--model", "geometric", "--imax-model", "3"),
+     "duplicate cover levels"),
+    (("--depth", "1", "attractor", "--model", "middle-thirds"),
+     "need at least two cover levels, got 1"),
+])
+def test_too_small_inputs_are_one_line_dynamics_errors(tmp_path, args, message):
+    r = run_cli("--out", str(tmp_path), *args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("dynamics error:") and message in lines[0]
 
 
 def test_return_map_command(tmp_path):
