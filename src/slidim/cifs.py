@@ -392,7 +392,9 @@ def closure_scaffold(sys, q_coord, k, budget=10 ** 6):
         lengths.append(np.full(frontier.size, depth))
     points = np.concatenate(pts)
     word_lengths = np.concatenate(lengths)
-    order = np.lexsort((word_lengths, points))
+    del pts, lengths, frontier
+    # concatenated by word length: a stable sort keeps the shortest word first
+    order = np.argsort(points, kind="stable")
     points, word_lengths = points[order], word_lengths[order]
     keep = np.ones(points.size, dtype=bool)
     keep[1:] = np.abs(np.diff(points)) > 1e-14
@@ -505,9 +507,9 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
     (i) cover lengths decay geometrically toward zero; (ii) every interval
     contains at least two disjoint children (perfectness surrogate);
     (iii) neighboring intervals are separated by positive gaps (total
-    disconnectedness surrogate); (iv) scaffold points lie inside every
-    cover level up to their word length, and the marked point is
-    approximated by cover midpoints down to the truncation resolution.
+    disconnectedness surrogate); (iv) each cover level j holds every scaffold
+    point of word length >= j (one check per level), and the marked point
+    is approximated by cover midpoints down to the truncation resolution.
     """
     covers = sorted(covers, key=lambda c: c.level)
     levels = [c.level for c in covers]
@@ -537,14 +539,8 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
             min_gap = min(min_gap, float(gaps.min()))
     clause_iii = {"passed": bool(min_gap > 0), "min_gap": min_gap}
 
-    ok = True
-    for pt, wl in zip(scaffold.points, scaffold.word_lengths):
-        for c in covers:
-            if c.level <= wl and not bool(c.contains(np.array([pt]))[0]):
-                ok = False
-                break
-        if not ok:
-            break
+    ok = all(c.contains(scaffold.points[scaffold.word_lengths >= c.level]).all()
+             for c in covers)
     mids = 0.5 * (covers[-1].intervals[:, 0] + covers[-1].intervals[:, 1])
     d_q = float(np.min(np.abs(mids - q_coord)))
     lvl1 = covers[0].intervals

@@ -285,7 +285,8 @@ def build_parser():
         description="sliding-dynamics return maps and attractor dimension")
     ap.add_argument("--config", help="run configuration JSON")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--seed", type=int, default=None, help="random seed override")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="recorded in the dimension report; no command draws random numbers")
     ap.add_argument("--tol-event", type=float, default=None)
     ap.add_argument("--radius", type=float, default=None)
     ap.add_argument("--imax", type=int, default=None)

@@ -103,14 +103,14 @@ def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
                            band=0.03, schedule=None):
     """Full analysis for one system; deterministic for fixed arguments."""
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     cert = returnmap.verify_connection(system, p_seed, q_seed)
     fold = returnmap.build_fold_segment(system, cert.q, radius)
-    timings["certificate"] = time.time() - t0
+    timings["certificate"] = time.perf_counter() - t0
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     branches = returnmap.enumerate_branches(system, fold, cert, i_max, n_scan)
-    timings["branches"] = time.time() - t0
+    timings["branches"] = time.perf_counter() - t0
 
     lam_width = returnmap.branch_width_lambda(branches)
     lambdas = {"eigenvalue": cert.lambda_hat, "backward_decay": cert.lambda_decay,
@@ -120,21 +120,21 @@ def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
     i_min, a_hat = returnmap.select_u(branches, cert.lambda_hat)
     selected = [b for b in branches if b.index >= i_min]
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     inv_maps = returnmap.branch_contractions(selected)
     resid = returnmap.validate_inverse_maps(returnmap.precise(system), fold,
                                             cert, selected, inv_maps)
     if resid.max() > roundtrip_budget:
         raise SlidimError(
             f"inverse-branch round trip {resid.max():.2e} above {roundtrip_budget:.0e}")
-    timings["inverses"] = time.time() - t0
+    timings["inverses"] = time.perf_counter() - t0
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     ifs = branch_ifs(selected, inv_maps, cert.lambda_hat, a_hat, i_max + 1)
     analysis = analyze_ifs(ifs, _subsystem(ifs), cover_depth=cover_depth,
                            cantor_depth=cantor_depth, box_depth=box_depth,
                            band=band, schedule=schedule)
-    timings["analysis"] = time.time() - t0
+    timings["analysis"] = time.perf_counter() - t0
     return DimensionPipelineResult(
         **vars(analysis), cert=cert, fold=fold, branches=branches, i_min=i_min,
         a_hat=a_hat, lambda_estimates=lambdas, roundtrip=resid, timings=timings)

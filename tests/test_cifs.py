@@ -281,6 +281,69 @@ def test_cantor_geometric_decay_factor():
     assert cert.clauses["i"]["max_ratio"] == pytest.approx(sum_c, rel=1e-2)
 
 
+def _moved(scaffold, i, x):
+    pts = scaffold.points.copy()
+    pts[i] = x
+    return cifs.ScaffoldSet(pts, scaffold.word_lengths.copy())
+
+
+def _scaffold_in_covers_loop(covers, scaffold):
+    """Per-point reference for clause (iv): each point in every level up to
+    its word length."""
+    for pt, wl in zip(scaffold.points, scaffold.word_lengths):
+        for c in covers:
+            if c.level <= wl and not c.contains(np.array([pt]))[0]:
+                return False
+    return True
+
+
+def test_cantor_scaffold_point_in_a_gap_fails_clause_iv():
+    mt = cifs.middle_thirds()
+    covers = [cifs.attractor_iterate(mt, k) for k in range(1, 7)]
+    scaffold = cifs.closure_scaffold(mt, 0.0, 4)
+    # -2/3 lies in level 1 and in the middle gap (-7/9, -5/9) of level 2
+    for wl, passes in ((1, True), (2, False), (4, False)):
+        i = int(np.flatnonzero(scaffold.word_lengths == wl)[0])
+        cert = cifs.cantor_certify(covers, _moved(scaffold, i, -2 / 3))
+        assert all(cert.clauses[c]["passed"] for c in ("i", "ii", "iii"))
+        assert cert.clauses["iv"]["passed"] is passes
+        assert cert.passed is passes
+
+
+def test_cantor_clause_iv_matches_per_point_loop():
+    sys_ = cifs.make_geometric_model(1.0, 4.0, 1, 2)
+    covers = [cifs.attractor_iterate(sys_, k) for k in range(1, 6)]
+    scaffold = cifs.closure_scaffold(sys_, 0.0, 4)
+    rng = np.random.default_rng(3)
+    cases = [scaffold] + [
+        _moved(scaffold, i, scaffold.points[i] + rng.uniform(-0.02, 0.02))
+        for i in rng.choice(scaffold.points.size, 20, replace=False)]
+    verdicts = []
+    for sc in cases:
+        clause = cifs.cantor_certify(covers, sc).clauses["iv"]
+        want = (_scaffold_in_covers_loop(covers, sc)
+                and clause["marked_point_distance"] <= clause["resolution_bound"])
+        assert clause["passed"] == want
+        verdicts.append(want)
+    assert verdicts[0] and not all(verdicts)
+
+
+def test_cantor_clause_iv_checks_each_level_once(monkeypatch):
+    sys_ = cifs.make_geometric_model(1.0, 4.0, 2, 5)
+    covers = [cifs.attractor_iterate(sys_, k) for k in range(1, 7)]
+    scaffold = cifs.closure_scaffold(sys_, 0.0, 6)
+    calls = []
+    contains = cifs.CoverSet.contains
+
+    def counted(self, points):
+        calls.append(self.level)
+        return contains(self, points)
+
+    monkeypatch.setattr(cifs.CoverSet, "contains", counted)
+    assert cifs.cantor_certify(covers, scaffold).passed
+    assert len(calls) <= len(covers)
+
+
 # --- fixtures ---------------------------------------------------------------------------------
 
 

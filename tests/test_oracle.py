@@ -38,6 +38,20 @@ def test_counts_nonincreasing_in_scale():
     assert np.all(np.diff(counts.astype(int)) <= 0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: oracle.sample_word_images(cifs.make_geometric_model(1.0, 4.0, 2, 5), 6),
+    lambda: oracle.sample_word_images(cifs.middle_thirds(), 12),
+    lambda: oracle.PointSample(np.random.default_rng(0).uniform(-1, 1, 200000)),
+], ids=["fixture-8-maps-depth-6", "middle-thirds-depth-12", "uniform-200000"])
+def test_counts_equal_distinct_boxes(make):
+    sample = make()
+    fit = oracle.box_counting(sample, r2_floor=0.0)
+    pts = sample.points
+    norm = (pts - pts.min()) / (pts.max() - pts.min())
+    want = [np.unique(np.floor(norm / eps)).size for eps in fit.scales]
+    assert fit.counts.tolist() == want
+
+
 def test_needs_enough_points_and_decades():
     small = oracle.PointSample(np.linspace(0, 1, 10))
     with pytest.raises(ValueError):
