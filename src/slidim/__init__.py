@@ -22,7 +22,7 @@ from .filippov import (EscapePolicy, FilippovSystem, FoldBoundary, Mode,
                        TrajectorySegment, classify_region, classify_tangency,
                        filippov_trajectory, find_pseudo_equilibrium,
                        flow_sliding, flow_to_manifold, lie_derivative,
-                       make_system, second_lie_derivative, sliding_field)
+                       make_system, sliding_field)
 from .oracle import (BoxCountFit, PointSample, box_counting, cover_length,
                      crosscheck, sample_word_images)
 from .pipeline import (forward_backward_check, run_dimension_pipeline,

@@ -33,7 +33,7 @@ from . import odeint
 from .config import Tolerances
 from .errors import NoConvergence
 from .expressions import parse_field
-from .filippov import FilippovSystem, make_system
+from .filippov import FilippovSystem, fly, make_system
 
 ARC_RATE = 2.0     # rotation rate of the off-manifold (x, z) arc
 BLEND_INV = 50.0   # 1/h of the tanh(z/h) blend layer
@@ -67,10 +67,6 @@ class BenchConnection:
     @property
     def q_seed(self):
         return _Q.copy()
-
-    @property
-    def lambda_exact(self):
-        return float(np.exp(2 * np.pi * self.alpha / self.beta))
 
 
 def _landings(field, pairs, tol):
@@ -157,10 +153,7 @@ def make_bench(alpha=0.4, beta=1.0, target=1e-10, tol=None):
     system = make_system(BENCH_X, BENCH_Y, BENCH_G,
                          params={"al": alpha, "be": beta, "u1": u1, "u2": u2},
                          domain=BENCH_DOMAIN, tol=tol)
-    ev = odeint.EventSpec(lambda pts: system.g(pts))
-    res = odeint.integrate_batch(system.X, _Q[None, :], 40.0, [ev],
-                                 rtol=tol.rtol, atol=tol.atol,
-                                 tol_event=tol.event, domain=BENCH_DOMAIN)
+    res = fly(system, system.X, _Q[None, :], 40.0)
     if res.status[0] != odeint.EVENT:
         raise NoConvergence("verification flight lost the manifold return")
     residual = float(np.linalg.norm(res.u[0]))

@@ -1,7 +1,8 @@
 """Finite and countable systems of contractions on [-1, 1].
 
-The engine consumes families of injective contractions with certified
-two-sided derivative bounds (b <= |f'| <= c < 1) and disjoint images, and
+The engine consumes families of injective contractions with two-sided
+derivative bounds (b <= |f'| <= c < 1; exact for the analytic fixtures,
+sampled for return-map branches) and disjoint images, and
 provides: conformality condition checks, dimension bounds from the Moran
 equations sum b_i^s = 1 and sum c_i^t = 1, finite-subsystem suprema,
 the pressure function P(t) = sum c_i^t (with closed-form geometric tails
@@ -31,7 +32,11 @@ AMBIENT = (-1.0, 1.0)
 
 @dataclass
 class ContractionMap:
-    """One contraction on [-1, 1] with certified derivative bounds."""
+    """One contraction on [-1, 1] with derivative bounds b <= |f'| <= c.
+
+    Exact for the analytic fixtures; for return-map inverse branches they
+    are sampled (finite-difference extremes times a safety factor).
+    """
 
     eval: object                 # callable, vectorized [-1, 1] -> image
     image: tuple                 # closed image interval (lo, hi)
@@ -642,9 +647,12 @@ def piecewise_expanding(sys):
     """The expanding interval map whose inverse branches are the system.
 
     Realizes the fixture return map: x in image_i maps to f_i^{-1}(x);
-    outside every image the map is undefined.  Returns a callable
-    pi(points) -> (values, ok).
+    outside every image the map is undefined.  Every map must carry its
+    exact ``inverse``.  Returns a callable pi(points) -> (values, ok).
     """
+    for m in sys.maps:
+        if m.inverse is None:
+            raise ValueError(f"map {m.tag!r} has no exact inverse")
     intervals = np.array([m.image for m in sys.maps])
     order = np.argsort(intervals[:, 0])
     maps = [sys.maps[i] for i in order]
@@ -659,20 +667,7 @@ def piecewise_expanding(sys):
         for j, m in enumerate(maps):
             sel = ok & (idx == j)
             if sel.any():
-                vals[sel] = m.inverse(points[sel]) if m.inverse is not None \
-                    else _invert_by_bisection(m, points[sel])
+                vals[sel] = m.inverse(points[sel])
         return vals, ok
 
     return pi
-
-
-def _invert_by_bisection(m, ys, iters=90):
-    lo = np.full(ys.shape, AMBIENT[0])
-    hi = np.full(ys.shape, AMBIENT[1])
-    increasing = float(m.eval(np.array([1.0]))[0]) > float(m.eval(np.array([-1.0]))[0])
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        low = (np.asarray(m.eval(mid), dtype=float) < ys) == increasing
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-    return 0.5 * (lo + hi)

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import cifs, pipeline, returnmap
 from .errors import ConfigError, SlidimError
-from .filippov import EscapePolicy, filippov_trajectory, region_grid
+from .filippov import (EscapePolicy, filippov_trajectory, manifold_project,
+                       region_grid)
 from .runconfig import bench_config, load_config
 
 
@@ -96,17 +97,12 @@ def cmd_classify(cfg, system, out, args):
             exact = np.nonzero(np.abs(gv) < 1e-14)[0]
             roots.extend(zline[exact])
             for z in sorted(set(np.round(roots, 12))):
-                u = _manifold_refine(system, np.array([x, y, z]))
+                u = manifold_project(system.g, np.array([x, y, z]), 4)
                 labels, xg, yg = region_grid(system, u[None, :])
                 rows.append((x, y, labels[0].value, float(xg[0]), float(yg[0])))
     _write_csv(os.path.join(out, "classify.csv"),
                ["x", "y", "label", "Xg", "Yg"], rows)
     return 0
-
-
-def _manifold_refine(system, u):
-    from .filippov import manifold_project
-    return manifold_project(system.g, u, 4)
 
 
 def cmd_simulate(cfg, system, out, args):

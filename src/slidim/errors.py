@@ -108,6 +108,14 @@ class NoValidCutoff(SlidimError):
     """No index from which all branches are surjective with summable tail."""
 
 
+class LambdaDisagreement(SlidimError):
+    """Independent estimates of the per-turn focus rate disagree."""
+
+
+class RoundTripExceeded(SlidimError):
+    """An inverse branch misses |pi(psi(x)) - x| <= the round-trip budget."""
+
+
 # --- contraction systems -----------------------------------------------------
 
 class ConditionViolated(SlidimError):

@@ -246,13 +246,6 @@ class ScalarExpr:
         self.fn = _compile(self.tree, self.params)
         self._derivatives = {}
 
-    def with_params(self, **updates):
-        unknown = set(updates) - set(self.params)
-        if unknown:
-            raise KeyError(f"undeclared parameters: {sorted(unknown)}")
-        merged = {**self.params, **{k: float(v) for k, v in updates.items()}}
-        return ScalarExpr(self.text, merged, self.tree)
-
     def __call__(self, x, y, z, **params):
         """Evaluate; keyword parameters (scalars, or arrays of one value per
         point) override the bound values for this call only."""
@@ -340,9 +333,6 @@ class VectorFieldExpr:
         self.components = tuple(components)
         self.params = dict(components[0].params)
 
-    def with_params(self, **updates):
-        return VectorFieldExpr([c.with_params(**updates) for c in self.components])
-
     def __call__(self, u, **params):
         """Evaluate at points ``u`` of shape (..., 3); returns (..., 3).
 
@@ -378,9 +368,6 @@ class SwitchingFunction:
     @property
     def params(self):
         return self.expr.params
-
-    def with_params(self, **updates):
-        return SwitchingFunction(self.expr.with_params(**updates))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)

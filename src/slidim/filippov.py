@@ -76,12 +76,6 @@ class FilippovSystem:
     def params(self):
         return self.g.params or self.X.params
 
-    def with_params(self, **updates):
-        return FilippovSystem(self.X.with_params(**updates),
-                              self.Y.with_params(**updates),
-                              self.g.with_params(**updates) if self.g.params else self.g,
-                              self.domain, self.tol)
-
     @cached_property
     def xg(self):
         return SwitchingFunction(self.X.lie(self.g.expr))
@@ -126,16 +120,6 @@ def lie_derivative(F, g, u):
     return out
 
 
-def lie_pair(sys, u):
-    """(Xg, Yg) from the system's compiled Lie derivatives."""
-    return sys.xg(u), sys.yg(u)
-
-
-def second_lie_derivative(F, g, u):
-    """F(Fg)(u), from the symbolic derivative of the expression Fg."""
-    return SwitchingFunction(F.lie(F.lie(g.expr)))(u)
-
-
 # --- region and tangency classification --------------------------------------
 
 
@@ -145,8 +129,7 @@ def classify_region(sys, u):
     gval = float(sys.g(u))
     if abs(gval) > sys.tol.manifold:
         raise OffManifold(f"|g(u)| = {abs(gval):.3e} > tol_manifold")
-    xg, yg = (float(v) for v in lie_pair(sys, u))
-    return _label(xg, yg, sys.tol.tangency)
+    return _label(float(sys.xg(u)), float(sys.yg(u)), sys.tol.tangency)
 
 
 def _label(xg, yg, tol):
@@ -170,7 +153,7 @@ def region_grid(sys, points):
     Returns (labels, xg, yg); labels are Region values, one per point.
     """
     points = np.asarray(points, dtype=float)
-    xg, yg = lie_pair(sys, points)
+    xg, yg = sys.xg(points), sys.yg(points)
     labels = [_label(a, b, sys.tol.tangency) for a, b in zip(np.atleast_1d(xg), np.atleast_1d(yg))]
     return labels, xg, yg
 
@@ -188,7 +171,7 @@ class FoldLabel:
 def classify_tangency(sys, u):
     """Fold taxonomy at a tangency point of X or Y."""
     u = np.asarray(u, dtype=float)
-    xg, yg = (float(v) for v in lie_pair(sys, u))
+    xg, yg = float(sys.xg(u)), float(sys.yg(u))
     tol = sys.tol.tangency
     if abs(xg) > tol and abs(yg) > tol:
         raise OffManifold("not a tangency point: both Lie derivatives nonzero")
@@ -241,10 +224,6 @@ def sliding_field(sys, u):
     return zt
 
 
-def _sliding_rhs(sys, sign=1.0):
-    return lambda u: _sliding(sys, u, sign)[0]
-
-
 def manifold_project(g, u, iterations=2):
     """Newton steps toward g = 0 along grad g."""
     for _ in range(iterations):
@@ -264,6 +243,14 @@ def tangent_basis(grad):
     return e1, e2
 
 
+def winding_frame(sys, center):
+    """(center, e1, e2): the tangent frame of M at center, in which the
+    integrator accumulates the rotation of an orbit about the center."""
+    center = np.asarray(center, dtype=float)
+    _, grad = sys.g.value_and_gradient(center)
+    return (center, *tangent_basis(grad))
+
+
 # --- pseudo-equilibria ----------------------------------------------------------
 
 
@@ -277,56 +264,41 @@ class PseudoEquilibrium:
     residual: float
 
 
+def _chart_jacobian(sys, u, h):
+    """The sliding field read in the tangent chart of M at u, at the chart
+    origin and as a central-difference Jacobian of step h; with the frame."""
+    _, grad = sys.g.value_and_gradient(u)
+    e1, e2 = tangent_basis(grad)
+
+    def chart(s1, s2):
+        f = sliding_field(sys, manifold_project(sys.g, u + s1 * e1 + s2 * e2))
+        return np.array([np.dot(f, e1), np.dot(f, e2)])
+
+    jac = np.column_stack([(chart(h, 0.0) - chart(-h, 0.0)) / (2 * h),
+                           (chart(0.0, h) - chart(0.0, -h)) / (2 * h)])
+    return chart(0.0, 0.0), jac, e1, e2
+
+
 def find_pseudo_equilibrium(sys, seed, max_newton=60, fd_step=1e-7):
     """Newton on the sliding field in a 2D chart of M around the seed."""
     u = manifold_project(sys.g, np.asarray(seed, dtype=float), 4)
-
-    def resid(point):
-        zt = sliding_field(sys, point)
-        return zt
-
     for _ in range(max_newton):
-        zt = resid(u)
-        if np.linalg.norm(zt) < 1e-11:
+        if np.linalg.norm(sliding_field(sys, u)) < 1e-11:
             break
-        _, grad = sys.g.value_and_gradient(u)
-        e1, e2 = tangent_basis(grad)
-
-        def chart(s1, s2):
-            pt = manifold_project(sys.g, u + s1 * e1 + s2 * e2)
-            f = resid(pt)
-            return np.array([np.dot(f, e1), np.dot(f, e2)])
-
-        r0 = chart(0.0, 0.0)
-        jac = np.column_stack([
-            (chart(fd_step, 0.0) - chart(-fd_step, 0.0)) / (2 * fd_step),
-            (chart(0.0, fd_step) - chart(0.0, -fd_step)) / (2 * fd_step),
-        ])
+        r0, jac, e1, e2 = _chart_jacobian(sys, u, fd_step)
         try:
             delta = np.linalg.solve(jac, -r0)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("singular in-chart Jacobian") from exc
-        step_cap = 1.0
-        delta = delta * min(1.0, step_cap / max(np.linalg.norm(delta), 1e-300))
+        delta = delta * min(1.0, 1.0 / max(np.linalg.norm(delta), 1e-300))
         u = manifold_project(sys.g, u + delta[0] * e1 + delta[1] * e2)
     else:
-        raise NoConvergence(f"Newton stalled at |Z~| = {np.linalg.norm(resid(u)):.3e}")
+        raise NoConvergence(
+            f"Newton stalled at |Z~| = {np.linalg.norm(sliding_field(sys, u)):.3e}")
 
-    residual = float(np.linalg.norm(resid(u)))
+    residual = float(np.linalg.norm(sliding_field(sys, u)))
     region = classify_region(sys, u)
-    _, grad = sys.g.value_and_gradient(u)
-    e1, e2 = tangent_basis(grad)
-
-    def chart_field(s1, s2):
-        pt = manifold_project(sys.g, u + s1 * e1 + s2 * e2)
-        f = sliding_field(sys, pt)
-        return np.array([np.dot(f, e1), np.dot(f, e2)])
-
-    h = fd_step
-    jac = np.column_stack([
-        (chart_field(h, 0.0) - chart_field(-h, 0.0)) / (2 * h),
-        (chart_field(0.0, h) - chart_field(0.0, -h)) / (2 * h),
-    ])
+    _, jac, _, _ = _chart_jacobian(sys, u, fd_step)
     eig = np.linalg.eigvals(jac)
     is_focus = bool(abs(eig[0].imag) > sys.tol.hyperbolic)
     re = float(eig[0].real)
@@ -358,10 +330,6 @@ class TrajectorySegment:
     def u_end(self):
         return self.samples[-1][1]
 
-    @property
-    def t_start(self):
-        return self.samples[0][0]
-
     def shifted(self, dt):
         seg = TrajectorySegment(self.mode, [(t + dt, u) for t, u in self.samples],
                                 self.terminal_event, self.direction, self.winding)
@@ -374,10 +342,12 @@ _STATUS_TO_EVENT = {
 }
 
 
-def _segment_from(res, mode, hit_kind, direction=1):
+def _segment_from(res, mode, hit, direction=1):
+    """The recorded single-row result as a segment ending in ``hit`` (when an
+    event stopped it), a time-out or a domain exit."""
     samples = res.samples[0]
     if res.status[0] == odeint.EVENT:
-        ev = hit_kind(int(res.event[0]))
+        ev = hit
     elif res.status[0] in _STATUS_TO_EVENT:
         ev = _STATUS_TO_EVENT[res.status[0]]
     else:
@@ -385,22 +355,44 @@ def _segment_from(res, mode, hit_kind, direction=1):
     return TrajectorySegment(mode, samples, ev, direction, float(res.winding[0]))
 
 
-def flow_to_manifold(F, g, u0, t_max, *, tol=None, mode=Mode.FLOW_X, domain=None):
-    """Flow F from u0 until the first (departed) crossing of g = 0.
+# --- the two flows every orbit is made of -------------------------------------------
 
-    The trivial root at t = 0 is excluded: crossings only count after |g|
+
+def fly(sys, F, u0, t_max, record=False):
+    """Flow the smooth field F from the rows of u0 to the first departed
+    crossing of g = 0.
+
+    The trivial root at t = 0 is excluded: a crossing counts only after |g|
     exceeded tol.event at an accepted sample.
     """
-    tol = tol or Tolerances()
-    ev = odeint.EventSpec(lambda pts: g(pts))
-    res = odeint.integrate_batch(F, np.asarray(u0, dtype=float), t_max, [ev],
-                                 rtol=tol.rtol, atol=tol.atol, tol_event=tol.event,
-                                 record=True, domain=domain)
-    if res.status[0] != odeint.EVENT:
-        if res.status[0] == odeint.STEP_FAIL:
-            raise StepFailure("adaptive step control underflowed")
-        raise NoHit(f"no manifold hit within t_max (status {res.status[0]})")
-    return _segment_from(res, mode, lambda _i: TerminalEvent.MANIFOLD_HIT)
+    return odeint.integrate_batch(F, u0, t_max, [odeint.EventSpec(sys.g)],
+                                  rtol=sys.tol.rtol, atol=sys.tol.atol,
+                                  tol_event=sys.tol.event, record=record,
+                                  domain=sys.domain)
+
+
+def slide(sys, u0, t_max, events=(), sign=1.0, center=None, record=False):
+    """Flow sign times the sliding field from the rows of u0 until an event.
+
+    Drift off M is corrected after each accepted step by one Newton
+    projection along grad g.  With ``center`` given, the rotation of each
+    orbit about it is accumulated (``BatchResult.winding``).
+    """
+    return odeint.integrate_batch(
+        lambda u: _sliding(sys, u, sign)[0], u0, t_max, events,
+        rtol=sys.tol.rtol, atol=sys.tol.atol, tol_event=sys.tol.event,
+        project=lambda pts: manifold_project(sys.g, pts, 1),
+        winding=None if center is None else winding_frame(sys, center),
+        record=record, domain=sys.domain)
+
+
+def flow_to_manifold(sys, u0, t_max, mode=Mode.FLOW_X):
+    """The X (or Y) segment from u0 to its first departed crossing of g = 0;
+    raises NoHit when the flow times out or leaves the domain first."""
+    seg = _smooth_segment(sys, u0, t_max, mode)
+    if seg.terminal_event != TerminalEvent.MANIFOLD_HIT:
+        raise NoHit(f"no manifold hit within t_max ({seg.terminal_event.value})")
+    return seg
 
 
 @dataclass
@@ -434,40 +426,23 @@ def _sliding_events(sys, stop):
 
 
 def flow_sliding(sys, w0, stop, direction="forward", t_max=1e4, winding_center=None):
-    """Integrate the sliding field within M^s from w0 until the stop rule.
-
-    Drift off the manifold is corrected each accepted step by one Newton
-    projection along grad g.
-    """
+    """Integrate the sliding field within M^s from w0 until the stop rule."""
     u0 = manifold_project(sys.g, np.asarray(w0, dtype=float), 4)
     region = classify_region(sys, u0)
     if region not in (Region.SLIDING, Region.ESCAPING) and not region.is_tangency:
         raise LeftSlidingRegion(f"start point classified {region}")
     events, t_stop = _sliding_events(sys, stop)
+    sign = 1 if direction == "forward" else -1
     if isinstance(stop, SectionStop) and abs(float(stop.fn(u0[None, :])[0])) <= sys.tol.event:
         return TrajectorySegment(Mode.FLOW_SLIDING, [(0.0, u0)], TerminalEvent.SECTION_HIT,
-                                 1 if direction == "forward" else -1)
-    sign = 1.0 if direction == "forward" else -1.0
-    rhs = _sliding_rhs(sys, sign)
-    wind = None
-    if winding_center is not None:
-        _, grad = sys.g.value_and_gradient(np.asarray(winding_center, dtype=float))
-        e1, e2 = tangent_basis(grad)
-        wind = (np.asarray(winding_center, dtype=float), e1, e2)
-    res = odeint.integrate_batch(
-        rhs, u0, t_stop if t_stop is not None else t_max, events,
-        rtol=sys.tol.rtol, atol=sys.tol.atol, tol_event=sys.tol.event,
-        project=lambda pts: manifold_project(sys.g, pts, 1),
-        winding=wind, record=True, domain=sys.domain)
+                                 sign)
+    res = slide(sys, u0, t_stop if t_stop is not None else t_max, events,
+                sign=float(sign), center=winding_center, record=True)
     drift = max(abs(float(sys.g(u))) for _, u in res.samples[0])
     if drift > sys.tol.manifold:
         raise LeftSlidingRegion(f"manifold drift {drift:.3e} exceeded tol_manifold")
-    if isinstance(stop, FoldBoundary):
-        kinds = lambda _i: TerminalEvent.FOLD_HIT
-    else:
-        kinds = lambda _i: TerminalEvent.SECTION_HIT
-    return _segment_from(res, Mode.FLOW_SLIDING, kinds,
-                         1 if direction == "forward" else -1)
+    hit = TerminalEvent.FOLD_HIT if isinstance(stop, FoldBoundary) else TerminalEvent.SECTION_HIT
+    return _segment_from(res, Mode.FLOW_SLIDING, hit, sign)
 
 
 # --- full hybrid trajectories --------------------------------------------------------
@@ -488,7 +463,7 @@ def filippov_trajectory(sys, u0, T, escaping_policy=None, max_segments=200):
         if remaining <= sys.tol.event:
             break
         if mode == Mode.FLOW_SLIDING:
-            seg = _slide_segment(sys, u, remaining)
+            seg = flow_sliding(sys, u, FoldBoundary(), t_max=remaining)
         else:
             seg = _smooth_segment(sys, u, remaining, mode)
         segments.append(seg.shifted(t_used))
@@ -512,8 +487,7 @@ def _initial_mode(sys, u, policy):
     if region == Region.SLIDING:
         return Mode.FLOW_SLIDING
     if region == Region.CROSSING:
-        xg, _ = (float(v) for v in lie_pair(sys, u))
-        return Mode.FLOW_X if xg > 0 else Mode.FLOW_Y
+        return Mode.FLOW_X if float(sys.xg(u)) > 0 else Mode.FLOW_Y
     if region == Region.ESCAPING:
         if policy is None:
             raise NonUniqueForward("escaping start point requires an escaping_policy")
@@ -529,16 +503,8 @@ def _initial_mode(sys, u, policy):
 
 
 def _smooth_segment(sys, u, t_max, mode):
-    F = sys.X if mode == Mode.FLOW_X else sys.Y
-    ev = odeint.EventSpec(lambda pts: sys.g(pts))
-    res = odeint.integrate_batch(F, u, t_max, [ev], rtol=sys.tol.rtol,
-                                 atol=sys.tol.atol, tol_event=sys.tol.event,
-                                 record=True, domain=sys.domain)
-    return _segment_from(res, mode, lambda _i: TerminalEvent.MANIFOLD_HIT)
-
-
-def _slide_segment(sys, u, t_max):
-    return flow_sliding(sys, u, FoldBoundary(), t_max=t_max)
+    res = fly(sys, sys.X if mode == Mode.FLOW_X else sys.Y, u, t_max, record=True)
+    return _segment_from(res, mode, TerminalEvent.MANIFOLD_HIT)
 
 
 def _next_mode(sys, u, seg):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cifs, oracle, returnmap
-from .errors import SlidimError
+from .errors import RoundTripExceeded
 
 
 # Covers and the Cantor certificate run on the strongest contractions of
@@ -125,7 +125,7 @@ def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
     resid = returnmap.validate_inverse_maps(returnmap.precise(system), fold,
                                             cert, selected, inv_maps)
     if resid.max() > roundtrip_budget:
-        raise SlidimError(
+        raise RoundTripExceeded(
             f"inverse-branch round trip {resid.max():.2e} above {roundtrip_budget:.0e}")
     timings["inverses"] = time.perf_counter() - t0
 

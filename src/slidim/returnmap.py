@@ -9,10 +9,11 @@ p, and whose X-flight from q lands on p in finite time, the machinery here
 * evaluates the first return map pi = (sliding flow back to the section)
   after (X-flight off the section),
 * enumerates the branches of Dom(pi) accumulating at q together with
-  certified derivative bounds, and
+  derivative bounds sampled by finite differences, and
 * realizes the inverse branches as contraction maps on [-1, 1].
 
-Everything expensive is evaluated in batches through the shared integrator.
+Everything expensive is evaluated in batches: each orbit is an X-flight
+(``filippov.fly``) followed by a sliding flow (``filippov.slide``).
 """
 
 from dataclasses import dataclass
@@ -23,11 +24,15 @@ from numpy.polynomial import chebyshev as cheb
 from . import odeint
 from .errors import (BackwardDivergence, BranchResolutionExceeded,
                      ConnectionResidualTooLarge, CurveEscapesDomain,
-                     FoldRegularityLost, HitOutsideSliding, NoHit,
-                     NotAFocus, NoValidCutoff, SectionMiss, SlidimError)
-from .filippov import (Region, classify_region, find_pseudo_equilibrium,
-                       fold_events, is_visible_fold_regular, manifold_project,
-                       tangent_basis, _sliding_rhs)
+                     FoldRegularityLost, HitOutsideSliding, LambdaDisagreement,
+                     NoHit, NotAFocus, NoValidCutoff, SectionMiss)
+from .filippov import (Region, classify_region, find_pseudo_equilibrium, fly,
+                       fold_events, is_visible_fold_regular, slide,
+                       winding_frame)
+# not called here: perfbench/tracing.py wraps this name in every module that imports it
+from .filippov import manifold_project  # noqa: F401
+
+FLIGHT_T_MAX = 60.0   # time budget of an X-flight from the section to M
 
 
 def project_to_fold(sys, seed, max_iter=40):
@@ -214,13 +219,6 @@ class ShilnikovCertificate:
     flight_time_scale: float       # 2 pi / |Im mu|: sliding turn time near p
 
 
-def _flight_batch(sys, u0s, t_max=60.0):
-    ev = odeint.EventSpec(lambda pts: sys.g(pts))
-    return odeint.integrate_batch(sys.X, u0s, t_max, [ev], rtol=sys.tol.rtol,
-                                  atol=sys.tol.atol, tol_event=sys.tol.event,
-                                  domain=sys.domain)
-
-
 def verify_connection(sys, p_seed, q_seed, n_decay_turns=8):
     """Check both defining conditions of the connection and estimate rates."""
     pe = find_pseudo_equilibrium(sys, p_seed)
@@ -235,7 +233,7 @@ def verify_connection(sys, p_seed, q_seed, n_decay_turns=8):
     if not is_visible_fold_regular(sys, q):
         raise FoldRegularityLost("refined q is not visible fold-regular")
 
-    res = _flight_batch(sys, q[None, :])
+    res = fly(sys, sys.X, q[None, :], FLIGHT_T_MAX)
     if res.status[0] != odeint.EVENT:
         raise NoHit("X-flight from q found no manifold return")
     hit = res.u[0]
@@ -246,14 +244,9 @@ def verify_connection(sys, p_seed, q_seed, n_decay_turns=8):
             f"|flight(q) - p| = {residual:.3e} > {sys.tol.connection:.1e}")
 
     # backward sliding decay toward p, sampled at half-turns of the winding
-    _, grad = sys.g.value_and_gradient(p)
-    e1, e2 = tangent_basis(grad)
-    rhs = _sliding_rhs(sys, -1.0)
-    t_max = (n_decay_turns + 1) * turn_time
-    back = odeint.integrate_batch(
-        rhs, q[None, :], t_max, [], rtol=sys.tol.rtol, atol=sys.tol.atol,
-        tol_event=sys.tol.event, project=lambda pts: manifold_project(sys.g, pts, 1),
-        winding=(p, e1, e2), record=True, domain=sys.domain)
+    _, e1, e2 = winding_frame(sys, p)
+    back = slide(sys, q[None, :], (n_decay_turns + 1) * turn_time, sign=-1.0,
+                 record=True)
     pts = np.array([u for _, u in back.samples[0]])
     d = pts - p
     theta = np.unwrap(np.arctan2(d @ e2, d @ e1))
@@ -277,7 +270,7 @@ def check_lambda_agreement(values, rel=0.10):
     values = [v for v in values if v is not None]
     lo, hi = min(values), max(values)
     if hi / lo - 1 > rel:
-        raise SlidimError(f"focus-rate estimates disagree beyond {rel:.0%}: {values}")
+        raise LambdaDisagreement(f"focus-rate estimates disagree beyond {rel:.0%}: {values}")
     return values[0]
 
 
@@ -286,8 +279,7 @@ def check_lambda_agreement(values, rel=0.10):
 
 def theta_x(sys, fold, w):
     """Flight of X from the chart point w to its first manifold return."""
-    u0 = fold.point_at(w)
-    res = _flight_batch(sys, np.atleast_2d(u0))
+    res = fly(sys, sys.X, np.atleast_2d(fold.point_at(w)), FLIGHT_T_MAX)
     if res.status[0] != odeint.EVENT:
         raise NoHit("flight found no manifold return")
     hit = res.u[0]
@@ -297,7 +289,7 @@ def theta_x(sys, fold, w):
     return hit
 
 
-def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0, t_flight_max=60.0):
+def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0):
     """Vectorized pi: chart coords -> (return coord, turns, ok, raw exit coord).
 
     ``ok`` is False where the orbit misses the section (exits the sliding
@@ -306,8 +298,7 @@ def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0, t_flight_max=6
     for locating branch boundaries.
     """
     ws = np.asarray(ws, dtype=float)
-    u0 = fold.point_at(ws)
-    flight = _flight_batch(sys, u0, t_flight_max)
+    flight = fly(sys, sys.X, fold.point_at(ws), FLIGHT_T_MAX)
     ok = flight.status == odeint.EVENT
     n = ws.size
     out_w = np.full(n, np.nan)
@@ -316,21 +307,14 @@ def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0, t_flight_max=6
     if not ok.any():
         return out_w, turns, ok, exit_s
 
-    _, grad = sys.g.value_and_gradient(center)
-    e1, e2 = tangent_basis(grad)
-    rhs = _sliding_rhs(sys, 1.0)
     idx = np.nonzero(ok)[0]
-    slide = odeint.integrate_batch(
-        rhs, flight.u[idx], t_slide_max, fold_events(sys),
-        rtol=sys.tol.rtol, atol=sys.tol.atol, tol_event=sys.tol.event,
-        project=lambda pts: manifold_project(sys.g, pts, 1),
-        winding=(np.asarray(center, dtype=float), e1, e2), domain=sys.domain)
-    hit_fold = (slide.status == odeint.EVENT) & (slide.event == 0)
+    orbit = slide(sys, flight.u[idx], t_slide_max, fold_events(sys), center=center)
+    hit_fold = (orbit.status == odeint.EVENT) & (orbit.event == 0)
     rows = idx[hit_fold]
     if rows.size:
-        coords = fold.coord_of(slide.u[hit_fold])
+        coords = fold.coord_of(orbit.u[hit_fold])
         exit_s[rows] = coords
-        turns[rows] = np.abs(slide.winding[hit_fold]) / (2 * np.pi)
+        turns[rows] = np.abs(orbit.winding[hit_fold]) / (2 * np.pi)
         inside = np.abs(coords) <= 1.0
         out_w[rows[inside]] = coords[inside]
         ok[rows[~inside]] = False
@@ -358,8 +342,8 @@ class Branch:
     index: int                # i >= 1, increasing toward the fold point
     winding: int              # c_J = index - 1
     interval: tuple           # (lo, hi) in chart coordinates
-    deriv_lo: float           # certified lower bound on |psi'|
-    deriv_hi: float           # certified upper bound on |psi'|
+    deriv_lo: float           # sampled, not certified: min |psi'| over FD samples / safety
+    deriv_hi: float           # sampled, not certified: max |psi'| over FD samples * safety
     surjective: bool
     raw_turns: float          # measured winding of the midpoint orbit
     samples_w: np.ndarray
@@ -369,11 +353,6 @@ class Branch:
     @property
     def width(self):
         return self.interval[1] - self.interval[0]
-
-
-def _log_grid(n, w_min):
-    mags = np.geomspace(1.0, w_min, n)
-    return mags
 
 
 def noise_floor_imax(lam, r, residual, tol_event):
@@ -412,7 +391,7 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=20000, n_samples=65,
         t_slide_max = (i_max + 5) * cert.flight_time_scale
     w_min = 2e-3 * lam ** -(i_max - 1)
     half = n_scan // 2
-    mags = _log_grid(half, w_min)
+    mags = np.geomspace(1.0, w_min, half)
     ws = np.concatenate([-mags, mags[::-1]])
     ws.sort()
     sys_hi = precise(sys)
@@ -584,11 +563,6 @@ def select_u(branches, lam, a_hat=None):
     raise NoValidCutoff("no enumerated index satisfies the smallness condition")
 
 
-def geometric_tail_sum(a_hat, lam, i_min):
-    """sum over both sides for i >= i_min of (a_hat lam^(i-1))^(-1)."""
-    return 2.0 * lam ** (-(i_min - 1)) / (a_hat * (1 - 1 / lam))
-
-
 # --- contraction realization of the inverse branches -----------------------------------
 
 
@@ -625,10 +599,6 @@ class BranchInverseMap:
     def _from_local(self, s):
         lo, hi = self.interval
         return 0.5 * (lo + hi) + 0.5 * (hi - lo) * s
-
-    def forward(self, w):
-        """Fitted pi restricted to the branch."""
-        return cheb.chebval(self._to_local(w), self.coef)
 
     def __call__(self, x, iters=90):
         x = np.asarray(x, dtype=float)

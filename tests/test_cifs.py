@@ -241,6 +241,13 @@ def test_gap_point_fails_immediately():
     assert not cifs.attractor_iterate(mt, 1).contains(np.array([0.0]))[0]
 
 
+def test_piecewise_expanding_needs_exact_inverses():
+    m = cifs._affine_map(-1.0, -1.0 / 3.0, "L")
+    bare = cifs.ContractionMap(m.eval, m.image, m.b, m.c, deriv=m.deriv, tag="L")
+    with pytest.raises(ValueError, match="'L' has no exact inverse"):
+        cifs.piecewise_expanding(cifs.IfsSystem([bare, cifs.middle_thirds().maps[1]]))
+
+
 def test_equivalence_failure_on_wrong_map():
     mt = cifs.middle_thirds()
     broken = lambda pts: (np.clip(pts * 0.5, -1, 1), np.ones(pts.shape, dtype=bool))

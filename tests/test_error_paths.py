@@ -1,0 +1,106 @@
+"""Typed errors of the dimension pipeline, reached without integration.
+
+The return map is replaced by a synthetic ``first_return_batch`` (branch
+tests), or the pipeline stages by the session results (budget tests).
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from slidim import bench as bench_module
+from slidim import cli, pipeline, returnmap
+from slidim.errors import (BranchResolutionExceeded, LambdaDisagreement,
+                           RoundTripExceeded, SlidimError)
+from slidim.filippov import make_system
+
+LAM = 10.0
+CERT = SimpleNamespace(lambda_hat=LAM, residual=1e-12, flight_time_scale=1.0,
+                       p=np.zeros(3))
+FOLD = SimpleNamespace(r=0.25)
+N_SAMPLES = 5
+
+
+def _banded_map(bands, miss_batch=None):
+    """first_return_batch of a map that sends each chart band (lo, hi, turns)
+    linearly onto [-1, 1] and misses the section elsewhere.  In a batch of
+    ``miss_batch`` rows, the first row misses as well."""
+
+    def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0):
+        ws = np.asarray(ws, dtype=float)
+        ret = np.full(ws.shape, np.nan)
+        turns = np.full(ws.shape, np.nan)
+        ok = np.zeros(ws.shape, dtype=bool)
+        for lo, hi, k in bands:
+            inside = (ws >= lo) & (ws <= hi)
+            ret[inside] = 2 * (ws[inside] - lo) / (hi - lo) - 1
+            turns[inside] = k
+            ok |= inside
+        if ws.size == miss_batch:
+            ok[0] = False
+        return ret, turns, ok, ret.copy()
+
+    return first_return_batch
+
+
+def _mirrored(bands):
+    return bands + [(-hi, -lo, k) for lo, hi, k in bands]
+
+
+def _enumerate(monkeypatch, bands, miss_batch=None):
+    monkeypatch.setattr(returnmap, "first_return_batch", _banded_map(bands, miss_batch))
+    system = make_system("x - y, x + y, x - 1", "0, 0, 1", "z")
+    return returnmap.enumerate_branches(system, FOLD, CERT, 2, n_scan=400,
+                                        n_samples=N_SAMPLES)
+
+
+def test_synthetic_bands_are_found(monkeypatch):
+    branches = _enumerate(monkeypatch, _mirrored([(0.3, 0.5, 1.0), (0.03, 0.05, 2.0)]))
+    assert [(b.side, b.index) for b in branches] == [("L", 1), ("L", 2), ("R", 2), ("R", 1)]
+    assert np.allclose([b.interval for b in branches],
+                       [(-0.5, -0.3), (-0.05, -0.03), (0.03, 0.05), (0.3, 0.5)], atol=1e-9)
+
+
+def test_windings_not_consecutive(monkeypatch):
+    with pytest.raises(BranchResolutionExceeded, match="windings not consecutive"):
+        _enumerate(monkeypatch, _mirrored([(0.3, 0.5, 1.0), (0.03, 0.05, 3.0)]))
+
+
+def test_interior_samples_missed(monkeypatch):
+    # the measurement batch holds (w, w - d, w + d) for every node of every branch
+    with pytest.raises(BranchResolutionExceeded, match="interior samples"):
+        _enumerate(monkeypatch, _mirrored([(0.3, 0.5, 1.0), (0.03, 0.05, 2.0)]),
+                   miss_batch=3 * N_SAMPLES * 4)
+
+
+@pytest.fixture
+def staged(monkeypatch, bench_pipeline):
+    """The pipeline's integrating stages answer with the session results."""
+    monkeypatch.setattr(returnmap, "verify_connection", lambda *a, **k: bench_pipeline.cert)
+    monkeypatch.setattr(returnmap, "build_fold_segment", lambda *a, **k: bench_pipeline.fold)
+    monkeypatch.setattr(returnmap, "enumerate_branches",
+                        lambda *a, **k: bench_pipeline.branches)
+    monkeypatch.setattr(returnmap, "validate_inverse_maps",
+                        lambda *a, **k: np.full(len(a[4]), 2e-9))
+    return monkeypatch
+
+
+def test_round_trip_over_budget(staged, bench):
+    with pytest.raises(RoundTripExceeded, match="round trip"):
+        pipeline.run_dimension_pipeline(bench.system, bench.p_seed, bench.q_seed)
+
+
+def test_lambda_disagreement(staged, bench, bench_pipeline):
+    staged.setattr(returnmap, "branch_width_lambda",
+                   lambda branches: 1.2 * bench_pipeline.cert.lambda_hat)
+    with pytest.raises(LambdaDisagreement):
+        pipeline.run_dimension_pipeline(bench.system, bench.p_seed, bench.q_seed)
+
+
+def test_typed_errors_exit_as_dynamics_errors(staged, bench, tmp_path, capsys):
+    assert issubclass(RoundTripExceeded, SlidimError)
+    assert issubclass(LambdaDisagreement, SlidimError)
+    staged.setattr(bench_module, "make_bench", lambda tol=None: bench)
+    assert cli.main(["--out", str(tmp_path), "dimension"]) == 2
+    assert "round trip" in capsys.readouterr().err

@@ -58,13 +58,6 @@ def test_scientific_numbers():
     assert parse_expr("1.5e-3 + .5")(0, 0, 0) == pytest.approx(0.5015)
 
 
-def test_with_params_rebinds():
-    e = parse_expr("a*x", {"a": 1.0})
-    assert e.with_params(a=5)(2.0, 0, 0) == 10.0
-    with pytest.raises(KeyError):
-        e.with_params(zz=1)
-
-
 def test_field_takes_per_row_parameters():
     f = parse_field("a*x, y, b*z", {"a": 1.0, "b": 2.0})
     pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from slidim.errors import (DegenerateTangency, NoConvergence, NoHit,
-                           NonUniqueForward, OffManifold)
+                           NonUniqueForward, OffManifold, StepFailure)
 from slidim.filippov import (EscapePolicy, FoldBoundary, Mode, Region,
                              SectionStop, TerminalEvent, TimeStop,
                              classify_region, classify_tangency,
                              filippov_trajectory, find_pseudo_equilibrium,
                              flow_sliding, flow_to_manifold, fold_events,
-                             lie_derivative, lie_pair, make_system,
-                             second_lie_derivative, sliding_field)
+                             lie_derivative, make_system, sliding_field)
 from slidim.expressions import parse_field
 
 
@@ -30,7 +29,7 @@ def test_folded_lie_derivatives_keep_the_row_shape():
     s = canonical()
     assert s.xg.expr.tree == s.X.components[2].tree  # g = z: Xg is X's third component
     pts = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [1.0, 0.5, 0.0]])
-    xg, yg = lie_pair(s, pts)
+    xg, yg = s.xg(pts), s.yg(pts)
     assert xg.shape == yg.shape == (3,)
     assert np.array_equal(xg, [-1.0, 1.0, 0.0]) and np.array_equal(yg, [1.0, 1.0, 1.0])
     for ev in fold_events(s):
@@ -118,7 +117,7 @@ def test_second_lie_matches_finite_differences():
     s = make_system("y, -x + 0.3*z, x - 1 + 0.2*(z*exp(-z))", "0, 0, 1",
                     "z - 0.1*x^2")
     u = np.array([0.4, -0.3, 0.1 * 0.16])
-    val = float(second_lie_derivative(s.X, s.g, u))
+    val = float(s.xxg(u))
     h = 1e-6
 
     def xg(pt):
@@ -169,7 +168,7 @@ def test_lie_derivative_nonfinite():
 
 def test_flow_to_manifold_linear_descent():
     s = make_system("0, 0, 1", "0, 0, -1", "z")
-    seg = flow_to_manifold(s.Y, s.g, [0.0, 0.0, 1.0], 10.0, mode=Mode.FLOW_Y)
+    seg = flow_to_manifold(s, [0.0, 0.0, 1.0], 10.0, mode=Mode.FLOW_Y)
     assert seg.terminal_event == TerminalEvent.MANIFOLD_HIT
     assert seg.t_end == pytest.approx(1.0, abs=1e-11)
     assert np.linalg.norm(seg.u_end) < 1e-11
@@ -198,21 +197,34 @@ def test_flow_to_manifold_matches_matrix_exponential():
             hi = mid
     t_star = 0.5 * (lo + hi)
 
-    seg = flow_to_manifold(sys_.X, sys_.g, u0, 10.0)
+    seg = flow_to_manifold(sys_, u0, 10.0)
     assert abs(seg.t_end - t_star) < 1e-9
     assert np.linalg.norm(seg.u_end - exact(t_star)) < 1e-9
 
 
 def test_flow_from_visible_fold_departs():
     s = canonical()
-    seg = flow_to_manifold(s.X, s.g, [1.0, 0.0, 0.0], 10.0)
+    seg = flow_to_manifold(s, [1.0, 0.0, 0.0], 10.0)
     assert seg.t_end > 1e-4  # strictly away from the trivial root
 
 
 def test_flow_to_manifold_no_hit():
     s = make_system("0, 0, 1", "0, 0, 1", "z")
     with pytest.raises(NoHit):
-        flow_to_manifold(s.X, s.g, [0.0, 0.0, 1.0], 5.0)
+        flow_to_manifold(s, [0.0, 0.0, 1.0], 5.0)
+    with pytest.raises(NoHit, match="domain_exit"):  # the system's box ends at z = 50
+        flow_to_manifold(s, [0.0, 0.0, 1.0], 100.0)
+
+
+def test_flow_to_manifold_exhausted_steps_is_a_step_failure(monkeypatch):
+    from slidim import odeint
+    s = make_system("0, 0, 1", "0, 0, -1", "z")
+    res = odeint.BatchResult(1)
+    res.status[:] = odeint.STEPS_EXHAUSTED
+    res.samples = [[(0.0, np.array([0.0, 0.0, 1.0]))]]
+    monkeypatch.setattr(odeint, "integrate_batch", lambda *a, **k: res)
+    with pytest.raises(StepFailure):
+        flow_to_manifold(s, [0.0, 0.0, 1.0], 5.0)
 
 
 def test_flow_sliding_backward_contracts():

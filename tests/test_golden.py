@@ -1,0 +1,127 @@
+"""The default bench pipeline against a frozen report.
+
+``golden/bench_report.json`` holds ``golden_values`` of the session
+``bench_pipeline``: ``make_bench()`` and ``run_dimension_pipeline`` at their
+defaults (i_max 3, n_scan 20000).  No tolerance is a free choice; each one
+follows from a budget the pipeline itself states:
+
+* round trip: the pipeline's ``roundtrip_budget``, 1e-9 (absolute);
+* branch boundaries: the bisection target, 1e-9 of the branch width;
+* derivative bounds: they are extremes of central differences
+  |pi(w + d) - pi(w - d)| / 2d with d = 2e-4 W, scaled by the safety factor
+  1.05.  One precise evaluation of pi is trusted to the round-trip budget
+  eps, so a difference moves by at most eps / d, which is
+  eps * deriv_hi / (1.05 * 2e-4 * W) relative to the smallest |pi'| of
+  the branch (about 4.3e-6).  The nodes move with the boundaries
+  (1e-9 W), which adds 10 * 1e-9 at most;
+* a_hat = min 1 / (deriv_hi * lambda_hat^winding): the derivative budget
+  plus the winding (at most 2) times the lambda_hat budget;
+* lambda_hat: within 1e-9 of exp(2 pi a / b) on every run
+  (``test_certificate_residual_and_rate``), so 2e-9 between two runs;
+* lambda_decay: within 1e-4 of the closed form, so 2e-4 between runs;
+* lambda from branch widths: each width moves by at most 2e-9 relative
+  (two boundaries), a width ratio by 4e-9, and so their geometric mean;
+* Moran roots of sum r_i^s = 1: scaling every ratio by at most a relative
+  delta moves the root by at most s * delta / ln(1 / r_max), plus the
+  solver's residual 1e-12.  The upper root's tail ratios move with a_hat
+  and, for the indices that matter (up to about 6), 5 * lambda_hat;
+* box slope: the word-image points move by about the round-trip budget,
+  so a box count can change only for a point within that of a box edge.
+  One box more or less at any one fit scale moves the least-squares
+  slope by at most 1.5e-3 (computed from the fit: the largest
+  |x_i - mean| / sum (x - mean)^2 * ln(1 + 1/N_i)).
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "bench_report.json"
+
+ROUNDTRIP_BUDGET = 1e-9
+BOUNDARY_REL = 1e-9
+FD_STEP_REL = 2e-4
+SAFETY = 1.05
+LAMBDA_HAT_REL = 2e-9
+LAMBDA_DECAY_REL = 2e-4
+LAMBDA_WIDTHS_REL = 4e-9
+ROOT_RESIDUAL = 1e-12
+BOX_SLOPE_ABS = 1.5e-3
+
+
+def golden_values(res):
+    """The frozen fields of a pipeline result, as written to the golden file."""
+    return {
+        "moran_lower": res.report.moran_lower,
+        "moran_upper": res.report.moran_upper,
+        "branches": [{"side": b.side, "index": b.index, "lo": b.interval[0],
+                      "hi": b.interval[1], "deriv_lo": b.deriv_lo,
+                      "deriv_hi": b.deriv_hi} for b in res.branches],
+        "i_min": res.i_min,
+        "a_hat": res.a_hat,
+        "lambda_estimates": dict(res.lambda_estimates),
+        "box_slope": res.verdict.box_slope,
+        "roundtrip_max": float(res.roundtrip.max()),
+    }
+
+
+@pytest.fixture(scope="module")
+def pair(bench_pipeline):
+    return golden_values(bench_pipeline), json.loads(GOLDEN.read_text())
+
+
+def _deriv_rel(branch):
+    width = branch["hi"] - branch["lo"]
+    return (ROUNDTRIP_BUDGET * branch["deriv_hi"] / (SAFETY * FD_STEP_REL * width)
+            + 10 * BOUNDARY_REL)
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def test_branch_table(pair):
+    got, want = pair
+    assert [(b["side"], b["index"]) for b in got["branches"]] == \
+        [(b["side"], b["index"]) for b in want["branches"]]
+    assert len(got["branches"]) == 6
+    assert got["i_min"] == want["i_min"]
+    for g, w in zip(got["branches"], want["branches"]):
+        width = w["hi"] - w["lo"]
+        assert abs(g["lo"] - w["lo"]) <= BOUNDARY_REL * width, g
+        assert abs(g["hi"] - w["hi"]) <= BOUNDARY_REL * width, g
+        rel = _deriv_rel(w)
+        assert _rel(g["deriv_lo"], w["deriv_lo"]) <= rel, g
+        assert _rel(g["deriv_hi"], w["deriv_hi"]) <= rel, g
+
+
+def test_rates_and_cutoff(pair):
+    got, want = pair
+    lam_got, lam_want = got["lambda_estimates"], want["lambda_estimates"]
+    assert _rel(lam_got["eigenvalue"], lam_want["eigenvalue"]) <= LAMBDA_HAT_REL
+    assert _rel(lam_got["backward_decay"], lam_want["backward_decay"]) <= LAMBDA_DECAY_REL
+    assert _rel(lam_got["branch_widths"], lam_want["branch_widths"]) <= LAMBDA_WIDTHS_REL
+    deriv = max(_deriv_rel(b) for b in want["branches"])
+    assert _rel(got["a_hat"], want["a_hat"]) <= deriv + 2 * LAMBDA_HAT_REL
+
+
+def test_moran_bracket(pair):
+    got, want = pair
+    deriv = max(_deriv_rel(b) for b in want["branches"])
+    a_rel = deriv + 2 * LAMBDA_HAT_REL
+    b_max = max(b["deriv_lo"] for b in want["branches"])
+    c_max = max(b["deriv_hi"] for b in want["branches"])
+    s, t = want["moran_lower"], want["moran_upper"]
+    tol_s = s * deriv / np.log(1 / b_max) + ROOT_RESIDUAL
+    tol_t = t * max(deriv, a_rel + 5 * LAMBDA_HAT_REL) / np.log(1 / c_max) + ROOT_RESIDUAL
+    assert abs(got["moran_lower"] - s) <= tol_s
+    assert abs(got["moran_upper"] - t) <= tol_t
+
+
+def test_box_slope_and_round_trip(pair):
+    got, want = pair
+    assert abs(got["box_slope"] - want["box_slope"]) <= BOX_SLOPE_ABS
+    assert got["roundtrip_max"] <= ROUNDTRIP_BUDGET
+    assert abs(got["roundtrip_max"] - want["roundtrip_max"]) <= ROUNDTRIP_BUDGET

@@ -1,0 +1,51 @@
+"""Layering: every flow of the package is assembled in one place.
+
+An orbit is an X-flight to M (``filippov.fly``) and a sliding flow on M
+(``filippov.slide``).  Only those two helpers and the bench's per-row
+shooting (``bench._landings``, whose field takes the shooting parameters
+row by row) may call the integrator, so a change to how flows are built
+(events, projection, winding frame, tolerances, domain) is made once.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slidim"
+
+ALLOWED = {"filippov.fly", "filippov.slide", "bench._landings"}
+
+
+class _Calls(ast.NodeVisitor):
+    """Each call of integrate_batch, named by its innermost enclosing function."""
+
+    def __init__(self, module):
+        self.stack = [module]
+        self.callers = []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        fn = node.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+        if name == "integrate_batch":
+            self.callers.append(f"{self.stack[0]}.{self.stack[-1]}")
+        self.generic_visit(node)
+
+
+def _integrator_callers():
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _Calls(path.stem)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        callers.extend(visitor.callers)
+    return callers
+
+
+def test_integrate_batch_is_called_only_by_the_flow_helpers():
+    callers = _integrator_callers()
+    assert sorted(callers) == sorted(ALLOWED), callers

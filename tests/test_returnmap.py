@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from slidim import returnmap
-from slidim.errors import (BranchResolutionExceeded, NoValidCutoff,
-                           SectionMiss, SlidimError)
+from slidim.cifs import TailModel
+from slidim.errors import (BranchResolutionExceeded, LambdaDisagreement,
+                           NoValidCutoff, SectionMiss, SlidimError)
 from slidim.returnmap import (Branch, branch_width_lambda,
                               build_fold_segment, check_lambda_agreement,
                               enumerate_branches, first_return,
-                              geometric_tail_sum, noise_floor_imax, select_u,
+                              noise_floor_imax, select_u,
                               theta_x, verify_connection)
 
 
@@ -33,14 +34,19 @@ def test_certificate_backward_decay_strictly_decreasing(bench_pipeline):
 def test_lambda_cross_validation(bench_pipeline):
     vals = list(bench_pipeline.lambda_estimates.values())
     assert max(vals) / min(vals) - 1 < 0.10
-    with pytest.raises(SlidimError):
+    with pytest.raises(LambdaDisagreement) as err:
         check_lambda_agreement([1.0, 1.2])
+    assert isinstance(err.value, SlidimError)
 
 
 def test_connection_rejected_when_perturbed(bench):
     # moving a shooting parameter breaks the codimension-one connection
+    from slidim.bench import BENCH_DOMAIN, BENCH_G, BENCH_X, BENCH_Y
     from slidim.errors import ConnectionResidualTooLarge
-    broken = bench.system.with_params(u1=bench.u1 + 0.1)
+    from slidim.filippov import make_system
+    broken = make_system(BENCH_X, BENCH_Y, BENCH_G, domain=BENCH_DOMAIN,
+                         params={"al": bench.alpha, "be": bench.beta,
+                                 "u1": bench.u1 + 0.1, "u2": bench.u2})
     with pytest.raises(ConnectionResidualTooLarge):
         verify_connection(broken, bench.p_seed, bench.q_seed)
 
@@ -186,8 +192,8 @@ def test_select_u_tail_formula():
     want = next(i for i in range(1, 13)
                 if 2 * lam ** -(i - 1) / (1 - 1 / lam) < 1)
     assert i_min == want
-    assert geometric_tail_sum(1.0, lam, i_min) < 1
-    assert geometric_tail_sum(1.0, lam, i_min - 1) >= 1
+    assert TailModel(1.0, lam, i_min).pressure(1) < 1
+    assert TailModel(1.0, lam, i_min - 1).pressure(1) >= 1
 
 
 def test_select_u_immediate_when_a_large():
