@@ -311,32 +311,15 @@ def pressure_root(sys, residual=1e-12):
     if p1 >= 1.0:
         raise NoRootInUnitInterval(
             f"P(1) = {p1:.6f} >= 1; shrink the family (larger index cutoff)")
-    lo, hi = 1e-12, 1.0
-    if pressure(sys, lo) < 1.0:
-        return 0.0  # single contraction: only the degenerate root
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pressure(sys, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    root = 0.5 * (lo + hi)
-    if abs(pressure(sys, root) - 1.0) > residual:
-        raise ValueError("pressure bisection did not meet the residual target")
-    return float(root)
+    return _sum_root([m.c for m in sys.maps], tail=sys.tail, residual=residual)
 
 
 def dimension_report(sys, schedule=None):
     """Bracket + root + truncation curve for one system."""
     sched = dimension_sup(sys, schedule)
     lower = sched[-1][1]
-    try:
-        root = pressure_root(sys)
-    except NoRootInUnitInterval:
-        root = None
     upper_raw = _sum_root([m.c for m in sys.maps], tail=sys.tail)
+    root = upper_raw if pressure(sys, 1.0) < 1.0 else None
     capped = upper_raw > 1.0
     upper = min(upper_raw, 1.0)
     return DimensionReport(min(lower, 1.0), upper,

@@ -10,7 +10,8 @@ p, and whose X-flight from q lands on p in finite time, the machinery here
   after (X-flight off the section),
 * enumerates the branches of Dom(pi) accumulating at q together with
   derivative bounds sampled by finite differences, and
-* realizes the inverse branches as contraction maps on [-1, 1].
+* realizes each inverse branch psi_J as a Chebyshev series of its own, a
+  contraction map on [-1, 1].
 
 Everything expensive is evaluated in batches: each orbit is an X-flight
 (``filippov.fly``) followed by a sliding flow (``filippov.slide``).
@@ -250,16 +251,17 @@ def verify_connection(sys, p_seed, q_seed, n_decay_turns=8):
     pts = np.array([u for _, u in back.samples[0]])
     d = pts - p
     theta = np.unwrap(np.arctan2(d @ e2, d @ e1))
-    dist = np.linalg.norm(d, axis=1)
     total = theta[-1] - theta[0]
     sgn = np.sign(total)
     marks = np.arange(1, int(abs(total) / np.pi)) * np.pi * sgn + theta[0]
-    decay = np.interp(marks * sgn, theta * sgn, dist)
+    # for a focus the log-distance, not the distance, is linear in the angle
+    log_decay = np.interp(marks * sgn, theta * sgn, np.log(np.linalg.norm(d, axis=1)))
+    decay = np.exp(log_decay)
     if decay.size < 4:
         raise BackwardDivergence("backward orbit completed too few half-turns")
     if not np.all(np.diff(decay) < 0):
         raise BackwardDivergence("backward distances to p are not strictly decreasing")
-    slope = np.polyfit(marks, np.log(decay), 1)[0]
+    slope = np.polyfit(marks, log_decay, 1)[0]
     lambda_decay = float(np.exp(2 * np.pi * abs(slope)))
     return ShilnikovCertificate(p, q, t_q, residual, decay, lambda_hat,
                                 lambda_decay, pe.eigenvalues, turn_time)
@@ -484,8 +486,8 @@ def _predicate_bisect(pi_batch, w_out, w_in, target=None, max_iter=70):
 def _measure_branches(sys, fold, cert, specs, n_samples, safety, t_slide_max):
     """Sample pi and |pi'| on interior grids of all branches in one batch.
 
-    Nodes follow Chebyshev-extrema spacing (inset from the ends) so the same
-    samples support a stable spectral fit of pi restricted to the branch.
+    Nodes follow Chebyshev-extrema spacing (inset from the ends); the pairs
+    (pi(w), w) are the data of the inverse branch's series.
     """
     # interior Chebyshev-extrema nodes; the two end nodes of the full grid
     # are the bisected branch boundaries themselves (pi = -+1 there)
@@ -567,58 +569,33 @@ def select_u(branches, lam, a_hat=None):
 
 
 class BranchInverseMap:
-    """psi_J on [-1, 1] realized by inverting a spectral fit of pi|_J.
+    """psi_J on [-1, 1] as a Chebyshev series of its own.
 
-    The forward restriction pi|_J is fitted by a Chebyshev series in the
-    normalized branch coordinate (samples from branch measurement, exact
-    endpoint anchors from the boundary bisection); psi evaluates by a
-    monotone bisection solve of the polynomial, so a call costs microseconds
-    and no integration.
+    The branch samples give pairs (pi(w), w); with the boundary anchors
+    (pi = -+1 at the branch ends) they fix the local coordinate
+    s = (2w - lo - hi) / (hi - lo) as a least-squares series in x = pi(w).
+    The degree is half the sample count: interpolating through all the
+    mapped nodes is ill-conditioned.  psi and |psi'| are one ``chebval``
+    each, so a call costs microseconds and no integration.
     """
 
     def __init__(self, branch):
         lo, hi = branch.interval
-        self.interval = branch.interval
         self.tag = f"{branch.side}{branch.index}"
-        self.winding = branch.winding
-        s = self._to_local(branch.samples_w)
-        increasing = branch.samples_pi[-1] > branch.samples_pi[0]
-        anchors = np.array([-1.0, 1.0]) if increasing else np.array([1.0, -1.0])
-        sv = np.concatenate([s, [-1.0, 1.0]])
-        pv = np.concatenate([branch.samples_pi, anchors])
-        order = np.argsort(sv)
-        self.coef = cheb.chebfit(sv[order], pv[order], sv.size - 1)
+        self._mid, self._halfwidth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        direction = np.sign(branch.samples_pi[-1] - branch.samples_pi[0])
+        x = np.concatenate([branch.samples_pi, [-direction, direction]])
+        s = np.concatenate([(branch.samples_w - self._mid) / self._halfwidth,
+                            [-1.0, 1.0]])
+        self.coef = cheb.chebfit(x, s, branch.samples_w.size // 2)
         self.dcoef = cheb.chebder(self.coef)
-        self.increasing = bool(increasing)
-        self._halfwidth = 0.5 * (hi - lo)
 
-    def _to_local(self, w):
-        lo, hi = self.interval
-        return (2.0 * np.asarray(w, dtype=float) - (lo + hi)) / (hi - lo)
-
-    def _from_local(self, s):
-        lo, hi = self.interval
-        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * s
-
-    def __call__(self, x, iters=90):
-        x = np.asarray(x, dtype=float)
-        lo = np.full(x.shape, -1.0)
-        hi = np.full(x.shape, 1.0)
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            v = cheb.chebval(mid, self.coef)
-            low = (v < x) == self.increasing
-            lo = np.where(low, mid, lo)
-            hi = np.where(low, hi, mid)
-            if np.max(hi - lo) < 1e-16:
-                break
-        return self._from_local(0.5 * (lo + hi))
+    def __call__(self, x):
+        return self._mid + self._halfwidth * cheb.chebval(x, self.coef)
 
     def deriv(self, x):
-        """|psi'(x)| from the fitted forward derivative."""
-        s = self._to_local(self(x))
-        dpi = cheb.chebval(s, self.dcoef) / self._halfwidth
-        return np.abs(1.0 / dpi)
+        """|psi'(x)| from the derivative series."""
+        return np.abs(cheb.chebval(x, self.dcoef)) * self._halfwidth
 
 
 def branch_contractions(branches):

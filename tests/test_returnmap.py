@@ -20,7 +20,7 @@ def test_certificate_residual_and_rate(bench, bench_pipeline):
     assert cert.residual < 1e-9
     exact = np.exp(2 * np.pi * bench.alpha / bench.beta)
     assert cert.lambda_hat == pytest.approx(exact, rel=1e-9)
-    assert cert.lambda_decay == pytest.approx(exact, rel=1e-4)
+    assert cert.lambda_decay == pytest.approx(exact, rel=1e-7)
     assert cert.lambda_hat > 1
     assert cert.t_q > 0
 
@@ -166,6 +166,24 @@ def test_inverse_maps_contract_and_compose(bench_pipeline):
     composed = np.asarray(l1.eval(np.asarray(r1.eval(xs))))
     lo, hi = branches["L1"].interval
     assert np.all((composed >= lo) & (composed <= hi))
+
+
+def _maps_and_branches(res):
+    branches = {f"{b.side}{b.index}": b for b in res.branches}
+    return [(m.eval, branches[m.tag]) for m in res.ifs.maps]
+
+
+def test_inverse_series_ends_on_branch_boundaries(bench_pipeline):
+    for psi, b in _maps_and_branches(bench_pipeline):
+        ends = np.sort(psi(np.array([-1.0, 1.0])))
+        assert np.all(np.abs(ends - b.interval) <= 1e-9 * b.width), b.interval
+
+
+def test_inverse_series_derivative_inverts_sampled_slope(bench_pipeline):
+    # |psi'(pi(w))| * |pi'(w)| = 1 at every measured sample of the branch
+    for psi, b in _maps_and_branches(bench_pipeline):
+        product = psi.deriv(b.samples_pi) * b.samples_dpi
+        assert np.all(np.abs(product - 1) <= 1e-5), psi.tag
 
 
 # --- index cutoff arithmetic ----------------------------------------------------------------
