@@ -12,8 +12,10 @@ with ``func`` one of sin, cos, exp, log, sqrt, tanh and ``ident`` one of
 x, y, z or a declared parameter.  Note that per this grammar unary minus
 binds tighter than '^', so ``-x^2`` parses as ``(-x)^2``.
 
-Each parsed expression is compiled once into a plain Python function over
-numpy ufuncs, so the same code evaluates floats and numpy batches.
+Every expression is compiled once, by one code generator, into a plain
+Python function over numpy ufuncs, so the same code evaluates floats and
+numpy batches.  A field becomes one kernel that evaluates each repeated
+subtree once (common-subexpression elimination) into one (..., 3) array.
 Derivatives come from the parse tree itself: :func:`_diff` differentiates a
 tree symbolically into another tree of the same form (folding the constants
 0 and 1), which is compiled like any parsed expression.  Gradients, Lie
@@ -22,6 +24,7 @@ built this way, once per expression.
 """
 
 import re
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -131,25 +134,48 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
 
 
-def _codegen(node):
-    kind = node[0]
-    if kind == "num":
-        return repr(node[1])
-    if kind == "var":
-        return node[1]
-    if kind == "param":
-        return "p_" + node[1]
-    if kind == "neg":
-        return f"(-{_codegen(node[1])})"
-    if kind == "call":
-        return f"_{node[1]}({_codegen(node[2])})"
-    _, op, left, right = node
-    if op == "^":
-        return f"({_codegen(left)} ** {_codegen(right)})"
-    return f"({_codegen(left)} {op} {_codegen(right)})"
+def _codegen(trees):
+    """Statements and value expressions for ``trees``: a subtree used more
+    than once across them (trees are tuples, so equal subtrees hash alike)
+    is assigned to a temporary on first use."""
+    uses = Counter()
+
+    def count(node):
+        uses[node] += 1
+        if uses[node] == 1:  # children of a repeated subtree are counted once
+            for child in node[1:]:
+                if isinstance(child, tuple):
+                    count(child)
+
+    for tree in trees:
+        count(tree)
+    lines, names = [], {}
+
+    def emit(node):
+        if node in names:
+            return names[node]
+        kind = node[0]
+        if kind == "num":
+            return repr(node[1])
+        if kind in ("var", "param"):
+            return node[1] if kind == "var" else "p_" + node[1]
+        if kind == "neg":
+            code = f"(-{emit(node[1])})"
+        elif kind == "call":
+            code = f"_{node[1]}({emit(node[2])})"
+        else:
+            _, op, left, right = node
+            code = f"({emit(left)} {'**' if op == '^' else op} {emit(right)})"
+        if uses[node] == 1:
+            return code
+        names[node] = f"_t{len(names)}"
+        lines.append(f"{names[node]} = {code}")
+        return names[node]
+
+    return lines, [emit(tree) for tree in trees]
 
 
-_NAMESPACE = {f"_{name}": getattr(np, name) for name in FUNCTIONS}
+_NAMESPACE = {f"_{name}": getattr(np, name) for name in FUNCTIONS} | {"_empty": np.empty}
 
 ZERO = ("num", 0.0)
 ONE = ("num", 1.0)
@@ -223,12 +249,23 @@ def _diff(node, var):
     return _mul(node, _add(_mul(db, ("call", "log", a)), _mul(b, _div(da, a))))
 
 
-def _compile(tree, params):
-    args = ", ".join(f"p_{k}={float(v)!r}" for k, v in params.items())
-    head = f"def _f(x, y, z, *, {args}):" if params else "def _f(x, y, z):"
-    source = f"{head}\n    return {_codegen(tree)}\n"
+def _compile(trees, params, field=False):
+    """One Python function evaluating ``trees`` with shared subtrees.  A field
+    kernel ``(u, **params)`` takes points of shape (..., 3) and writes tree k
+    to ``out[..., k]`` of one fresh array; otherwise ``(x, y, z, **params)``
+    returns the value of the single tree."""
+    lines, values = _codegen(trees)
+    if field:
+        lines = ["x, y, z = u[..., 0], u[..., 1], u[..., 2]", "out = _empty(u.shape)",
+                 *lines, *(f"out[..., {k}] = {v}" for k, v in enumerate(values))]
+        values = ["out"]
+    args = ["u"] if field else ["x", "y", "z"]
+    args += ["*", *(f"p_{k}={float(v)!r}" for k, v in params.items())] if params else []
+    source = "\n    ".join([f"def _f({', '.join(args)}):", *lines,
+                            f"return {values[0]}"]) + "\n"
     scope = dict(_NAMESPACE)
     exec(source, scope)  # noqa: S102 - code built from our own validated AST
+    scope["_f"].source = source
     return scope["_f"]
 
 
@@ -243,7 +280,7 @@ class ScalarExpr:
         self.text = text
         self.params = dict(params or {})
         self.tree = _parse_tree(text, self.params) if tree is None else tree
-        self.fn = _compile(self.tree, self.params)
+        self.fn = _compile([self.tree], self.params)
         self._derivatives = {}
 
     def __call__(self, x, y, z, **params):
@@ -317,13 +354,6 @@ def _rows(value, like):
     return out if out.shape == like.shape else np.full(like.shape, out)
 
 
-def _stack3(values, like):
-    out = np.empty(np.shape(like) + (3,))
-    for k, v in enumerate(values):
-        out[..., k] = v
-    return out
-
-
 class VectorFieldExpr:
     """A differentiable R^3 -> R^3 field defined by parsed expressions."""
 
@@ -332,6 +362,7 @@ class VectorFieldExpr:
             raise ValueError("need exactly 3 components")
         self.components = tuple(components)
         self.params = dict(components[0].params)
+        self.kernel = _compile([c.tree for c in self.components], self.params, field=True)
 
     def __call__(self, u, **params):
         """Evaluate at points ``u`` of shape (..., 3); returns (..., 3).
@@ -340,8 +371,9 @@ class VectorFieldExpr:
         override the bound values for this call only.
         """
         u = np.asarray(u, dtype=float)
-        x, y, z = u[..., 0], u[..., 1], u[..., 2]
-        return _stack3([c(x, y, z, **params) for c in self.components], x)
+        if params:
+            return self.kernel(u, **{"p_" + k: v for k, v in params.items()})
+        return self.kernel(u)
 
     def lie(self, expr):
         """The Lie derivative sum_i F_i d(expr)/dx_i as a compiled expression."""
@@ -377,12 +409,10 @@ class SwitchingFunction:
     def value_and_gradient(self, u):
         """Values (...,) and gradients (..., 3) at points ``u`` of shape (..., 3)."""
         u = np.asarray(u, dtype=float)
-        x, y, z = u[..., 0], u[..., 1], u[..., 2]
-        return (_rows(self.expr.fn(x, y, z), x),
-                _stack3([d(x, y, z) for d in self._gradient], x))
+        x = u[..., 0]
+        return _rows(self.expr.fn(x, u[..., 1], u[..., 2]), x), self._gradient(u)
 
     @cached_property
     def _gradient(self):
-        # the compiled partials, looked up once: this is on the integrator's
-        # hot path (projection and sliding right-hand side)
-        return [self.expr.diff(v).fn for v in VARIABLES]
+        return _compile([self.expr.diff(v).tree for v in VARIABLES], self.params,
+                        field=True)

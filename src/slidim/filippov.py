@@ -20,7 +20,8 @@ from .config import Tolerances
 from .errors import (DegenerateTangency, DenominatorVanishes, LeftSlidingRegion,
                      NoConvergence, NoHit, NonFinite, NonUniqueForward,
                      NotHyperbolic, OffManifold, StepFailure)
-from .expressions import SwitchingFunction, VectorFieldExpr, parse_field
+from .expressions import (VARIABLES, ScalarExpr, SwitchingFunction, VectorFieldExpr,
+                          _div, _mul, _sub, parse_field)
 
 DEFAULT_DOMAIN = (np.full(3, -50.0), np.full(3, 50.0))
 
@@ -91,6 +92,16 @@ class FilippovSystem:
     @cached_property
     def yyg(self):
         return SwitchingFunction(self.Y.lie(self.yg.expr))
+
+    @cached_property
+    def sliding(self):
+        """The sliding field (Yg X - Xg Y)/(Yg - Xg), compiled as one kernel."""
+        xg, yg = self.xg.expr, self.yg.expr
+        den = _sub(yg.tree, xg.tree)
+        return VectorFieldExpr([
+            ScalarExpr(f"Z~_{v}", {**xg.params, **yg.params},
+                       _div(_sub(_mul(yg.tree, a.tree), _mul(xg.tree, b.tree)), den))
+            for v, a, b in zip(VARIABLES, self.X.components, self.Y.components)])
 
 
 def make_system(x_src, y_src, g_src, params=None, domain=None, tol=None):
@@ -201,27 +212,12 @@ def is_visible_fold_regular(sys, u):
 # --- sliding field ------------------------------------------------------------
 
 
-def _sliding(sys, u, sign):
-    """sign (Yg X - Xg Y)/(Yg - Xg) and its denominator Yg - Xg.
-
-    Xg and Yg come from the X(u), Y(u) already in hand, so no field is
-    evaluated twice.
-    """
-    xu, yu = sys.X(u), sys.Y(u)
-    _, grad = sys.g.value_and_gradient(u)
-    xg = np.sum(xu * grad, axis=-1)
-    yg = np.sum(yu * grad, axis=-1)
-    den = yg - xg
-    return sign * (yg[..., None] * xu - xg[..., None] * yu) / den[..., None], den
-
-
 def sliding_field(sys, u):
     """(Yg X - Xg Y)/(Yg - Xg): the convex combination tangent to M."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        zt, den = _sliding(sys, np.asarray(u, dtype=float), 1.0)
-    if np.any(np.abs(den) < sys.tol.tangency):
-        raise DenominatorVanishes("Yg - Xg below tolerance; point is not in M^{s,e}")
-    return zt
+        if np.any(np.abs(sys.yg(u) - sys.xg(u)) < sys.tol.tangency):
+            raise DenominatorVanishes("Yg - Xg below tolerance; point is not in M^{s,e}")
+        return sys.sliding(u)
 
 
 def manifold_project(g, u, iterations=2):
@@ -372,14 +368,16 @@ def fly(sys, F, u0, t_max, record=False):
 
 
 def slide(sys, u0, t_max, events=(), sign=1.0, center=None, record=False):
-    """Flow sign times the sliding field from the rows of u0 until an event.
+    """Flow the sliding field (sign = 1) or its negation (sign = -1) from the
+    rows of u0 until an event.
 
     Drift off M is corrected after each accepted step by one Newton
     projection along grad g.  With ``center`` given, the rotation of each
     orbit about it is accumulated (``BatchResult.winding``).
     """
+    rhs = sys.sliding if sign > 0 else lambda u: -sys.sliding(u)
     return odeint.integrate_batch(
-        lambda u: _sliding(sys, u, sign)[0], u0, t_max, events,
+        rhs, u0, t_max, events,
         rtol=sys.tol.rtol, atol=sys.tol.atol, tol_event=sys.tol.event,
         project=lambda pts: manifold_project(sys.g, pts, 1),
         winding=None if center is None else winding_frame(sys, center),

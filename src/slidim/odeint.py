@@ -65,13 +65,13 @@ class BatchResult:
 def _rk_step(f, u, h):
     """One DP54 step of sizes ``h`` for states ``u``; returns (u_new, err)."""
     hcol = h[:, None]
-    k = [f(u)]
-    for row in _A[1:]:
-        du = row[0] * k[0]
-        for coef, ki in zip(row[1:], k[1:]):
+    ks = np.empty((7,) + u.shape)
+    ks[0] = f(u)
+    for i, row in enumerate(_A[1:], 1):
+        du = row[0] * ks[0]
+        for coef, ki in zip(row[1:], ks[1:i]):
             du = du + coef * ki
-        k.append(f(u + hcol * du))
-    ks = np.stack(k)
+        ks[i] = f(u + hcol * du)
     u_new = u + hcol * np.tensordot(_B5, ks, axes=(0, 0))
     err = hcol * np.tensordot(_ERR, ks, axes=(0, 0))
     return u_new, err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slidim.errors import ExpressionSyntaxError, UnknownIdentifier
+from slidim.bench import BENCH_X
 from slidim.expressions import (SwitchingFunction, parse_expr, parse_field)
 
 
@@ -99,7 +100,7 @@ CORPUS = [
 
 
 @pytest.mark.parametrize("src", CORPUS)
-def test_dual_gradient_matches_central_differences(src):
+def test_gradient_matches_central_differences(src):
     g = SwitchingFunction(src, {"a": 0.7, "b": 1.3})
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.8, 0.8, size=(25, 3))
@@ -113,6 +114,37 @@ def test_dual_gradient_matches_central_differences(src):
         fd = (g(dp) - g(dm)) / (2 * h)
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(grad[:, k] - fd) / scale) < 1e-6
+
+
+PARAMS = {"a": 0.7, "b": 1.3}
+
+
+def _field_and_components(k):
+    """Three consecutive CORPUS entries as one field kernel and as three
+    separately compiled expressions."""
+    srcs = [CORPUS[(k + i) % len(CORPUS)] for i in range(3)]
+    return parse_field(srcs, PARAMS), [parse_expr(s, PARAMS) for s in srcs]
+
+
+@pytest.mark.parametrize("k", range(len(CORPUS)))
+def test_field_kernel_equals_per_component_evaluation(k):
+    field, comps = _field_and_components(k)
+
+    def each(u, **params):
+        return np.stack([c(u[..., 0], u[..., 1], u[..., 2], **params) for c in comps],
+                        axis=-1)
+
+    pts = np.random.default_rng(k).uniform(-0.8, 0.8, size=(7, 3))
+    assert np.array_equal(field(pts[0]), each(pts[0]))
+    assert np.array_equal(field(pts), each(pts))
+    rows = {"a": np.linspace(0.5, 1.1, 7), "b": np.linspace(1.2, 1.8, 7)}
+    assert np.array_equal(field(pts, **rows), each(pts, **rows))
+
+
+def test_bench_field_kernel_evaluates_shared_subtrees_once():
+    source = parse_field(BENCH_X, {"al": 0.4, "be": 1.0, "u1": 0.0, "u2": 0.0}).kernel.source
+    assert source.count("_tanh(") == source.count("_tanh((50.0 * z))") == 1
+    assert source.count("_exp(") == source.count("(z * _exp((-z)))") == 1
 
 
 def test_gradient_of_constant_independent_component():

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from slidim.errors import (DegenerateTangency, NoConvergence, NoHit,
-                           NonUniqueForward, OffManifold, StepFailure)
+from slidim import odeint
+from slidim.errors import (DegenerateTangency, DenominatorVanishes, NoConvergence,
+                           NoHit, NonUniqueForward, OffManifold, StepFailure)
 from slidim.filippov import (EscapePolicy, FoldBoundary, Mode, Region,
                              SectionStop, TerminalEvent, TimeStop,
                              classify_region, classify_tangency,
                              filippov_trajectory, find_pseudo_equilibrium,
                              flow_sliding, flow_to_manifold, fold_events,
-                             lie_derivative, make_system, sliding_field)
+                             lie_derivative, make_system, slide, sliding_field)
 from slidim.expressions import parse_field
 
 
@@ -94,6 +95,29 @@ def test_sliding_field_tangency_invariant():
         _, grad = s.g.value_and_gradient(u)
         rel = abs(np.dot(zt, grad)) / (np.linalg.norm(zt) * np.linalg.norm(grad))
         assert rel < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_slide_kernel_matches_lie_derivative_formula(sign, monkeypatch):
+    s = make_system("y + 0.2*x, -x + z, -(1 + x^2)", "sin(x), cos(y), 2 + z",
+                    "z - 0.1*x^2")
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(-1, 1, (2, 40))
+    pts = np.column_stack([x, y, 0.1 * x ** 2])
+    xg, yg = lie_derivative(s.X, s.g, pts), lie_derivative(s.Y, s.g, pts)
+    want = sign * (yg[:, None] * s.X(pts) - xg[:, None] * s.Y(pts)) / (yg - xg)[:, None]
+    seen = []
+    monkeypatch.setattr(odeint, "integrate_batch", lambda f, *a, **k: seen.append(f))
+    slide(s, pts, 1.0, sign=sign)
+    got = seen[0](pts)
+    assert np.max(np.abs(got - want) / np.linalg.norm(want, axis=1)[:, None]) < 1e-14
+    assert np.array_equal(sliding_field(s, pts), sign * got)
+
+
+def test_sliding_field_denominator_vanishes(bench):
+    # Xg = (x - 1) and Yg = 1 on M, so Yg - Xg = 2 - x = 0 at x = 2
+    with pytest.raises(DenominatorVanishes):
+        sliding_field(bench.system, [2.0, 0.0, 0.0])
 
 
 def test_classify_tangency_visible_and_invisible():
