@@ -100,7 +100,7 @@ CORPUS = [
 
 
 @pytest.mark.parametrize("src", CORPUS)
-def test_gradient_matches_central_differences(src):
+def test_dual_gradient_matches_central_differences(src):
     g = SwitchingFunction(src, {"a": 0.7, "b": 1.3})
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.8, 0.8, size=(25, 3))
