@@ -36,6 +36,11 @@ DOMAIN_EXIT = 3
 STEP_FAIL = 4
 STEPS_EXHAUSTED = 5
 
+H0 = 1e-4              # first trial step of every row
+H_MAX = 0.25           # largest step
+MAX_ROUNDS = 300000    # step attempts before STEPS_EXHAUSTED
+ILLINOIS_MAX_PROBES = 80
+
 
 class EventSpec:
     """A scalar event function with crossing direction and departure rule.
@@ -88,9 +93,8 @@ def _wrap(a):
 
 
 def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
-                    tol_event=1e-12, h0=1e-4, h_max=0.25, project=None,
-                    winding=None, domain=None, record=False,
-                    max_rounds=300000, row_args=None):
+                    tol_event=1e-12, project=None, winding=None, domain=None,
+                    record=False, row_args=None):
     """Advance every row of ``u0`` until an event, t_max, or domain exit.
 
     f        : (M, 3) -> (M, 3) field (sign-folded by the caller for
@@ -114,7 +118,7 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
         res.samples = [[(0.0, u[i].copy())] for i in range(n)]
 
     t = np.zeros(n)
-    h = np.full(n, min(h0, h_max))
+    h = np.full(n, H0)
     t_max = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
 
     n_ev = len(events)
@@ -129,7 +133,7 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
 
     active = np.ones(n, dtype=bool)
     tiny = np.maximum(1e-14, 1e-14 * t_max)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
@@ -150,7 +154,7 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
             fac = 0.9 * errnorm ** -0.2
         fac[errnorm == 0.0] = 5.0
         fac = np.clip(fac, 0.2, 5.0)
-        h_new = np.minimum(hi * fac, h_max)
+        h_new = np.minimum(hi * fac, H_MAX)
 
         # rejected rows: shrink and retry (STEP_FAIL on underflow)
         rej = idx[~accept]
@@ -191,10 +195,10 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                         continue
                     sub = np.nonzero(mask)[0]
                     if kind == "cross":
-                        args = row_args[rows[sub]] if row_args is not None else None
-                        frac, u_land = _refine(f, u[rows[sub]], ha[sub], ev.fn,
-                                               prev[sub], vals[sub], ua[sub],
-                                               tol_event, project, args)
+                        probe = _step_probe(f, row_args, project, ev.fn, rows[sub],
+                                            u[rows[sub]], ha[sub])
+                        frac, u_land = illinois(probe, prev[sub], vals[sub], ua[sub],
+                                                tol_event, 1e-16)
                     else:
                         frac, u_land = np.ones(sub.size), ua[sub]
                     better = frac < hit_frac[sub]
@@ -266,35 +270,37 @@ def _bind(f, row_args, idx):
     return lambda uu, _a=row_args[idx]: f(uu, _a)  # noqa: E731
 
 
-def _substep(f, u0, tau, project):
-    """One RK step of per-row size tau from u0, with projection."""
-    u1, _ = _rk_step(f, u0, tau)
-    return project(u1) if project is not None else u1
+def _step_probe(f, row_args, project, ev_fn, rows, u0, h):
+    """Illinois probe: event and state one (projected) step of x * h from u0."""
+
+    def probe(live, x):
+        u1, _ = _rk_step(_bind(f, row_args, rows[live]), u0[live], x * h[live])
+        u1 = project(u1) if project is not None else u1
+        return ev_fn(u1), u1
+
+    return probe
 
 
-def _refine(f, u0, h, ev_fn, ev_lo, ev_hi, u_hi, tol_event, project,
-            row_args=None, max_iter=80):
-    """Illinois iteration for the crossing fraction in (0, 1] of each row's step.
+def illinois(probe, f_lo, f_hi, at_hi, tol, width):
+    """Batched Illinois false position (Dowell & Jarratt, BIT 11 (1971) 168).
 
-    ``ev_lo`` / ``ev_hi`` are the event values, of opposite sign, at the
-    accepted pre-step state ``u0`` (fraction 0) and at the end of the step
-    ``u_hi`` (fraction 1), so the first probe is the secant point.  Each
-    probe re-integrates one step of size frac * h from ``u0``; only rows not
-    yet converged are probed, with their rows of ``row_args``.  A
-    false-position point that is not finite or not strictly inside the
-    bracket is replaced by the midpoint.  Returns the fraction and the
-    (projected) state there: the probe with ``|event| <= tol_event``, else
-    the upper bracket end once the bracket is narrower than 1e-16 or
-    ``max_iter`` probes are spent.
+    Row i searches the fraction x in [0, 1] of a bracket with values
+    ``f_lo[i]`` at 0 and ``f_hi[i]`` at 1, of opposite sign, and the point
+    ``at_hi[i]`` at 1.  ``probe(rows, x)`` returns values and points at the
+    fractions ``x`` of the unconverged ``rows``.  A false-position point not
+    finite or not strictly inside the bracket is replaced by the midpoint.
+    Returns the fraction and point of each row: the probe with ``|value| <=
+    tol``, else the upper end once the bracket is narrower than ``width`` or
+    ``ILLINOIS_MAX_PROBES`` probes are spent.
     """
-    m = u0.shape[0]
+    m = len(f_lo)
     lo, hi = np.zeros(m), np.ones(m)
-    f_lo = np.array(ev_lo, dtype=float)
-    f_hi = np.array(ev_hi, dtype=float)
-    u_out = np.array(u_hi, dtype=float)
+    f_lo = np.array(f_lo, dtype=float)
+    f_hi = np.array(f_hi, dtype=float)
+    out = np.array(at_hi, dtype=float)
     side = np.zeros(m, dtype=int)      # bracket end the last probe replaced
     live = np.arange(m)
-    for _ in range(max_iter):
+    for _ in range(ILLINOIS_MAX_PROBES):
         if not live.size:
             break
         a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
@@ -302,25 +308,25 @@ def _refine(f, u0, h, ev_fn, ev_lo, ev_hi, u_hi, tol_event, project,
             x = a - fa * (b - a) / (fb - fa)
         off = ~(np.isfinite(x) & (x > a) & (x < b))
         x[off] = 0.5 * (a[off] + b[off])
-        probe = _substep(_bind(f, row_args, live), u0[live], x * h[live], project)
-        vals = np.asarray(ev_fn(probe), dtype=float)
+        vals, points = probe(live, x)
+        vals = np.asarray(vals, dtype=float)
 
-        done = np.abs(vals) <= tol_event
+        done = np.abs(vals) <= tol
         low = ~done & (np.sign(vals) == np.sign(fa))
         up = ~done & ~low
         # converged rows collapse the bracket onto the probe
         r = live[done]
-        hi[r], u_out[r] = x[done], probe[done]
+        hi[r], out[r] = x[done], points[done]
         # Illinois: halve the value kept at an end retained twice in a row
         r = live[low]
         lo[r], f_lo[r] = x[low], vals[low]
         f_hi[r[side[r] == -1]] *= 0.5
         side[r] = -1
         r = live[up]
-        hi[r], f_hi[r], u_out[r] = x[up], vals[up], probe[up]
+        hi[r], f_hi[r], out[r] = x[up], vals[up], points[up]
         f_lo[r[side[r] == 1]] *= 0.5
         side[r] = 1
 
         live = live[~done]
-        live = live[hi[live] - lo[live] >= 1e-16]
-    return hi, u_out
+        live = live[hi[live] - lo[live] >= width]
+    return hi, out

@@ -140,10 +140,9 @@ def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
         a_hat=a_hat, lambda_estimates=lambdas, roundtrip=resid, timings=timings)
 
 
-def return_map_fn(system, fold, cert, t_slide_max=None):
+def return_map_fn(system, fold, cert):
     """Batched first-return callable with the (values, ok) contract."""
-    if t_slide_max is None:
-        t_slide_max = 12 * cert.flight_time_scale
+    t_slide_max = 12 * cert.flight_time_scale
 
     def pi(points):
         vals, _, ok, _ = returnmap.first_return_batch(

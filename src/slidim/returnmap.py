@@ -34,6 +34,11 @@ from .filippov import (Region, classify_region, find_pseudo_equilibrium, fly,
 from .filippov import manifold_project  # noqa: F401
 
 FLIGHT_T_MAX = 60.0   # time budget of an X-flight from the section to M
+SPARE_TURNS = 5       # sliding time budget: (deepest index + SPARE_TURNS) focus turns
+SAFETY = 1.05         # widening of the sampled derivative extremes
+BOUNDARY_TOL = 1e-10  # boundary solver: | |exit_s| - 1 | in chart units
+BOUNDARY_WIDTH = 1e-9  # boundary solver: bracket width relative to the scan bracket
+N_CHECK = 24          # round-trip check nodes per inverse branch
 
 
 def project_to_fold(sys, seed, max_iter=40):
@@ -344,8 +349,8 @@ class Branch:
     index: int                # i >= 1, increasing toward the fold point
     winding: int              # c_J = index - 1
     interval: tuple           # (lo, hi) in chart coordinates
-    deriv_lo: float           # sampled, not certified: min |psi'| over FD samples / safety
-    deriv_hi: float           # sampled, not certified: max |psi'| over FD samples * safety
+    deriv_lo: float           # sampled, not certified: min |psi'| over FD samples / SAFETY
+    deriv_hi: float           # sampled, not certified: max |psi'| over FD samples * SAFETY
     surjective: bool
     raw_turns: float          # measured winding of the midpoint orbit
     samples_w: np.ndarray
@@ -374,13 +379,14 @@ def precise(sys, rtol=1e-12, atol=1e-17, event=1e-14):
     return replace(sys, tol=sys.tol.updated(rtol=rtol, atol=atol, event=event))
 
 
-def enumerate_branches(sys, fold, cert, i_max, n_scan=20000, n_samples=65,
-                       safety=1.05, t_slide_max=None):
-    """Scan-and-bisect branch detection on the chart.
+def enumerate_branches(sys, fold, cert, i_max, n_scan=20000, n_samples=65):
+    """Scan the chart for branches, then solve for their boundaries.
 
     Branch boundaries are chart values whose orbit exits exactly through an
-    endpoint of the section; they are localized by bisection on the
-    in-section predicate (at tightened integration control).  Runs clipped
+    endpoint of the section: roots of |exit_s(w)| - 1, which is positive
+    outside the section and negative inside.  One precise sweep evaluates
+    both ends of each scan bracket, and :func:`odeint.illinois` solves all
+    boundaries together (at tightened integration control).  Runs clipped
     by the scan window are dropped (this removes the possibly
     non-surjective outermost components).
     """
@@ -389,8 +395,7 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=20000, n_samples=65,
     if i_max > cap:
         raise BranchResolutionExceeded(
             f"i_max = {i_max} beyond the noise floor index {cap}")
-    if t_slide_max is None:
-        t_slide_max = (i_max + 5) * cert.flight_time_scale
+    t_slide_max = (i_max + SPARE_TURNS) * cert.flight_time_scale
     w_min = 2e-3 * lam ** -(i_max - 1)
     half = n_scan // 2
     mags = np.geomspace(1.0, w_min, half)
@@ -398,13 +403,11 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=20000, n_samples=65,
     ws.sort()
     sys_hi = precise(sys)
 
-    def pi_batch(w):
-        return first_return_batch(sys_hi, fold, w, cert.p, t_slide_max)
+    def excess(w):
+        """|exit_s(w)| - 1 at tightened control: > 0 off the section, < 0 on it."""
+        return np.abs(first_return_batch(sys_hi, fold, w, cert.p, t_slide_max)[3]) - 1.0
 
-    def pi_scan(w):
-        return first_return_batch(sys, fold, w, cert.p, t_slide_max)
-
-    ret, turns, ok, _ = pi_scan(ws)
+    _, turns, ok, _ = first_return_batch(sys, fold, ws, cert.p, t_slide_max)
 
     branches = []
     for side, sel in (("L", ws < 0), ("R", ws > 0)):
@@ -438,14 +441,26 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=20000, n_samples=65,
         for rank, (a, b, turn) in enumerate(merged):
             branches.append([side, rank + 1, turn, ws[a - 1], ws[a], ws[b], ws[b + 1]])
 
-    # localize every boundary of every branch in one vector bisection sweep
+    # solve every boundary of every branch together, from one sweep of the ends
     outs = np.array([[b[3], b[6]] for b in branches]).ravel()
     ins = np.array([[b[4], b[5]] for b in branches]).ravel()
-    edges = _predicate_bisect(pi_batch, outs, ins).reshape(-1, 2)
-    intervals = [(min(e), max(e)) for e in edges]
+    f_out, f_in = np.split(excess(np.concatenate([outs, ins])), 2)
+    bad = ~(np.isfinite(f_out) & np.isfinite(f_in)) | (np.sign(f_out) == np.sign(f_in))
+    if bad.any():
+        k = np.nonzero(bad)[0][0]
+        raise BranchResolutionExceeded(
+            f"{branches[k // 2][0]}{branches[k // 2][1]}: |exit_s| - 1 does not straddle 0 "
+            f"on [{outs[k]:.6g}, {ins[k]:.6g}] (values {f_out[k]:.3g}, {f_in[k]:.3g})")
+
+    def probe(rows, x):
+        w = outs[rows] + x * (ins[rows] - outs[rows])
+        return excess(w), w
+
+    _, edges = odeint.illinois(probe, f_out, f_in, ins, BOUNDARY_TOL, BOUNDARY_WIDTH)
+    intervals = [(min(e), max(e)) for e in edges.reshape(-1, 2)]
     return _measure_branches(sys_hi, fold, cert,
                              [(b[0], b[1], iv, b[2]) for b, iv in zip(branches, intervals)],
-                             n_samples, safety, t_slide_max)
+                             n_samples, t_slide_max)
 
 
 def _runs(mask):
@@ -463,34 +478,14 @@ def _runs(mask):
     return runs
 
 
-def _predicate_bisect(pi_batch, w_out, w_in, target=None, max_iter=70):
-    """Vector bisection of the in-section predicate between bracket arrays.
-
-    ``target`` is a per-row absolute bracket width; boundary placement must
-    be accurate relative to the branch width, which spans many decades.
-    """
-    lo = np.array(w_out, dtype=float)
-    hi = np.array(w_in, dtype=float)
-    if target is None:
-        target = np.maximum(1e-9 * np.abs(hi - lo), 1e-17)
-    for _ in range(max_iter):
-        if np.all(np.abs(hi - lo) <= target):
-            break
-        mid = 0.5 * (lo + hi)
-        _, _, ok, _ = pi_batch(mid)
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    return hi
-
-
-def _measure_branches(sys, fold, cert, specs, n_samples, safety, t_slide_max):
+def _measure_branches(sys, fold, cert, specs, n_samples, t_slide_max):
     """Sample pi and |pi'| on interior grids of all branches in one batch.
 
     Nodes follow Chebyshev-extrema spacing (inset from the ends); the pairs
     (pi(w), w) are the data of the inverse branch's series.
     """
     # interior Chebyshev-extrema nodes; the two end nodes of the full grid
-    # are the bisected branch boundaries themselves (pi = -+1 there)
+    # are the solved branch boundaries themselves (pi = -+1 there)
     local = np.cos(np.pi * np.arange(1, n_samples + 1) / (n_samples + 1))[::-1]
     grids, deltas = [], []
     for _side, _index, (lo, hi), _turn in specs:
@@ -513,8 +508,8 @@ def _measure_branches(sys, fold, cert, specs, n_samples, safety, t_slide_max):
                 f"{side}{index}: {np.count_nonzero(~good)} interior samples "
                 "missed the section")
         dpi = np.abs(hi_v - lo_v) / (2 * deltas[k])
-        deriv_lo = (1.0 / dpi.max()) / safety
-        deriv_hi = safety / dpi.min()
+        deriv_lo = (1.0 / dpi.max()) / SAFETY
+        deriv_hi = SAFETY / dpi.min()
         surjective = (piv.max() - piv.min()) > 1.0
         branches.append(Branch(side, index, index - 1, interval,
                                float(deriv_lo), float(deriv_hi),
@@ -603,12 +598,10 @@ def branch_contractions(branches):
     return [BranchInverseMap(b) for b in branches]
 
 
-def validate_inverse_maps(sys, fold, cert, branches, maps, n_check=24,
-                          t_slide_max=None):
+def validate_inverse_maps(sys, fold, cert, branches, maps):
     """Worst round-trip |pi(psi_J(x)) - x| per branch, in one batch."""
-    if t_slide_max is None:
-        t_slide_max = (max(b.index for b in branches) + 5) * cert.flight_time_scale
-    grid = np.cos(np.pi * (np.arange(n_check) + 0.5) / n_check)
+    t_slide_max = (max(b.index for b in branches) + SPARE_TURNS) * cert.flight_time_scale
+    grid = np.cos(np.pi * (np.arange(N_CHECK) + 0.5) / N_CHECK)
     allw = np.concatenate([m(grid) for m in maps])
     ret, _, ok, exit_s = first_return_batch(sys, fold, allw, cert.p, t_slide_max)
     vals = np.where(ok, ret, exit_s)

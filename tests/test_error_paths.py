@@ -22,24 +22,27 @@ FOLD = SimpleNamespace(r=0.25)
 N_SAMPLES = 5
 
 
-def _banded_map(bands, miss_batch=None):
+def _banded_map(bands, miss_batch=None, extend=True, calls=None):
     """first_return_batch of a map that sends each chart band (lo, hi, turns)
-    linearly onto [-1, 1] and misses the section elsewhere.  In a batch of
-    ``miss_batch`` rows, the first row misses as well."""
+    linearly onto [-1, 1] and misses the section elsewhere.  Off the bands
+    the exit coordinate is the linear extension of the nearest band, as on
+    the real map (NaN with ``extend=False``).  In a batch of ``miss_batch``
+    rows, the first row misses as well.  ``calls`` collects batch sizes."""
+    lo, hi, k = (np.array(c, dtype=float)[:, None] for c in zip(*bands))
 
     def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0):
         ws = np.asarray(ws, dtype=float)
-        ret = np.full(ws.shape, np.nan)
-        turns = np.full(ws.shape, np.nan)
-        ok = np.zeros(ws.shape, dtype=bool)
-        for lo, hi, k in bands:
-            inside = (ws >= lo) & (ws <= hi)
-            ret[inside] = 2 * (ws[inside] - lo) / (hi - lo) - 1
-            turns[inside] = k
-            ok |= inside
+        if calls is not None:
+            calls.append(ws.size)
+        near = np.argmin(np.maximum(lo - ws, ws - hi), axis=0)   # <= 0 inside
+        b_lo, b_hi = lo[near, 0], hi[near, 0]
+        exit_s = 2 * (ws - b_lo) / (b_hi - b_lo) - 1
+        ok = (ws >= b_lo) & (ws <= b_hi)
+        ret = np.where(ok, exit_s, np.nan)
+        turns = np.where(ok, k[near, 0], np.nan)
         if ws.size == miss_batch:
             ok[0] = False
-        return ret, turns, ok, ret.copy()
+        return ret, turns, ok, exit_s if extend else ret.copy()
 
     return first_return_batch
 
@@ -48,18 +51,34 @@ def _mirrored(bands):
     return bands + [(-hi, -lo, k) for lo, hi, k in bands]
 
 
-def _enumerate(monkeypatch, bands, miss_batch=None):
-    monkeypatch.setattr(returnmap, "first_return_batch", _banded_map(bands, miss_batch))
+SYNTHETIC = _mirrored([(0.3, 0.5, 1.0), (0.03, 0.05, 2.0)])
+
+
+def _enumerate(monkeypatch, bands, **kw):
+    monkeypatch.setattr(returnmap, "first_return_batch", _banded_map(bands, **kw))
     system = make_system("x - y, x + y, x - 1", "0, 0, 1", "z")
     return returnmap.enumerate_branches(system, FOLD, CERT, 2, n_scan=400,
                                         n_samples=N_SAMPLES)
 
 
 def test_synthetic_bands_are_found(monkeypatch):
-    branches = _enumerate(monkeypatch, _mirrored([(0.3, 0.5, 1.0), (0.03, 0.05, 2.0)]))
+    calls = []
+    branches = _enumerate(monkeypatch, SYNTHETIC, calls=calls)
     assert [(b.side, b.index) for b in branches] == [("L", 1), ("L", 2), ("R", 2), ("R", 1)]
+    # |exit_s| - 1 is linear across every boundary of this map, so the first
+    # false-position probe lands on the root: the scan, the sweep of all 16
+    # bracket ends, one probe of the 8 boundaries, and the measurement of
+    # (w, w - d, w + d) at every node
+    assert calls == [400, 16, 8, 3 * N_SAMPLES * 4]
     assert np.allclose([b.interval for b in branches],
-                       [(-0.5, -0.3), (-0.05, -0.03), (0.03, 0.05), (0.3, 0.5)], atol=1e-9)
+                       [(-0.5, -0.3), (-0.05, -0.03), (0.03, 0.05), (0.3, 0.5)],
+                       rtol=0, atol=1e-12)
+
+
+def test_boundary_bracket_not_straddling(monkeypatch):
+    # no exit coordinate off the bands: the outer bracket ends have none
+    with pytest.raises(BranchResolutionExceeded, match="L1: .* does not straddle"):
+        _enumerate(monkeypatch, SYNTHETIC, extend=False)
 
 
 def test_windings_not_consecutive(monkeypatch):
@@ -70,8 +89,7 @@ def test_windings_not_consecutive(monkeypatch):
 def test_interior_samples_missed(monkeypatch):
     # the measurement batch holds (w, w - d, w + d) for every node of every branch
     with pytest.raises(BranchResolutionExceeded, match="interior samples"):
-        _enumerate(monkeypatch, _mirrored([(0.3, 0.5, 1.0), (0.03, 0.05, 2.0)]),
-                   miss_batch=3 * N_SAMPLES * 4)
+        _enumerate(monkeypatch, SYNTHETIC, miss_batch=3 * N_SAMPLES * 4)
 
 
 @pytest.fixture

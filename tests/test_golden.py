@@ -6,7 +6,10 @@ defaults (i_max 3, n_scan 20000).  No tolerance is a free choice; each one
 follows from a budget the pipeline itself states:
 
 * round trip: the pipeline's ``roundtrip_budget``, 1e-9 (absolute);
-* branch boundaries: the bisection target, 1e-9 of the branch width;
+* branch boundaries: 1e-9 of the branch width W.  The boundary solver
+  stops once its bracket is narrower than 1e-9 of a scan bracket (on the
+  default scan, a fraction of the branch), or where ||exit_s| - 1| <=
+  1e-10, which is 5e-11 W where |pi'| takes its mean 2 / W;
 * derivative bounds: they are extremes of central differences
   |pi(w + d) - pi(w - d)| / 2d with d = 2e-4 W, scaled by the safety factor
   1.05.  One precise evaluation of pi is trusted to the round-trip budget

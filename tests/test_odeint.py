@@ -153,26 +153,40 @@ def test_row_args_follow_rows_still_refining():
     assert sizes[first_probe + 1] == 2
 
 
+def _identity_probe(value, seen):
+    """Illinois probe whose point is its fraction x, with ``value(x)``."""
+
+    def probe(rows, x):
+        seen.extend(x)
+        return value(x), x
+
+    return probe
+
+
 @pytest.mark.parametrize("ev_hi, value, first, frac", [
     (1.0, 1.0, [0.5, 0.75, 0.875], 1.0),             # flat: lower end climbs
     (np.nan, np.nan, [0.5, 0.25, 0.125], 2.0 ** -54),  # NaN: upper end halves
 ])
 def test_refine_degenerate_bracket_bisects_and_terminates(ev_hi, value, first, frac):
-    # x' = 1 from x = 0 with h = 1, so a probe's x is its fraction
-    def f(u):
-        return np.broadcast_to(np.array([1.0, 0.0, 0.0]), u.shape)
-
     seen = []
-
-    def ev(u):
-        seen.append(u[0, 0])
-        return np.full(u.shape[0], value)
-
-    got, u_land = odeint._refine(
-        f, np.zeros((1, 3)), np.ones(1), ev, np.ones(1), np.full(1, ev_hi),
-        np.array([[1.0, 0.0, 0.0]]), 1e-12, None)
+    probe = _identity_probe(lambda x: np.full(x.size, value), seen)
+    got, point = odeint.illinois(probe, np.ones(1), np.full(1, ev_hi), np.ones(1),
+                                 1e-12, 1e-16)
     # midpoints only, until the bracket is narrower than 1e-16
     assert seen[:3] == pytest.approx(first, rel=1e-14)
-    assert len(seen) < 80
+    assert len(seen) < odeint.ILLINOIS_MAX_PROBES
     assert got[0] == frac
-    assert u_land[0, 0] == pytest.approx(frac, rel=1e-14)
+    assert point[0] == frac
+
+
+def test_illinois_stops_at_the_width_floor():
+    # a jump at 1/3: |value| never drops to tol, so only the width floor
+    # ends the search, at the upper (positive) end of a bracket narrower
+    # than width; that takes 20 probes, a floor of 1e-16 takes 54
+    seen = []
+    probe = _identity_probe(lambda x: np.where(x < 1 / 3, -1.0, 1.0), seen)
+    got, point = odeint.illinois(probe, np.full(1, -1.0), np.ones(1), np.ones(1),
+                                 1e-12, 1e-6)
+    assert 1 / 3 <= got[0] < 1 / 3 + 1e-6
+    assert point[0] == got[0]
+    assert len(seen) <= 20
