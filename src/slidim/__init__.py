@@ -17,12 +17,10 @@ from .cifs import (CantorCertificate, ContractionMap, CoverSet,
 from .config import Tolerances
 from .expressions import (ScalarExpr, SwitchingFunction, VectorFieldExpr,
                           parse_expr, parse_field)
-from .filippov import (EscapePolicy, FilippovSystem, FoldBoundary, Mode,
-                       Region, SectionStop, TerminalEvent, TimeStop,
+from .filippov import (FilippovSystem, Mode, Region, TerminalEvent,
                        TrajectorySegment, classify_region, classify_tangency,
                        filippov_trajectory, find_pseudo_equilibrium,
-                       flow_sliding, flow_to_manifold, lie_derivative,
-                       make_system, sliding_field)
+                       lie_derivative, make_system, sliding_field)
 from .oracle import (BoxCountFit, PointSample, box_counting, cover_length,
                      crosscheck, sample_word_images)
 from .pipeline import (forward_backward_check, run_dimension_pipeline,

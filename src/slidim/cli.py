@@ -17,8 +17,7 @@ import numpy as np
 
 from . import cifs, pipeline, returnmap
 from .errors import ConfigError, SlidimError
-from .filippov import (EscapePolicy, filippov_trajectory, manifold_project,
-                       region_grid)
+from .filippov import Mode, filippov_trajectory, manifold_project, region_grid
 from .runconfig import bench_config, load_config
 
 
@@ -107,8 +106,8 @@ def cmd_classify(cfg, system, out, args):
 
 def cmd_simulate(cfg, system, out, args):
     u0 = np.asarray(args.u0, dtype=float)
-    policy = {"x": EscapePolicy.FOLLOW_X, "y": EscapePolicy.FOLLOW_Y,
-              "slide": EscapePolicy.FOLLOW_SLIDING}.get(args.policy)
+    policy = {"x": Mode.FLOW_X, "y": Mode.FLOW_Y,
+              "slide": Mode.FLOW_SLIDING}.get(args.policy)
     segments = filippov_trajectory(system, u0, args.T, escaping_policy=policy)
     rows = []
     for seg in segments:

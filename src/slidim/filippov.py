@@ -18,12 +18,15 @@ import numpy as np
 from . import odeint
 from .config import Tolerances
 from .errors import (DegenerateTangency, DenominatorVanishes, LeftSlidingRegion,
-                     NoConvergence, NoHit, NonFinite, NonUniqueForward,
+                     NoConvergence, NonFinite, NonUniqueForward,
                      NotHyperbolic, OffManifold, StepFailure)
 from .expressions import (VARIABLES, ScalarExpr, SwitchingFunction, VectorFieldExpr,
                           _div, _mul, _sub, parse_field)
 
 DEFAULT_DOMAIN = (np.full(3, -50.0), np.full(3, 50.0))
+MAX_NEWTON = 60      # Newton steps of find_pseudo_equilibrium
+FD_STEP = 1e-7       # central-difference step of the in-chart sliding Jacobian
+MAX_SEGMENTS = 200   # flows concatenated by filippov_trajectory
 
 
 class Region(enum.Enum):
@@ -48,15 +51,8 @@ class Mode(enum.Enum):
 class TerminalEvent(enum.Enum):
     MANIFOLD_HIT = "manifold_hit"
     FOLD_HIT = "fold_hit"
-    SECTION_HIT = "section_hit"
     TIME_OUT = "time_out"
     DOMAIN_EXIT = "domain_exit"
-
-
-class EscapePolicy(enum.Enum):
-    FOLLOW_X = "x"
-    FOLLOW_Y = "y"
-    FOLLOW_SLIDING = "slide"
 
 
 @dataclass
@@ -275,13 +271,13 @@ def _chart_jacobian(sys, u, h):
     return chart(0.0, 0.0), jac, e1, e2
 
 
-def find_pseudo_equilibrium(sys, seed, max_newton=60, fd_step=1e-7):
+def find_pseudo_equilibrium(sys, seed):
     """Newton on the sliding field in a 2D chart of M around the seed."""
     u = manifold_project(sys.g, np.asarray(seed, dtype=float), 4)
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         if np.linalg.norm(sliding_field(sys, u)) < 1e-11:
             break
-        r0, jac, e1, e2 = _chart_jacobian(sys, u, fd_step)
+        r0, jac, e1, e2 = _chart_jacobian(sys, u, FD_STEP)
         try:
             delta = np.linalg.solve(jac, -r0)
         except np.linalg.LinAlgError as exc:
@@ -294,7 +290,7 @@ def find_pseudo_equilibrium(sys, seed, max_newton=60, fd_step=1e-7):
 
     residual = float(np.linalg.norm(sliding_field(sys, u)))
     region = classify_region(sys, u)
-    _, jac, _, _ = _chart_jacobian(sys, u, fd_step)
+    _, jac, _, _ = _chart_jacobian(sys, u, FD_STEP)
     eig = np.linalg.eigvals(jac)
     is_focus = bool(abs(eig[0].imag) > sys.tol.hyperbolic)
     re = float(eig[0].real)
@@ -315,8 +311,6 @@ class TrajectorySegment:
     mode: Mode
     samples: list               # ordered (time, point) pairs, time increasing
     terminal_event: TerminalEvent
-    direction: int = 1          # -1 for backward sliding flows
-    winding: float = 0.0        # accumulated rotation when tracked
 
     @property
     def t_end(self):
@@ -326,11 +320,6 @@ class TrajectorySegment:
     def u_end(self):
         return self.samples[-1][1]
 
-    def shifted(self, dt):
-        seg = TrajectorySegment(self.mode, [(t + dt, u) for t, u in self.samples],
-                                self.terminal_event, self.direction, self.winding)
-        return seg
-
 
 _STATUS_TO_EVENT = {
     odeint.TIMEOUT: TerminalEvent.TIME_OUT,
@@ -338,17 +327,16 @@ _STATUS_TO_EVENT = {
 }
 
 
-def _segment_from(res, mode, hit, direction=1):
-    """The recorded single-row result as a segment ending in ``hit`` (when an
-    event stopped it), a time-out or a domain exit."""
-    samples = res.samples[0]
+def _segment_from(res, mode, hit, t0):
+    """The recorded single-row result, its times shifted by t0, as a segment
+    ending in ``hit`` (when an event stopped it), a time-out or a domain exit."""
     if res.status[0] == odeint.EVENT:
         ev = hit
     elif res.status[0] in _STATUS_TO_EVENT:
         ev = _STATUS_TO_EVENT[res.status[0]]
     else:
         raise StepFailure("adaptive step control failed")
-    return TrajectorySegment(mode, samples, ev, direction, float(res.winding[0]))
+    return TrajectorySegment(mode, [(t + t0, u) for t, u in res.samples[0]], ev)
 
 
 # --- the two flows every orbit is made of -------------------------------------------
@@ -384,88 +372,40 @@ def slide(sys, u0, t_max, events=(), sign=1.0, center=None, record=False):
         record=record, domain=sys.domain)
 
 
-def flow_to_manifold(sys, u0, t_max, mode=Mode.FLOW_X):
-    """The X (or Y) segment from u0 to its first departed crossing of g = 0;
-    raises NoHit when the flow times out or leaves the domain first."""
-    seg = _smooth_segment(sys, u0, t_max, mode)
-    if seg.terminal_event != TerminalEvent.MANIFOLD_HIT:
-        raise NoHit(f"no manifold hit within t_max ({seg.terminal_event.value})")
-    return seg
-
-
-@dataclass
-class FoldBoundary:
-    """Stop when Xg rises through 0 or Yg falls through 0."""
-
-
-@dataclass
-class SectionStop:
-    fn: object                 # callable (N, 3) -> (N,)
-
-
-@dataclass
-class TimeStop:
-    t: float
-
-
 def fold_events(sys):
     """Events Xg = 0 (index 0) and Yg = 0 (index 1): the sliding region's folds."""
     return [odeint.EventSpec(sys.xg), odeint.EventSpec(sys.yg)]
 
 
-def _sliding_events(sys, stop):
-    if isinstance(stop, FoldBoundary):
-        return fold_events(sys), None
-    if isinstance(stop, SectionStop):
-        return [odeint.EventSpec(stop.fn)], None
-    if isinstance(stop, TimeStop):
-        return [], stop.t
-    raise TypeError(f"unsupported stop {stop!r}")
-
-
-def flow_sliding(sys, w0, stop, direction="forward", t_max=1e4, winding_center=None):
-    """Integrate the sliding field within M^s from w0 until the stop rule."""
-    u0 = manifold_project(sys.g, np.asarray(w0, dtype=float), 4)
-    region = classify_region(sys, u0)
-    if region not in (Region.SLIDING, Region.ESCAPING) and not region.is_tangency:
-        raise LeftSlidingRegion(f"start point classified {region}")
-    events, t_stop = _sliding_events(sys, stop)
-    sign = 1 if direction == "forward" else -1
-    if isinstance(stop, SectionStop) and abs(float(stop.fn(u0[None, :])[0])) <= sys.tol.event:
-        return TrajectorySegment(Mode.FLOW_SLIDING, [(0.0, u0)], TerminalEvent.SECTION_HIT,
-                                 sign)
-    res = slide(sys, u0, t_stop if t_stop is not None else t_max, events,
-                sign=float(sign), center=winding_center, record=True)
-    drift = max(abs(float(sys.g(u))) for _, u in res.samples[0])
-    if drift > sys.tol.manifold:
-        raise LeftSlidingRegion(f"manifold drift {drift:.3e} exceeded tol_manifold")
-    hit = TerminalEvent.FOLD_HIT if isinstance(stop, FoldBoundary) else TerminalEvent.SECTION_HIT
-    return _segment_from(res, Mode.FLOW_SLIDING, hit, sign)
-
-
 # --- full hybrid trajectories --------------------------------------------------------
 
 
-def filippov_trajectory(sys, u0, T, escaping_policy=None, max_segments=200):
+def filippov_trajectory(sys, u0, T, escaping_policy=None):
     """Concatenate X/Y/sliding flows from u0 for total time T.
 
-    Deterministic given the escaping policy; raises NonUniqueForward when a
-    forward trajectory from an escaping point is requested without one.
+    ``escaping_policy`` is the Mode to follow from an escaping start point;
+    NonUniqueForward is raised when such a start has none.
     """
     u = np.asarray(u0, dtype=float)
     segments = []
     t_used = 0.0
     mode = _initial_mode(sys, u, escaping_policy)
-    for _ in range(max_segments):
+    for _ in range(MAX_SEGMENTS):
         remaining = T - t_used
         if remaining <= sys.tol.event:
             break
         if mode == Mode.FLOW_SLIDING:
-            seg = flow_sliding(sys, u, FoldBoundary(), t_max=remaining)
+            res = slide(sys, manifold_project(sys.g, u, 4), remaining, fold_events(sys),
+                        record=True)
+            drift = max(abs(float(sys.g(p))) for _, p in res.samples[0])
+            if drift > sys.tol.manifold:
+                raise LeftSlidingRegion(f"manifold drift {drift:.3e} exceeded tol_manifold")
+            seg = _segment_from(res, mode, TerminalEvent.FOLD_HIT, t_used)
         else:
-            seg = _smooth_segment(sys, u, remaining, mode)
-        segments.append(seg.shifted(t_used))
-        t_used += seg.t_end
+            res = fly(sys, sys.X if mode == Mode.FLOW_X else sys.Y, u, remaining, record=True)
+            seg = _segment_from(res, mode, TerminalEvent.MANIFOLD_HIT, t_used)
+        segments.append(seg)
+        t_used = seg.t_end
         u = seg.u_end
         if seg.terminal_event in (TerminalEvent.TIME_OUT, TerminalEvent.DOMAIN_EXIT):
             break
@@ -489,20 +429,13 @@ def _initial_mode(sys, u, policy):
     if region == Region.ESCAPING:
         if policy is None:
             raise NonUniqueForward("escaping start point requires an escaping_policy")
-        return {EscapePolicy.FOLLOW_X: Mode.FLOW_X,
-                EscapePolicy.FOLLOW_Y: Mode.FLOW_Y,
-                EscapePolicy.FOLLOW_SLIDING: Mode.FLOW_SLIDING}[policy]
+        return policy
     lab = classify_tangency(sys, u)
     if lab.field == "X" and lab.visible and lab.regular and lab.boundary == "s":
         return Mode.FLOW_X
     if lab.field == "Y" and lab.visible and lab.regular and lab.boundary == "s":
         return Mode.FLOW_Y
     raise DegenerateTangency(f"unsupported start at tangency {lab}")
-
-
-def _smooth_segment(sys, u, t_max, mode):
-    res = fly(sys, sys.X if mode == Mode.FLOW_X else sys.Y, u, t_max, record=True)
-    return _segment_from(res, mode, TerminalEvent.MANIFOLD_HIT)
 
 
 def _next_mode(sys, u, seg):

@@ -39,12 +39,15 @@ SAFETY = 1.05         # widening of the sampled derivative extremes
 BOUNDARY_TOL = 1e-10  # boundary solver: | |exit_s| - 1 | in chart units
 BOUNDARY_WIDTH = 1e-9  # boundary solver: bracket width relative to the scan bracket
 N_CHECK = 24          # round-trip check nodes per inverse branch
+FOLD_MAX_ITER = 40    # Newton steps of project_to_fold
+FOLD_N_PER_SIDE = 64  # fold-segment nodes on each side of q
+N_DECAY_TURNS = 8     # focus turns of the backward sliding decay estimate
 
 
-def project_to_fold(sys, seed, max_iter=40):
+def project_to_fold(sys, seed):
     """Newton refinement of a point onto {g = 0, Xg = 0} (min-norm steps)."""
     u = np.asarray(seed, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(FOLD_MAX_ITER):
         gval, ggrad = sys.g.value_and_gradient(u)
         xg, xggrad = sys.xg.value_and_gradient(u)
         r = np.array([float(gval), float(xg)])
@@ -149,7 +152,7 @@ class FoldSegment:
         return float(w[0]) if single else w
 
 
-def build_fold_segment(sys, q, r, n_per_side=64):
+def build_fold_segment(sys, q, r):
     """Predictor-corrector continuation of {g = 0, Xg = 0} through q.
 
     Every node is re-verified as a visible fold-regular point; the chart is
@@ -158,7 +161,7 @@ def build_fold_segment(sys, q, r, n_per_side=64):
     q = project_to_fold(sys, q)
     if not is_visible_fold_regular(sys, q):
         raise FoldRegularityLost("base point is not visible fold-regular")
-    ds = r / n_per_side
+    ds = r / FOLD_N_PER_SIDE
     lo, hi = sys.domain
 
     def tangent_at(u, ref=None):
@@ -225,7 +228,7 @@ class ShilnikovCertificate:
     flight_time_scale: float       # 2 pi / |Im mu|: sliding turn time near p
 
 
-def verify_connection(sys, p_seed, q_seed, n_decay_turns=8):
+def verify_connection(sys, p_seed, q_seed):
     """Check both defining conditions of the connection and estimate rates."""
     pe = find_pseudo_equilibrium(sys, p_seed)
     if not pe.is_pseudo_saddle_focus:
@@ -251,7 +254,7 @@ def verify_connection(sys, p_seed, q_seed, n_decay_turns=8):
 
     # backward sliding decay toward p, sampled at half-turns of the winding
     _, e1, e2 = winding_frame(sys, p)
-    back = slide(sys, q[None, :], (n_decay_turns + 1) * turn_time, sign=-1.0,
+    back = slide(sys, q[None, :], (N_DECAY_TURNS + 1) * turn_time, sign=-1.0,
                  record=True)
     pts = np.array([u for _, u in back.samples[0]])
     d = pts - p
@@ -440,6 +443,10 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=20000, n_samples=65):
                     f"has {turn:.2f} turns vs base {base:.2f}; refine the scan")
         for rank, (a, b, turn) in enumerate(merged):
             branches.append([side, rank + 1, turn, ws[a - 1], ws[a], ws[b], ws[b + 1]])
+    if not branches:
+        raise BranchResolutionExceeded(
+            f"no branch inside the scan window [{ws[0]:.6g}, {ws[-1]:.6g}]: "
+            "every run of in-section points touches its ends")
 
     # solve every boundary of every branch together, from one sweep of the ends
     outs = np.array([[b[3], b[6]] for b in branches]).ravel()

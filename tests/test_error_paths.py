@@ -86,6 +86,12 @@ def test_windings_not_consecutive(monkeypatch):
         _enumerate(monkeypatch, _mirrored([(0.3, 0.5, 1.0), (0.03, 0.05, 3.0)]))
 
 
+def test_no_branch_inside_the_scan_window(monkeypatch):
+    # the only bands reach the ends of the window [-1, 1], so every run is clipped
+    with pytest.raises(BranchResolutionExceeded, match=r"scan window \[-1, 1\]"):
+        _enumerate(monkeypatch, _mirrored([(0.9, 1.0, 1.0)]))
+
+
 def test_interior_samples_missed(monkeypatch):
     # the measurement batch holds (w, w - d, w + d) for every node of every branch
     with pytest.raises(BranchResolutionExceeded, match="interior samples"):

@@ -3,12 +3,10 @@ import pytest
 
 from slidim import odeint
 from slidim.errors import (DegenerateTangency, DenominatorVanishes, NoConvergence,
-                           NoHit, NonUniqueForward, OffManifold, StepFailure)
-from slidim.filippov import (EscapePolicy, FoldBoundary, Mode, Region,
-                             SectionStop, TerminalEvent, TimeStop,
-                             classify_region, classify_tangency,
-                             filippov_trajectory, find_pseudo_equilibrium,
-                             flow_sliding, flow_to_manifold, fold_events,
+                           NonUniqueForward, OffManifold, StepFailure)
+from slidim.filippov import (Mode, Region, TerminalEvent, classify_region,
+                             classify_tangency, filippov_trajectory,
+                             find_pseudo_equilibrium, fly, fold_events,
                              lie_derivative, make_system, slide, sliding_field)
 from slidim.expressions import parse_field
 
@@ -192,10 +190,10 @@ def test_lie_derivative_nonfinite():
 
 def test_flow_to_manifold_linear_descent():
     s = make_system("0, 0, 1", "0, 0, -1", "z")
-    seg = flow_to_manifold(s, [0.0, 0.0, 1.0], 10.0, mode=Mode.FLOW_Y)
-    assert seg.terminal_event == TerminalEvent.MANIFOLD_HIT
-    assert seg.t_end == pytest.approx(1.0, abs=1e-11)
-    assert np.linalg.norm(seg.u_end) < 1e-11
+    res = fly(s, s.Y, [0.0, 0.0, 1.0], 10.0)
+    assert res.status[0] == odeint.EVENT
+    assert res.t[0] == pytest.approx(1.0, abs=1e-11)
+    assert np.linalg.norm(res.u[0]) < 1e-11
 
 
 def test_flow_to_manifold_matches_matrix_exponential():
@@ -221,66 +219,60 @@ def test_flow_to_manifold_matches_matrix_exponential():
             hi = mid
     t_star = 0.5 * (lo + hi)
 
-    seg = flow_to_manifold(sys_, u0, 10.0)
-    assert abs(seg.t_end - t_star) < 1e-9
-    assert np.linalg.norm(seg.u_end - exact(t_star)) < 1e-9
+    res = fly(sys_, sys_.X, u0, 10.0)
+    assert res.status[0] == odeint.EVENT
+    assert abs(res.t[0] - t_star) < 1e-9
+    assert np.linalg.norm(res.u[0] - exact(t_star)) < 1e-9
 
 
 def test_flow_from_visible_fold_departs():
     s = canonical()
-    seg = flow_to_manifold(s, [1.0, 0.0, 0.0], 10.0)
-    assert seg.t_end > 1e-4  # strictly away from the trivial root
+    res = fly(s, s.X, [1.0, 0.0, 0.0], 10.0)
+    assert res.status[0] == odeint.EVENT
+    assert res.t[0] > 1e-4  # strictly away from the trivial root
 
 
 def test_flow_to_manifold_no_hit():
     s = make_system("0, 0, 1", "0, 0, 1", "z")
-    with pytest.raises(NoHit):
-        flow_to_manifold(s, [0.0, 0.0, 1.0], 5.0)
-    with pytest.raises(NoHit, match="domain_exit"):  # the system's box ends at z = 50
-        flow_to_manifold(s, [0.0, 0.0, 1.0], 100.0)
+    assert fly(s, s.X, [0.0, 0.0, 1.0], 5.0).status[0] == odeint.TIMEOUT
+    # the system's box ends at z = 50
+    assert fly(s, s.X, [0.0, 0.0, 1.0], 100.0).status[0] == odeint.DOMAIN_EXIT
+    segs = filippov_trajectory(s, [0.0, 0.0, 1.0], 100.0)
+    assert segs[-1].terminal_event == TerminalEvent.DOMAIN_EXIT
 
 
 def test_flow_to_manifold_exhausted_steps_is_a_step_failure(monkeypatch):
-    from slidim import odeint
     s = make_system("0, 0, 1", "0, 0, -1", "z")
     res = odeint.BatchResult(1)
     res.status[:] = odeint.STEPS_EXHAUSTED
     res.samples = [[(0.0, np.array([0.0, 0.0, 1.0]))]]
     monkeypatch.setattr(odeint, "integrate_batch", lambda *a, **k: res)
     with pytest.raises(StepFailure):
-        flow_to_manifold(s, [0.0, 0.0, 1.0], 5.0)
+        filippov_trajectory(s, [0.0, 0.0, 1.0], 5.0)
 
 
 def test_flow_sliding_backward_contracts():
     s = canonical()
-    seg = flow_sliding(s, [0.9, 0.0, 0.0], TimeStop(20.0), direction="backward",
-                       winding_center=[0.0, 0.0, 0.0])
-    d = [np.linalg.norm(u) for _, u in seg.samples]
+    res = slide(s, [0.9, 0.0, 0.0], 20.0, sign=-1.0, center=[0.0, 0.0, 0.0],
+                record=True)
+    d = [np.linalg.norm(u) for _, u in res.samples[0]]
     assert d[-1] < 0.05 * d[0]
-    assert max(abs(float(s.g(u))) for _, u in seg.samples) <= s.tol.manifold
+    assert max(abs(float(s.g(u))) for _, u in res.samples[0]) <= s.tol.manifold
 
 
 def test_flow_sliding_reaches_fold():
     s = canonical()
-    seg = flow_sliding(s, [0.05, 0.0, 0.0], FoldBoundary())
-    assert seg.terminal_event == TerminalEvent.FOLD_HIT
-    assert seg.u_end[0] == pytest.approx(1.0, abs=1e-9)
+    res = slide(s, [0.05, 0.0, 0.0], 1e4, fold_events(s))
+    assert res.status[0] == odeint.EVENT
+    assert res.u[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_flow_sliding_time_reversal():
     s = canonical()
     start = np.array([0.3, 0.1, 0.0])
-    fwd = flow_sliding(s, start, TimeStop(5.0))
-    back = flow_sliding(s, fwd.u_end, TimeStop(5.0), direction="backward")
-    assert np.linalg.norm(back.u_end - start) < 1e-8
-
-
-def test_flow_sliding_zero_length_on_section():
-    s = canonical()
-    seg = flow_sliding(s, [0.5, 0.2, 0.0],
-                       SectionStop(lambda pts: pts[:, 0] - 0.5))
-    assert len(seg.samples) == 1
-    assert seg.terminal_event == TerminalEvent.SECTION_HIT
+    fwd = slide(s, start, 5.0)
+    back = slide(s, fwd.u[0], 5.0, sign=-1.0)
+    assert np.linalg.norm(back.u[0] - start) < 1e-8
 
 
 def test_trajectory_flight_then_slide():
@@ -305,7 +297,7 @@ def test_trajectory_escaping_needs_policy():
     with pytest.raises(NonUniqueForward):
         filippov_trajectory(s, [2.0, 0.0, 0.0], 1.0)
     segs = filippov_trajectory(s, [2.0, 0.0, 0.0], 0.5,
-                               escaping_policy=EscapePolicy.FOLLOW_X)
+                               escaping_policy=Mode.FLOW_X)
     assert segs[0].mode == Mode.FLOW_X
 
 

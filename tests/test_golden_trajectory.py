@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from slidim.filippov import EscapePolicy, filippov_trajectory, make_system
+from slidim.filippov import Mode, filippov_trajectory, make_system
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -27,9 +27,8 @@ def cases(bench_system):
     esc = escaping_system()
     return [
         ("trajectory_bench.csv", bench_system, [0.2, 0.1, 0.5], 4.0, None),
-        ("trajectory_escape_x.csv", esc, [2.0, 0.0, 0.0], 0.5, EscapePolicy.FOLLOW_X),
-        ("trajectory_escape_slide.csv", esc, [2.0, 0.0, 0.0], 0.5,
-         EscapePolicy.FOLLOW_SLIDING),
+        ("trajectory_escape_x.csv", esc, [2.0, 0.0, 0.0], 0.5, Mode.FLOW_X),
+        ("trajectory_escape_slide.csv", esc, [2.0, 0.0, 0.0], 0.5, Mode.FLOW_SLIDING),
     ]
 
 

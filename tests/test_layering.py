@@ -5,6 +5,9 @@ An orbit is an X-flight to M (``filippov.fly``) and a sliding flow on M
 shooting (``bench._landings``, whose field takes the shooting parameters
 row by row) may call the integrator, so a change to how flows are built
 (events, projection, winding frame, tolerances, domain) is made once.
+
+The package has no linter, so an import left behind by a deletion is
+caught here: every name a module imports must be used in it.
 """
 
 import ast
@@ -13,6 +16,9 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slidim"
 
 ALLOWED = {"filippov.fly", "filippov.slide", "bench._landings"}
+
+# imported but not used: perfbench/tracing.py wraps this name in every module that imports it
+UNUSED_IMPORTS_ALLOWED = {"returnmap.manifold_project"}
 
 
 class _Calls(ast.NodeVisitor):
@@ -49,3 +55,21 @@ def _integrator_callers():
 def test_integrate_batch_is_called_only_by_the_flow_helpers():
     callers = _integrator_callers()
     assert sorted(callers) == sorted(ALLOWED), callers
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {f"{path.stem}.{name}" for name in imported - used}
+
+
+def test_every_imported_name_is_used():
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            unused |= _unused_imports(path)
+    assert unused == UNUSED_IMPORTS_ALLOWED
