@@ -190,6 +190,8 @@ def _add(a, b):
 def _sub(a, b):
     if a[0] == "num" and b[0] == "num":
         return ("num", a[1] - b[1])
+    if a == b:
+        return ZERO
     if b == ZERO:
         return a
     return ("neg", b) if a == ZERO else ("bin", "-", a, b)

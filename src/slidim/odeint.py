@@ -3,10 +3,11 @@
 All flows in the package go through :func:`integrate_batch`.  It advances N
 trajectories simultaneously, each with its own adaptive step size, which is
 what makes scans over thousands of return-map seeds affordable.  Events are
-located by sign-change bracketing followed by Illinois (modified false
-position) iteration on the crossing fraction of the step; every probe
-re-integrates one short step from the last accepted state (no dense
-output), down to ``|event| <= tol_event``.
+bracketed by a sign change over an accepted step, which ends the row; once
+no row is running, Illinois (modified false position) iteration locates the
+crossing fraction of every bracketed step, one batched pass per event.
+Every probe re-integrates one short step from the state at the start of
+the step (no dense output), down to ``|event| <= tol_event``.
 
 The scheme is the Dormand-Prince 5(4) pair; the 5th-order solution is
 propagated.
@@ -75,8 +76,10 @@ def _rk_step(f, u, h):
     for i, row in enumerate(_A[1:], 1):
         du = row[0] * ks[0]
         for coef, ki in zip(row[1:], ks[1:i]):
-            du = du + coef * ki
-        ks[i] = f(u + hcol * du)
+            du += coef * ki
+        du *= hcol
+        du += u
+        ks[i] = f(du)
     u_new = u + hcol * np.tensordot(_B5, ks, axes=(0, 0))
     err = hcol * np.tensordot(_ERR, ks, axes=(0, 0))
     return u_new, err
@@ -100,13 +103,23 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
     f        : (M, 3) -> (M, 3) field (sign-folded by the caller for
                backward flows); t does not appear (autonomous systems).
     events   : sequence of EventSpec; first localized crossing terminates.
-    project  : optional (M, 3) -> (M, 3) applied after each accepted step
-               (manifold drift correction).
+    project  : optional (M, 3) -> (M, 3) applied after each step
+               (manifold drift correction); like the event functions it
+               also sees the end points of rejected steps, which are
+               dropped.
     winding  : optional (center, e1, e2) accumulating the rotation angle
                of u around center in the (e1, e2) frame.
     record   : keep per-trajectory (t, u) samples (scalar use only).
     row_args : optional (N, K) per-trajectory constants; f is then called
                as f(u, args) with rows aligned.
+
+    The loop steps only the rows still running, kept as contiguous arrays
+    that shrink on the rounds where some row ends.  A row whose accepted
+    step brackets or lands on an event ends there, whatever the crossing
+    fraction turns out to be.  Its bracket is kept, and after the loop one
+    Illinois pass per event localizes all kept crossings together.  The
+    earliest crossing of a row wins, the lower event index on a tie; a
+    landing counts as a crossing at the end of the step.
     """
     u = np.array(u0, dtype=float)
     if u.ndim == 1:
@@ -117,11 +130,18 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
     if record:
         res.samples = [[(0.0, u[i].copy())] for i in range(n)]
 
+    # the working set: one entry per running row, in row order
+    ids = np.arange(n)
     t = np.zeros(n)
     h = np.full(n, H0)
     t_max = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
+    t_end = t_max - np.maximum(1e-14, 1e-14 * t_max)
+    steps = np.zeros(n, dtype=int)
+    theta = _angles(u, winding) if winding is not None else np.zeros(n)
+    turned = np.zeros(n)
 
     n_ev = len(events)
+    direction = np.array([ev.direction for ev in events])
     ev_prev = np.zeros((n, n_ev))
     departed = np.zeros((n, n_ev), dtype=bool)
     for j, ev in enumerate(events):
@@ -129,138 +149,140 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
         ev_prev[:, j] = vals
         departed[:, j] = np.abs(vals) > tol_event if ev.require_departure else True
 
-    theta = _angles(u, winding) if winding is not None else None
+    # by row, the step over which a row that ends at an event crossed or
+    # landed on it: start state, size and angle, the event values at both
+    # ends, and which events it crossed or landed on.  Its start time, end
+    # point, steps and winding go to res straight away.
+    bracket = (np.empty((n, 3)), np.empty(n), np.empty(n), np.empty((n, n_ev)),
+               np.empty((n, n_ev)), np.empty((n, n_ev), dtype=bool),
+               np.empty((n, n_ev), dtype=bool))
+    fi = _bind(f, row_args, ids)
+    with np.errstate(all="ignore"):
+        for _ in range(MAX_ROUNDS):
+            if not ids.size:
+                break
+            hs = np.minimum(h, t_max - t)
+            u_new, err = _rk_step(fi, u, hs)
+            scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new))
+            q = err / scale
+            q *= q
+            errnorm = np.sqrt((q[:, 0] + q[:, 1] + q[:, 2]) / 3)   # RMS over components
+            errnorm[~np.isfinite(errnorm)] = np.inf
+            accept = errnorm <= 1.0
+            full = accept.all()
 
-    active = np.ones(n, dtype=bool)
-    tiny = np.maximum(1e-14, 1e-14 * t_max)
-    for _ in range(MAX_ROUNDS):
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        ui, ti, hi = u[idx], t[idx], h[idx]
-        hi = np.minimum(hi, t_max[idx] - ti)
-        fi = _bind(f, row_args, idx)
-
-        with np.errstate(all="ignore"):
-            u_new, err = _rk_step(fi, ui, hi)
-            scale = atol + rtol * np.maximum(np.abs(ui), np.abs(u_new))
-            errnorm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
-        bad = ~np.isfinite(errnorm)
-        errnorm[bad] = np.inf
-        accept = errnorm <= 1.0
-
-        # step-size update (factor clipped to [0.2, 5])
-        with np.errstate(all="ignore"):
+            # step-size update (factor clipped to [0.2, 5]); a rejected row
+            # retries with its new size, and fails once that underflows
             fac = 0.9 * errnorm ** -0.2
-        fac[errnorm == 0.0] = 5.0
-        fac = np.clip(fac, 0.2, 5.0)
-        h_new = np.minimum(hi * fac, H_MAX)
+            fac[errnorm == 0.0] = 5.0
+            h = np.minimum(hs * np.clip(fac, 0.2, 5.0), H_MAX)
+            stop = np.where(~accept & (h < 1e-14 * np.maximum(1.0, t)), STEP_FAIL, RUNNING)
 
-        # rejected rows: shrink and retry (STEP_FAIL on underflow)
-        rej = idx[~accept]
-        if rej.size:
-            h[rej] = h_new[~accept]
-            fail = h[rej] < 1e-14 * np.maximum(1.0, t[rej])
-            if fail.any():
-                frows = rej[fail]
-                res.status[frows] = STEP_FAIL
-                res.t[frows], res.u[frows] = t[frows], u[frows]
-                active[frows] = False
-
-        if not accept.any():
-            continue
-        rows = idx[accept]
-        ua, ta = u_new[accept], ti[accept] + hi[accept]
-        ha = hi[accept]
-        if project is not None:
-            ua = project(ua)
-
-        # event handling on accepted rows
-        hit_event = np.full(rows.size, -1, dtype=int)
-        hit_frac = np.full(rows.size, np.inf)
-        hit_u = np.empty((rows.size, 3))
-        if n_ev:
-            for j, ev in enumerate(events):
-                vals = np.asarray(ev.fn(ua), dtype=float)
-                prev = ev_prev[rows, j]
-                dep = departed[rows, j]
-                crossed = dep & (prev * vals < 0.0)
-                if ev.direction > 0:
-                    crossed &= vals > prev
-                elif ev.direction < 0:
-                    crossed &= vals < prev
+            ua = u_new if project is None else project(u_new)
+            hit = None
+            if n_ev:
+                vals = np.empty_like(ev_prev)
+                for j, ev in enumerate(events):
+                    vals[:, j] = ev.fn(ua)
+                dep = departed & accept[:, None]
+                crossed = dep & (ev_prev * vals < 0.0) & (
+                    (direction == 0) | ((direction > 0) == (vals > ev_prev)))
                 landed = dep & (np.abs(vals) <= tol_event) & ~crossed
-                for kind, mask in (("cross", crossed), ("land", landed)):
-                    if not mask.any():
-                        continue
-                    sub = np.nonzero(mask)[0]
-                    if kind == "cross":
-                        probe = _step_probe(f, row_args, project, ev.fn, rows[sub],
-                                            u[rows[sub]], ha[sub])
-                        frac, u_land = illinois(probe, prev[sub], vals[sub], ua[sub],
-                                                tol_event, 1e-16)
-                    else:
-                        frac, u_land = np.ones(sub.size), ua[sub]
-                    better = frac < hit_frac[sub]
-                    hit_event[sub[better]] = j
-                    hit_frac[sub[better]] = frac[better]
-                    hit_u[sub[better]] = u_land[better]
-                ev_prev[rows, j] = vals
-                departed[rows, j] |= np.abs(vals) > tol_event
+                hit = (crossed | landed).any(axis=1)
+                if hit.any():
+                    r = ids[hit]
+                    res.status[r] = stop[hit] = EVENT
+                    res.t[r], res.u[r], res.steps[r], res.winding[r] = (
+                        t[hit], ua[hit], steps[hit], turned[hit])
+                    for kept, x in zip(bracket, (u, hs, theta, ev_prev, vals, crossed,
+                                                 landed)):
+                        kept[r] = x[hit]
+                departed |= accept[:, None] & (np.abs(vals) > tol_event)
+                ev_prev = vals if full else np.where(accept[:, None], vals, ev_prev)
 
-        hit = hit_event >= 0
-        if hit.any():
-            sub = np.nonzero(hit)[0]
-            tau = hit_frac[sub] * ha[sub]
-            u_hit = hit_u[sub]
-            rr = rows[sub]
-            if winding is not None:
-                th = _angles(u_hit, winding)
-                res.winding[rr] += _wrap(th - theta[rr])
-            res.status[rr] = EVENT
-            res.event[rr] = hit_event[sub]
-            res.t[rr] = t[rr] + tau
-            res.u[rr] = u_hit
-            active[rr] = False
-            if record:
-                for i, row in enumerate(rr):
-                    res.samples[row].append((res.t[row], u_hit[i].copy()))
-
-        go = ~hit
-        rows, ua, ta = rows[go], ua[go], ta[go]
-        if rows.size:
+            # every accepted row moves on; the hit rows end below, their
+            # results already kept
             if winding is not None:
                 th = _angles(ua, winding)
-                res.winding[rows] += _wrap(th - theta[rows])
-                theta[rows] = th
-            u[rows], t[rows] = ua, ta
-            h[rows] = h_new[accept][go]
-            res.steps[rows] += 1
-            if record:
-                for i, row in enumerate(rows):
-                    res.samples[row].append((t[row], ua[i].copy()))
+                turn = _wrap(th - theta)
+                turned += turn if full else np.where(accept, turn, 0.0)
+                theta = th if full else np.where(accept, th, theta)
+            if full:
+                u, t, steps = ua, t + hs, steps + 1
+            else:
+                u = np.where(accept[:, None], ua, u)
+                t = np.where(accept, t + hs, t)
+                steps = steps + accept
 
+            go = accept if hit is None else accept & ~hit
+            if record:
+                for i in np.flatnonzero(go):
+                    res.samples[ids[i]].append((t[i], u[i].copy()))
             if domain is not None:
                 lo, hi_box = domain
-                out = np.any((ua < lo) | (ua > hi_box), axis=1)
-                if out.any():
-                    orows = rows[out]
-                    res.status[orows] = DOMAIN_EXIT
-                    res.t[orows], res.u[orows] = t[orows], u[orows]
-                    active[orows] = False
+                out = (ua < lo) | (ua > hi_box)
+                stop[go & (out[:, 0] | out[:, 1] | out[:, 2])] = DOMAIN_EXIT
+            stop[go & (t >= t_end)] = TIMEOUT
 
-            done = t[rows] >= t_max[rows] - tiny[rows]
-            if done.any():
-                drows = rows[done]
-                res.status[drows] = TIMEOUT
-                res.t[drows], res.u[drows] = t[drows], u[drows]
-                active[drows] = False
+            if stop.any():
+                _write_out(res, stop, ids, t, u, steps, turned)
+                keep = stop == RUNNING
+                ids, u, t, h, t_max, t_end, steps, theta, turned, ev_prev, departed = (
+                    x[keep] for x in (ids, u, t, h, t_max, t_end, steps, theta, turned,
+                                      ev_prev, departed))
+                fi = _bind(f, row_args, ids)
 
-    still = res.status == RUNNING
-    if still.any():
-        res.status[still] = STEPS_EXHAUSTED
-        res.t[still], res.u[still] = t[still], u[still]
+        _write_out(res, np.full(ids.size, STEPS_EXHAUSTED), ids, t, u, steps, turned)
+        _localize(res, bracket, f, events, tol_event, project, winding, row_args, record)
     return res
+
+
+def _write_out(res, stop, ids, t, u, steps, turned):
+    """Write the rows ending with ``stop`` to ``res``, except the EVENT rows:
+    _localize writes those."""
+    out = (stop != RUNNING) & (stop != EVENT)
+    r = ids[out]
+    res.status[r] = stop[out]
+    res.t[r], res.u[r], res.steps[r], res.winding[r] = t[out], u[out], steps[out], turned[out]
+
+
+def _localize(res, bracket, f, events, tol_event, project, winding, row_args, record):
+    """Localize the crossings of every row that ended at an event: one
+    Illinois pass per event over all its crossings, then the earliest
+    crossing of each row (a landing counts as the end of its step)."""
+    ids = np.flatnonzero(res.status == EVENT)
+    m = ids.size
+    if not m:
+        return
+    u0, h, theta, prev, vals, crossed, landed = (x[ids] for x in bracket)
+    u1 = res.u[ids]
+    hit_event = np.full(m, -1, dtype=int)
+    hit_frac = np.full(m, np.inf)
+    hit_u = np.empty((m, 3))
+    for j, ev in enumerate(events):
+        for kind, mask in (("cross", crossed[:, j]), ("land", landed[:, j])):
+            if not mask.any():
+                continue
+            sub = np.nonzero(mask)[0]
+            if kind == "cross":
+                probe = _step_probe(f, row_args, project, ev.fn, ids[sub], u0[sub], h[sub])
+                frac, u_land = illinois(probe, prev[sub, j], vals[sub, j], u1[sub],
+                                        tol_event, 1e-16)
+            else:
+                frac, u_land = np.ones(sub.size), u1[sub]
+            better = frac < hit_frac[sub]
+            hit_event[sub[better]] = j
+            hit_frac[sub[better]] = frac[better]
+            hit_u[sub[better]] = u_land[better]
+
+    res.event[ids] = hit_event
+    res.t[ids] += hit_frac * h
+    res.u[ids] = hit_u
+    if winding is not None:
+        res.winding[ids] += _wrap(_angles(hit_u, winding) - theta)
+    if record:
+        for i, row in enumerate(ids):
+            res.samples[row].append((res.t[row], hit_u[i].copy()))
 
 
 def _bind(f, row_args, idx):

@@ -112,6 +112,15 @@ def test_slide_kernel_matches_lie_derivative_formula(sign, monkeypatch):
     assert np.array_equal(sliding_field(s, pts), sign * got)
 
 
+def test_bench_sliding_kernel_folds_its_z_component_to_zero(bench):
+    # on g = z the sliding field's z-component is Yg Xg - Xg Yg: the same
+    # subtree minus itself, folded to the constant 0 before compiling
+    sliding = bench.system.sliding
+    assert "out[..., 2] = 0.0" in sliding.kernel.source
+    pts = np.column_stack([np.linspace(-0.5, 0.9, 9), np.linspace(-1, 1, 9), np.zeros(9)])
+    assert np.array_equal(sliding(pts)[:, 2], np.zeros(9))
+
+
 def test_sliding_field_denominator_vanishes(bench):
     # Xg = (x - 1) and Yg = 1 on M, so Yg - Xg = 2 - x = 0 at x = 2
     with pytest.raises(DenominatorVanishes):

@@ -121,12 +121,13 @@ def test_nonlinear_event_located_in_few_probes():
     assert len(values) - crossing - 1 <= 10
 
 
-def test_row_args_follow_rows_still_refining():
+def test_row_args_follow_rows_still_refining(monkeypatch):
     # x' = a0, y' = x, z' = -a1 - a2 x - a3 y from (0, 0, 1): z is a
-    # polynomial in t, so z = 0 has a closed-form time per row.  The first
-    # three rows cross in the same step; the linear one converges on the
+    # polynomial in t, so z = 0 has a closed-form time per row.  All four
+    # crossings are localized together; the linear row converges on the
     # first probe, the others need more, so later probes carry a subset.
     def f(u, a):
+        seen_args.append(a.copy())
         out = np.empty_like(u)
         out[:, 0] = a[:, 0]
         out[:, 1] = u[:, 0]
@@ -138,19 +139,31 @@ def test_row_args_follow_rows_still_refining():
                      [1.0, 0.0, 0.0, 8.0],     # z = 1 - 4 t^3 / 3
                      [1.0, 0.1, 1.5, 0.0]])    # z = 1 - 0.1 t - 0.75 t^2
     t_exact = [1.0, 1.0, 0.75 ** (1 / 3), (-0.1 + np.sqrt(3.01)) / 1.5]
-    sizes = []
+    sizes, seen_args, starts = [], [], []
 
     def z_event(u):
         sizes.append(u.shape[0])
         return u[:, 2]
 
+    def marked(*a):
+        starts.append((len(sizes), len(seen_args)))
+        return illinois(*a)
+
+    illinois = odeint.illinois
+    monkeypatch.setattr(odeint, "illinois", marked)
     res = integrate_batch(f, np.tile([0.0, 0.0, 1.0], (4, 1)), 10.0,
                           [EventSpec(z_event)], row_args=args)
     assert np.all(res.status == odeint.EVENT)
     assert np.allclose(res.t, t_exact, rtol=0, atol=1e-12)
     assert np.all(np.abs(res.u[:, 2]) <= 1e-12)
-    first_probe = sizes.index(3)
-    assert sizes[first_probe + 1] == 2
+    [(first_probe, first_rhs)] = starts
+    assert sizes[first_probe] == 4
+    assert 0 < min(sizes[first_probe + 1:]) < 4
+    # each probe's field calls carry the rows of the crossings still refining
+    subsets = [a for a in seen_args[first_rhs:] if a.shape[0] < 4]
+    assert subsets
+    for a in subsets:
+        assert all(any(np.array_equal(r, s) for s in args) for r in a)
 
 
 def _identity_probe(value, seen):
@@ -190,3 +203,104 @@ def test_illinois_stops_at_the_width_floor():
     assert 1 / 3 <= got[0] < 1 / 3 + 1e-6
     assert point[0] == got[0]
     assert len(seen) <= 20
+
+
+def test_domain_exit_on_the_last_step_ends_in_timeout():
+    # the step that reaches t_max = 0.5 also takes z from 0.67 to 0.5 < 0.55;
+    # reaching t_max takes precedence over leaving the domain
+    box = (np.array([-1.0, -1.0, 0.55]), np.array([1.0, 1.0, 2.0]))
+    res = integrate_batch(descent, np.array([[0.0, 0.0, 1.0]]), 0.5, [], domain=box)
+    assert res.status[0] == odeint.TIMEOUT
+    assert res.t[0] == pytest.approx(0.5, abs=1e-14)
+    assert res.u[0, 2] == pytest.approx(0.5, abs=1e-14)
+
+
+def test_step_fail_keeps_the_last_accepted_state():
+    # the field is NaN below z = 0.5, so steps near it are rejected until the
+    # step size underflows; the second row ends at its event meanwhile
+    def f(u):
+        out = np.zeros_like(u)
+        out[:, 2] = np.where(u[:, 2] > 0.5, -1.0, np.nan)
+        return out
+
+    ev = EventSpec(lambda u: u[:, 2] - 0.8 * (u[:, 0] > 0))
+    res = integrate_batch(f, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]), 10.0, [ev],
+                          record=True)
+    assert list(res.status) == [odeint.STEP_FAIL, odeint.EVENT]
+    t_last, u_last = res.samples[0][-1]
+    assert res.t[0] == t_last
+    assert np.array_equal(res.u[0], u_last)
+    assert res.steps[0] == len(res.samples[0]) - 1
+    assert 0.5 < u_last[2] < 0.5 + 1e-12
+    assert res.t[1] == pytest.approx(0.2, abs=1e-12)
+
+
+def _drift(u, a):
+    # constant velocity per row: the error estimate is rounding alone, so
+    # every step grows by the factor 5 up to H_MAX whatever the batch
+    return a.copy()
+
+
+# from (1, 0, 1): x - 0.2 y^2 crosses 0 downward; z - 0.5 clipped at 0
+# lands (is 0, no sign change) on the step where z passes 0.5
+_DRIFT_EVENTS = [EventSpec(lambda u: u[:, 0] - 0.2 * u[:, 1] ** 2, direction=-1),
+                 EventSpec(lambda u: np.maximum(u[:, 2] - 0.5, 0.0))]
+
+
+def test_batched_localization_matches_single_rows():
+    # the steps end at t = 0.078, 0.328, 0.578, 0.828, 1.078, ... (+0.25)
+    vel = np.array([[-0.8, 0.5, -0.1],      # x crosses at 1.165
+                    [-0.5, 0.2, -0.1],      # x crosses at 1.97
+                    [-0.2, 0.3, -1.0],      # z lands on the step past 0.5
+                    [-1.0, 0.0, -0.5],      # x crosses at 1, z passes 0.5 there
+                    [-0.1, 0.1, -2.0],      # z lands on the step past 0.25
+                    [-0.2, 0.0, 0.0]])      # x would cross at 5 > t_max
+    starts = np.tile([1.0, 0.0, 1.0], (len(vel), 1))
+    frame = (np.array([0.0, -0.5, 0.0]), np.eye(3)[0], np.eye(3)[1])
+    kw = dict(winding=frame, record=True)
+    batch = integrate_batch(_drift, starts, 4.0, _DRIFT_EVENTS, row_args=vel, **kw)
+    assert list(batch.event) == [0, 0, 1, 0, 1, -1]
+    assert batch.status[-1] == odeint.TIMEOUT
+    assert len(set(batch.steps)) == len(vel)     # each row ends in its own round
+    assert batch.t[0] == pytest.approx((-0.8 + np.sqrt(0.84)) / 0.1, abs=1e-12)
+    assert batch.t[3] == pytest.approx(1.0, abs=1e-12)
+    assert batch.t[2] == pytest.approx(0.578, abs=1e-3)
+    assert batch.t[4] == pytest.approx(0.328, abs=1e-3)
+    assert np.all(batch.winding[:5] > 0.0)
+    for k in range(len(vel)):
+        one = integrate_batch(_drift, starts[k:k + 1], 4.0, _DRIFT_EVENTS,
+                              row_args=vel[k:k + 1], **kw)
+        assert one.status[0] == batch.status[k]
+        assert one.event[0] == batch.event[k]
+        assert one.steps[0] == batch.steps[k]
+        assert abs(one.t[0] - batch.t[k]) < 1e-13
+        assert np.abs(one.u[0] - batch.u[k]).max() < 1e-13
+        assert abs(one.winding[0] - batch.winding[k]) < 1e-13
+        # the start, one sample per step, and last the event (or t_max) sample
+        samples = batch.samples[k]
+        assert len(samples) == len(one.samples[0]) == batch.steps[k] + 1 + (k < 5)
+        assert samples[-1][0] == batch.t[k]
+        assert np.array_equal(samples[-1][1], batch.u[k])
+        assert abs(one.samples[0][-1][0] - samples[-1][0]) < 1e-13
+
+
+def test_one_illinois_pass_per_event(monkeypatch):
+    # 50 rows whose crossings of two events fall in many different rounds
+    # are localized by one Illinois call per event
+    calls = []
+    illinois = odeint.illinois
+
+    def counted(probe, f_lo, *rest):
+        calls.append(len(f_lo))
+        return illinois(probe, f_lo, *rest)
+
+    monkeypatch.setattr(odeint, "illinois", counted)
+    rng = np.random.default_rng(7)
+    vel = np.column_stack([-1.0 / rng.uniform(0.5, 10.0, 50), rng.uniform(0.0, 1.0, 50),
+                           -1.0 / rng.uniform(0.5, 10.0, 50)])
+    events = [_DRIFT_EVENTS[0], EventSpec(lambda u: u[:, 2])]
+    res = integrate_batch(_drift, np.tile([1.0, 0.0, 1.0], (50, 1)), 20.0, events,
+                          row_args=vel)
+    assert np.all(res.status == odeint.EVENT)
+    assert len(set(res.steps)) > 10
+    assert len(calls) == 2 and sum(calls) >= res.t.size
