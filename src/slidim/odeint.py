@@ -169,7 +169,6 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
             errnorm = np.sqrt((q[:, 0] + q[:, 1] + q[:, 2]) / 3)   # RMS over components
             errnorm[~np.isfinite(errnorm)] = np.inf
             accept = errnorm <= 1.0
-            full = accept.all()
 
             # step-size update (factor clipped to [0.2, 5]); a rejected row
             # retries with its new size, and fails once that underflows
@@ -198,21 +197,18 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                                                  landed)):
                         kept[r] = x[hit]
                 departed |= accept[:, None] & (np.abs(vals) > tol_event)
-                ev_prev = vals if full else np.where(accept[:, None], vals, ev_prev)
+                ev_prev = np.where(accept[:, None], vals, ev_prev)
 
             # every accepted row moves on; the hit rows end below, their
             # results already kept
             if winding is not None:
                 th = _angles(ua, winding)
                 turn = _wrap(th - theta)
-                turned += turn if full else np.where(accept, turn, 0.0)
-                theta = th if full else np.where(accept, th, theta)
-            if full:
-                u, t, steps = ua, t + hs, steps + 1
-            else:
-                u = np.where(accept[:, None], ua, u)
-                t = np.where(accept, t + hs, t)
-                steps = steps + accept
+                turned += np.where(accept, turn, 0.0)
+                theta = np.where(accept, th, theta)
+            u = np.where(accept[:, None], ua, u)
+            t = np.where(accept, t + hs, t)
+            steps = steps + accept
 
             go = accept if hit is None else accept & ~hit
             if record:

@@ -139,31 +139,40 @@ def test_row_args_follow_rows_still_refining(monkeypatch):
                      [1.0, 0.0, 0.0, 8.0],     # z = 1 - 4 t^3 / 3
                      [1.0, 0.1, 1.5, 0.0]])    # z = 1 - 0.1 t - 0.75 t^2
     t_exact = [1.0, 1.0, 0.75 ** (1 / 3), (-0.1 + np.sqrt(3.01)) / 1.5]
-    sizes, seen_args, starts = [], [], []
+    probed, seen_args, starts = [], [], []
 
     def z_event(u):
-        sizes.append(u.shape[0])
+        probed.append(u[:, 2].copy())
         return u[:, 2]
 
     def marked(*a):
-        starts.append((len(sizes), len(seen_args)))
+        starts.append((len(probed), len(seen_args)))
         return illinois(*a)
 
     illinois = odeint.illinois
     monkeypatch.setattr(odeint, "illinois", marked)
+    tol = 1e-12
     res = integrate_batch(f, np.tile([0.0, 0.0, 1.0], (4, 1)), 10.0,
-                          [EventSpec(z_event)], row_args=args)
+                          [EventSpec(z_event)], tol_event=tol, row_args=args)
     assert np.all(res.status == odeint.EVENT)
     assert np.allclose(res.t, t_exact, rtol=0, atol=1e-12)
     assert np.all(np.abs(res.u[:, 2]) <= 1e-12)
     [(first_probe, first_rhs)] = starts
-    assert sizes[first_probe] == 4
-    assert 0 < min(sizes[first_probe + 1:]) < 4
-    # each probe's field calls carry the rows of the crossings still refining
-    subsets = [a for a in seen_args[first_rhs:] if a.shape[0] < 4]
-    assert subsets
-    for a in subsets:
-        assert all(any(np.array_equal(r, s) for s in args) for r in a)
+    probes = probed[first_probe:]
+    # one Runge-Kutta step (7 field calls) per probe
+    assert len(seen_args) - first_rhs == 7 * len(probes)
+    # each probe's field calls carry the args of exactly the rows whose
+    # previous probes stayed above tol, in row order
+    live = np.arange(4)
+    for k, z in enumerate(probes):
+        assert z.size == live.size
+        for a in seen_args[first_rhs + 7 * k:first_rhs + 7 * (k + 1)]:
+            assert np.array_equal(a, args[live])
+        live = live[np.abs(z) > tol]
+    assert len(probes[0]) == 4 and 0 < len(probes[1]) < 4
+    # the linear row converges on the first probe and leaves
+    assert np.abs(probes[0][0]) <= tol
+    assert not live.size
 
 
 def _identity_probe(value, seen):
