@@ -35,7 +35,8 @@ class ContractionMap:
     """One contraction on [-1, 1] with derivative bounds b <= |f'| <= c.
 
     Exact for the analytic fixtures; for return-map inverse branches they
-    are sampled (finite-difference extremes times a safety factor).
+    are sampled (extremes of the fitted series' |psi'| on a grid, times a
+    safety factor).
     """
 
     eval: object                 # callable, vectorized [-1, 1] -> image

@@ -129,9 +129,9 @@ def cmd_return_map(cfg, system, out, args):
                ["side", "index", "lo", "hi", "deriv_lo", "deriv_hi",
                 "surjective", "turns"], rows)
     sample_rows = []
-    for b in branches:
-        for w, piv, dpi in zip(b.samples_w, b.samples_pi, b.samples_dpi):
-            sample_rows.append((f"{b.side}{b.index}", w, piv, dpi))
+    for b, psi in zip(branches, returnmap.branch_contractions(branches)):
+        for w, piv, dpsi in zip(b.samples_w, b.samples_pi, psi.deriv(b.samples_pi)):
+            sample_rows.append((f"{b.side}{b.index}", w, piv, 1.0 / dpsi))
     _write_csv(os.path.join(out, "return_map_samples.csv"),
                ["branch", "w", "pi", "abs_dpi"], sample_rows)
     _write_json(os.path.join(out, "certificate.json"), _cert_dict(cert))
@@ -287,7 +287,8 @@ def build_parser():
     ap.add_argument("--imax", type=int, default=None)
     ap.add_argument("--depth", type=int, default=None)
     ap.add_argument("--policy", choices=["x", "y", "slide"], default=None)
-    ap.add_argument("--scan", type=int, default=None, help="branch scan points")
+    ap.add_argument("--scan", type=int, default=None,
+                    help="branch scan points (default 3000; every branch needs at least 8)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="grid classification of the manifold")

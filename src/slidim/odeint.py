@@ -41,6 +41,7 @@ H0 = 1e-4              # first trial step of every row
 H_MAX = 0.25           # largest step
 MAX_ROUNDS = 300000    # step attempts before STEPS_EXHAUSTED
 ILLINOIS_MAX_PROBES = 80
+ILLINOIS_WIDTH = 1e-16  # narrowest Illinois bracket on the fraction scale [0, 1]
 
 
 class EventSpec:
@@ -263,7 +264,7 @@ def _localize(res, bracket, f, events, tol_event, project, winding, row_args, re
             if kind == "cross":
                 probe = _step_probe(f, row_args, project, ev.fn, ids[sub], u0[sub], h[sub])
                 frac, u_land = illinois(probe, prev[sub, j], vals[sub, j], u1[sub],
-                                        tol_event, 1e-16)
+                                        tol_event)
             else:
                 frac, u_land = np.ones(sub.size), u1[sub]
             better = frac < hit_frac[sub]
@@ -299,7 +300,7 @@ def _step_probe(f, row_args, project, ev_fn, rows, u0, h):
     return probe
 
 
-def illinois(probe, f_lo, f_hi, at_hi, tol, width):
+def illinois(probe, f_lo, f_hi, at_hi, tol):
     """Batched Illinois false position (Dowell & Jarratt, BIT 11 (1971) 168).
 
     Row i searches the fraction x in [0, 1] of a bracket with values
@@ -308,8 +309,8 @@ def illinois(probe, f_lo, f_hi, at_hi, tol, width):
     fractions ``x`` of the unconverged ``rows``.  A false-position point not
     finite or not strictly inside the bracket is replaced by the midpoint.
     Returns the fraction and point of each row: the probe with ``|value| <=
-    tol``, else the upper end once the bracket is narrower than ``width`` or
-    ``ILLINOIS_MAX_PROBES`` probes are spent.
+    tol``, else the upper end once the bracket is narrower than
+    ``ILLINOIS_WIDTH`` or ``ILLINOIS_MAX_PROBES`` probes are spent.
     """
     m = len(f_lo)
     lo, hi = np.zeros(m), np.ones(m)
@@ -346,5 +347,5 @@ def illinois(probe, f_lo, f_hi, at_hi, tol, width):
         side[r] = 1
 
         live = live[~done]
-        live = live[hi[live] - lo[live] >= width]
+        live = live[hi[live] - lo[live] >= ILLINOIS_WIDTH]
     return hi, out

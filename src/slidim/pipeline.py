@@ -98,7 +98,7 @@ def branch_ifs(branches, maps, lam, a_hat, i_tail_start):
 
 
 def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
-                           n_scan=20000, cover_depth=8, cantor_depth=6,
+                           n_scan=3000, cover_depth=8, cantor_depth=6,
                            box_depth=5, roundtrip_budget=1e-9, lambda_rel=0.10,
                            band=0.03, schedule=None):
     """Full analysis for one system; deterministic for fixed arguments."""

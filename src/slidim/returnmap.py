@@ -8,10 +8,11 @@ p, and whose X-flight from q lands on p in finite time, the machinery here
 * certifies the connection (flight residual, backward decay, focus rate),
 * evaluates the first return map pi = (sliding flow back to the section)
   after (X-flight off the section),
-* enumerates the branches of Dom(pi) accumulating at q together with
-  derivative bounds sampled by finite differences, and
+* enumerates the branches of Dom(pi) accumulating at q, and
 * realizes each inverse branch psi_J as a Chebyshev series of its own, a
-  contraction map on [-1, 1].
+  contraction map on [-1, 1] fitted to one precise sweep of the branch;
+  the branch boundaries psi_J(-+1) and the derivative bounds come from
+  that series.
 
 Everything expensive is evaluated in batches: each orbit is an X-flight
 (``filippov.fly``) followed by a sliding flow (``filippov.slide``).
@@ -36,9 +37,10 @@ from .filippov import manifold_project  # noqa: F401
 FLIGHT_T_MAX = 60.0   # time budget of an X-flight from the section to M
 SPARE_TURNS = 5       # sliding time budget: (deepest index + SPARE_TURNS) focus turns
 SAFETY = 1.05         # widening of the sampled derivative extremes
-BOUNDARY_TOL = 1e-10  # boundary solver: | |exit_s| - 1 | in chart units
-BOUNDARY_WIDTH = 1e-9  # boundary solver: bracket width relative to the scan bracket
+MIN_PAIRS = 8         # scan points a branch needs for its first inverse series
+END_MISS = 1e-3       # largest |pi(psi_0(x_j)) - x_j| at the sweep nodes x_j
 N_CHECK = 24          # round-trip check nodes per inverse branch
+NEWTON_STEPS = 20     # Newton steps of BranchInverseMap.solve
 FOLD_MAX_ITER = 40    # Newton steps of project_to_fold
 FOLD_N_PER_SIDE = 64  # fold-segment nodes on each side of q
 N_DECAY_TURNS = 8     # focus turns of the backward sliding decay estimate
@@ -134,8 +136,15 @@ class FoldSegment:
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
         p = pts[None, :] if single else pts
-        i = np.argmin(np.linalg.norm(p[:, None, :] - self.nodes[None, :, :], axis=-1), axis=1)
-        s = self.arcs[i]
+        # nearest node, one node at a time: no (points, nodes, 3) temporary
+        best = np.full(len(p), np.inf)
+        s = np.empty(len(p))
+        for node, arc in zip(self.nodes, self.arcs):
+            d = p - node
+            d2 = np.einsum("ij,ij->i", d, d)
+            closer = d2 < best
+            best[closer] = d2[closer]
+            s[closer] = arc
         for _ in range(40):
             c = self._curve(s)
             tvec = np.stack([self._dfx(s), self._dfy(s), self._dfz(s)], axis=-1)
@@ -351,14 +360,13 @@ class Branch:
     side: str                 # "L" (chart < 0) or "R" (chart > 0)
     index: int                # i >= 1, increasing toward the fold point
     winding: int              # c_J = index - 1
-    interval: tuple           # (lo, hi) in chart coordinates
-    deriv_lo: float           # sampled, not certified: min |psi'| over FD samples / SAFETY
-    deriv_hi: float           # sampled, not certified: max |psi'| over FD samples * SAFETY
+    interval: tuple           # (lo, hi): the ends psi(-+1), in chart coordinates
+    deriv_lo: float           # sampled, not certified: min |psi'| over the grid / SAFETY
+    deriv_hi: float           # sampled, not certified: max |psi'| over the grid * SAFETY
     surjective: bool
-    raw_turns: float          # measured winding of the midpoint orbit
-    samples_w: np.ndarray
-    samples_pi: np.ndarray
-    samples_dpi: np.ndarray   # |pi'| at samples_w
+    raw_turns: float          # median winding of the scan run
+    samples_w: np.ndarray     # the precise sweep's nodes
+    samples_pi: np.ndarray    # pi (beyond the section: exit coordinate) at samples_w
 
     @property
     def width(self):
@@ -373,25 +381,30 @@ def noise_floor_imax(lam, r, residual, tol_event):
 def precise(sys, rtol=1e-12, atol=1e-17, event=1e-14):
     """Copy of the system with tightened integration control.
 
-    Branch boundaries, derivative samples and round-trip validation need
-    the orbit accuracy (in particular, the flight-landing slop set by the
-    event tolerance is amplified by the spiral on deep branches), while
-    bulk scans do not; the pipeline keeps the defaults everywhere else.
+    The branch sweep and round-trip validation need the orbit accuracy
+    (in particular, the flight-landing slop set by the event tolerance is
+    amplified by the spiral on deep branches), while bulk scans do not; the
+    pipeline keeps the defaults everywhere else.
     """
     from dataclasses import replace
     return replace(sys, tol=sys.tol.updated(rtol=rtol, atol=atol, event=event))
 
 
-def enumerate_branches(sys, fold, cert, i_max, n_scan=20000, n_samples=65):
-    """Scan the chart for branches, then solve for their boundaries.
+def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):
+    """Scan the chart for branches, then fit each one's inverse branch psi_J.
 
-    Branch boundaries are chart values whose orbit exits exactly through an
-    endpoint of the section: roots of |exit_s(w)| - 1, which is positive
-    outside the section and negative inside.  One precise sweep evaluates
-    both ends of each scan bracket, and :func:`odeint.illinois` solves all
-    boundaries together (at tightened integration control).  Runs clipped
-    by the scan window are dropped (this removes the possibly
-    non-surjective outermost components).
+    The branches are the scan's runs of in-section points; runs clipped by
+    the scan window are dropped (this removes the possibly non-surjective
+    outermost components).  A first series psi_0, fitted to a run's scan
+    pairs (pi(w), w), places ``n_samples`` nodes w_j = psi_0(x_j) at the
+    Chebyshev extrema x_j of [-1, 1].  One precise sweep evaluates the
+    nodes of every branch together; its pairs fix the branch's series psi
+    (:class:`BranchInverseMap`), whose ends psi(-+1) are the branch
+    boundaries.  The sweep must land within ``END_MISS`` of every x_j: at
+    a distance d past [-1, 1] a Chebyshev term of degree n grows to
+    cosh(n sqrt(2 d)), about 2 for the default n = 32, so the ends psi(-+1)
+    keep the accuracy of the fit.  |pi'| = 1 / |psi'| at the preimages of
+    an interior Chebyshev grid of the branch gives the derivative bounds.
     """
     lam = cert.lambda_hat
     cap = noise_floor_imax(lam, fold.r, cert.residual, sys.tol.event)
@@ -404,15 +417,10 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=20000, n_samples=65):
     mags = np.geomspace(1.0, w_min, half)
     ws = np.concatenate([-mags, mags[::-1]])
     ws.sort()
-    sys_hi = precise(sys)
 
-    def excess(w):
-        """|exit_s(w)| - 1 at tightened control: > 0 off the section, < 0 on it."""
-        return np.abs(first_return_batch(sys_hi, fold, w, cert.p, t_slide_max)[3]) - 1.0
+    ret, turns, ok, _ = first_return_batch(sys, fold, ws, cert.p, t_slide_max)
 
-    _, turns, ok, _ = first_return_batch(sys, fold, ws, cert.p, t_slide_max)
-
-    branches = []
+    runs = []
     for side, sel in (("L", ws < 0), ("R", ws > 0)):
         idx = np.nonzero(sel)[0]
         spans = []
@@ -442,32 +450,46 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=20000, n_samples=65):
                     f"{side}-branch windings not consecutive: rank {rank + 1} "
                     f"has {turn:.2f} turns vs base {base:.2f}; refine the scan")
         for rank, (a, b, turn) in enumerate(merged):
-            branches.append([side, rank + 1, turn, ws[a - 1], ws[a], ws[b], ws[b + 1]])
-    if not branches:
+            rows = a + np.flatnonzero(ok[a:b + 1])
+            if rows.size < MIN_PAIRS:
+                raise BranchResolutionExceeded(
+                    f"{side}{rank + 1}: {rows.size} scan points, fewer than "
+                    f"{MIN_PAIRS}; refine the scan")
+            runs.append((side, rank + 1, turn, BranchInverseMap(ret[rows], ws[rows])))
+    if not runs:
         raise BranchResolutionExceeded(
             f"no branch inside the scan window [{ws[0]:.6g}, {ws[-1]:.6g}]: "
             "every run of in-section points touches its ends")
 
-    # solve every boundary of every branch together, from one sweep of the ends
-    outs = np.array([[b[3], b[6]] for b in branches]).ravel()
-    ins = np.array([[b[4], b[5]] for b in branches]).ravel()
-    f_out, f_in = np.split(excess(np.concatenate([outs, ins])), 2)
-    bad = ~(np.isfinite(f_out) & np.isfinite(f_in)) | (np.sign(f_out) == np.sign(f_in))
-    if bad.any():
-        k = np.nonzero(bad)[0][0]
-        raise BranchResolutionExceeded(
-            f"{branches[k // 2][0]}{branches[k // 2][1]}: |exit_s| - 1 does not straddle 0 "
-            f"on [{outs[k]:.6g}, {ins[k]:.6g}] (values {f_out[k]:.3g}, {f_in[k]:.3g})")
-
-    def probe(rows, x):
-        w = outs[rows] + x * (ins[rows] - outs[rows])
-        return excess(w), w
-
-    _, edges = odeint.illinois(probe, f_out, f_in, ins, BOUNDARY_TOL, BOUNDARY_WIDTH)
-    intervals = [(min(e), max(e)) for e in edges.reshape(-1, 2)]
-    return _measure_branches(sys_hi, fold, cert,
-                             [(b[0], b[1], iv, b[2]) for b, iv in zip(branches, intervals)],
-                             n_samples, t_slide_max)
+    # one precise sweep of the nodes psi_0(x_j) of every branch; an end node
+    # may exit just beyond the section, where its exit coordinate serves
+    nodes = np.cos(np.pi * np.arange(n_samples) / (n_samples - 1))
+    allw = np.concatenate([psi0(nodes) for *_, psi0 in runs])
+    ret, _, ok, exit_s = first_return_batch(precise(sys), fold, allw, cert.p, t_slide_max)
+    vals = np.where(ok, ret, exit_s)
+    # interior Chebyshev-extrema grid of the branch, where |pi'| is estimated
+    grid = np.cos(np.pi * np.arange(1, n_samples + 1) / (n_samples + 1))[::-1]
+    branches = []
+    for (side, index, turn, _), w, x in zip(runs, np.split(allw, len(runs)),
+                                            np.split(vals, len(runs))):
+        if not np.isfinite(x).all():
+            raise BranchResolutionExceeded(
+                f"{side}{index}: {np.count_nonzero(~np.isfinite(x))} sweep nodes "
+                "have no exit coordinate")
+        miss = np.abs(x - nodes).max()
+        if miss > END_MISS:
+            raise BranchResolutionExceeded(
+                f"{side}{index}: the sweep misses a node of psi_0 by {miss:.2e} "
+                f"> {END_MISS:.0e}; refine the scan")
+        psi = BranchInverseMap(x, w)
+        lo, hi = sorted(psi(np.array([-1.0, 1.0])))
+        dpsi = psi.deriv(psi.solve(0.5 * (lo + hi) + 0.5 * (hi - lo) * grid))
+        # surjective: the sweep reached every node of [-1, 1]
+        branches.append(Branch(side, index, index - 1, (float(lo), float(hi)),
+                               float(dpsi.min() / SAFETY), float(dpsi.max() * SAFETY),
+                               True, turn, w, x))
+    branches.sort(key=lambda br: br.interval[0])
+    return branches
 
 
 def _runs(mask):
@@ -483,47 +505,6 @@ def _runs(mask):
     if start is not None:
         runs.append((start, len(mask) - 1))
     return runs
-
-
-def _measure_branches(sys, fold, cert, specs, n_samples, t_slide_max):
-    """Sample pi and |pi'| on interior grids of all branches in one batch.
-
-    Nodes follow Chebyshev-extrema spacing (inset from the ends); the pairs
-    (pi(w), w) are the data of the inverse branch's series.
-    """
-    # interior Chebyshev-extrema nodes; the two end nodes of the full grid
-    # are the solved branch boundaries themselves (pi = -+1 there)
-    local = np.cos(np.pi * np.arange(1, n_samples + 1) / (n_samples + 1))[::-1]
-    grids, deltas = [], []
-    for _side, _index, (lo, hi), _turn in specs:
-        width = hi - lo
-        w = 0.5 * (lo + hi) + 0.5 * width * local
-        grids.append(w)
-        deltas.append(width * 2e-4)
-    allw = np.concatenate([np.concatenate([w, w - d, w + d])
-                           for w, d in zip(grids, deltas)])
-    ret, _, ok, _ = first_return_batch(sys, fold, allw, cert.p, t_slide_max)
-    branches = []
-    for k, (side, index, interval, turn) in enumerate(specs):
-        s = k * 3 * n_samples
-        piv = ret[s:s + n_samples]
-        lo_v = ret[s + n_samples:s + 2 * n_samples]
-        hi_v = ret[s + 2 * n_samples:s + 3 * n_samples]
-        good = ok[s:s + 3 * n_samples]
-        if not good.all():
-            raise BranchResolutionExceeded(
-                f"{side}{index}: {np.count_nonzero(~good)} interior samples "
-                "missed the section")
-        dpi = np.abs(hi_v - lo_v) / (2 * deltas[k])
-        deriv_lo = (1.0 / dpi.max()) / SAFETY
-        deriv_hi = SAFETY / dpi.min()
-        surjective = (piv.max() - piv.min()) > 1.0
-        branches.append(Branch(side, index, index - 1, interval,
-                               float(deriv_lo), float(deriv_hi),
-                               bool(surjective), float(turn),
-                               grids[k], piv, dpi))
-    branches.sort(key=lambda br: br.interval[0])
-    return branches
 
 
 def branch_width_lambda(branches):
@@ -573,23 +554,17 @@ def select_u(branches, lam, a_hat=None):
 class BranchInverseMap:
     """psi_J on [-1, 1] as a Chebyshev series of its own.
 
-    The branch samples give pairs (pi(w), w); with the boundary anchors
-    (pi = -+1 at the branch ends) they fix the local coordinate
-    s = (2w - lo - hi) / (hi - lo) as a least-squares series in x = pi(w).
-    The degree is half the sample count: interpolating through all the
-    mapped nodes is ill-conditioned.  psi and |psi'| are one ``chebval``
-    each, so a call costs microseconds and no integration.
+    The pairs (x, w) = (pi(w), w) fix the local coordinate
+    s = (2w - a - b) / (b - a), with [a, b] the span of the w, as a
+    least-squares series in x.  The degree is half the pair count:
+    interpolating through all the mapped nodes is ill-conditioned.  psi and
+    |psi'| are one ``chebval`` each, so a call costs microseconds and no
+    integration.
     """
 
-    def __init__(self, branch):
-        lo, hi = branch.interval
-        self.tag = f"{branch.side}{branch.index}"
-        self._mid, self._halfwidth = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        direction = np.sign(branch.samples_pi[-1] - branch.samples_pi[0])
-        x = np.concatenate([branch.samples_pi, [-direction, direction]])
-        s = np.concatenate([(branch.samples_w - self._mid) / self._halfwidth,
-                            [-1.0, 1.0]])
-        self.coef = cheb.chebfit(x, s, branch.samples_w.size // 2)
+    def __init__(self, x, w):
+        self._mid, self._halfwidth = 0.5 * (w.max() + w.min()), 0.5 * (w.max() - w.min())
+        self.coef = cheb.chebfit(x, (w - self._mid) / self._halfwidth, w.size // 2)
         self.dcoef = cheb.chebder(self.coef)
 
     def __call__(self, x):
@@ -599,10 +574,27 @@ class BranchInverseMap:
         """|psi'(x)| from the derivative series."""
         return np.abs(cheb.chebval(x, self.dcoef)) * self._halfwidth
 
+    def solve(self, w):
+        """The x with psi(x) = w, by Newton's method on the series.
+
+        psi is monotone and close to affine, so the affine guess through its
+        ends starts every row inside the basin of its root.
+        """
+        s = (np.asarray(w, dtype=float) - self._mid) / self._halfwidth
+        ends = cheb.chebval(np.array([-1.0, 1.0]), self.coef)
+        x = -1.0 + 2.0 * (s - ends[0]) / (ends[1] - ends[0])
+        for _ in range(NEWTON_STEPS):
+            step = (cheb.chebval(x, self.coef) - s) / cheb.chebval(x, self.dcoef)
+            x = x - step
+            if np.max(np.abs(step)) < 1e-15:
+                break
+        return x
+
 
 def branch_contractions(branches):
-    """One BranchInverseMap per branch, keyed in branch order."""
-    return [BranchInverseMap(b) for b in branches]
+    """One BranchInverseMap per branch, in branch order: the series refitted
+    from the branch's sweep pairs, whose ends are its boundaries."""
+    return [BranchInverseMap(b.samples_pi, b.samples_w) for b in branches]
 
 
 def validate_inverse_maps(sys, fold, cert, branches, maps):

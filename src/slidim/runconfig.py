@@ -30,7 +30,7 @@ class RunConfig:
     radius: float = 0.25
     i_max: int = 3
     depth: int = 6
-    n_scan: int = 20000
+    n_scan: int = 3000
     schedule: list = None
     tolerances: Tolerances = field(default_factory=Tolerances)
     seed: int = 0

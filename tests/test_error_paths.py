@@ -22,27 +22,30 @@ FOLD = SimpleNamespace(r=0.25)
 N_SAMPLES = 5
 
 
-def _banded_map(bands, miss_batch=None, extend=True, calls=None):
+def _banded_map(bands, calls=None, shift=0.0, lost=False):
     """first_return_batch of a map that sends each chart band (lo, hi, turns)
     linearly onto [-1, 1] and misses the section elsewhere.  Off the bands
     the exit coordinate is the linear extension of the nearest band, as on
-    the real map (NaN with ``extend=False``).  In a batch of ``miss_batch``
-    rows, the first row misses as well.  ``calls`` collects batch sizes."""
+    the real map.  Every batch after the first (the precise sweep) moves
+    the exit coordinates by ``shift``, and with ``lost`` its first row has
+    none.  ``calls`` collects batch sizes."""
     lo, hi, k = (np.array(c, dtype=float)[:, None] for c in zip(*bands))
+    calls = [] if calls is None else calls
 
     def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0):
         ws = np.asarray(ws, dtype=float)
-        if calls is not None:
-            calls.append(ws.size)
+        calls.append(ws.size)
         near = np.argmin(np.maximum(lo - ws, ws - hi), axis=0)   # <= 0 inside
         b_lo, b_hi = lo[near, 0], hi[near, 0]
         exit_s = 2 * (ws - b_lo) / (b_hi - b_lo) - 1
-        ok = (ws >= b_lo) & (ws <= b_hi)
+        if len(calls) > 1:
+            exit_s += shift
+            if lost:
+                exit_s[0] = np.nan
+        ok = (np.abs(exit_s) <= 1) & (ws >= b_lo) & (ws <= b_hi)
         ret = np.where(ok, exit_s, np.nan)
         turns = np.where(ok, k[near, 0], np.nan)
-        if ws.size == miss_batch:
-            ok[0] = False
-        return ret, turns, ok, exit_s if extend else ret.copy()
+        return ret, turns, ok, exit_s
 
     return first_return_batch
 
@@ -65,20 +68,16 @@ def test_synthetic_bands_are_found(monkeypatch):
     calls = []
     branches = _enumerate(monkeypatch, SYNTHETIC, calls=calls)
     assert [(b.side, b.index) for b in branches] == [("L", 1), ("L", 2), ("R", 2), ("R", 1)]
-    # |exit_s| - 1 is linear across every boundary of this map, so the first
-    # false-position probe lands on the root: the scan, the sweep of all 16
-    # bracket ends, one probe of the 8 boundaries, and the measurement of
-    # (w, w - d, w + d) at every node
-    assert calls == [400, 16, 8, 3 * N_SAMPLES * 4]
+    # two batches: the scan, and one precise sweep of every branch's nodes
+    assert calls == [400, N_SAMPLES * 4]
     assert np.allclose([b.interval for b in branches],
                        [(-0.5, -0.3), (-0.05, -0.03), (0.03, 0.05), (0.3, 0.5)],
                        rtol=0, atol=1e-12)
-
-
-def test_boundary_bracket_not_straddling(monkeypatch):
-    # no exit coordinate off the bands: the outer bracket ends have none
-    with pytest.raises(BranchResolutionExceeded, match="L1: .* does not straddle"):
-        _enumerate(monkeypatch, SYNTHETIC, extend=False)
+    # |psi'| = width / 2 on a linear band
+    half_widths = np.array([0.1, 0.01, 0.01, 0.1])
+    assert np.allclose([(b.deriv_lo, b.deriv_hi) for b in branches],
+                       np.outer(half_widths, [1 / returnmap.SAFETY, returnmap.SAFETY]),
+                       rtol=1e-9, atol=0)
 
 
 def test_windings_not_consecutive(monkeypatch):
@@ -92,10 +91,21 @@ def test_no_branch_inside_the_scan_window(monkeypatch):
         _enumerate(monkeypatch, _mirrored([(0.9, 1.0, 1.0)]))
 
 
-def test_interior_samples_missed(monkeypatch):
-    # the measurement batch holds (w, w - d, w + d) for every node of every branch
-    with pytest.raises(BranchResolutionExceeded, match="interior samples"):
-        _enumerate(monkeypatch, SYNTHETIC, miss_batch=3 * N_SAMPLES * 4)
+def test_too_few_scan_points(monkeypatch):
+    # the scan steps |w| by a factor 1.044: [0.03, 0.032] holds one or two points
+    with pytest.raises(BranchResolutionExceeded, match="R2: . scan points, fewer than 8"):
+        _enumerate(monkeypatch, [(0.3, 0.5, 1.0), (0.03, 0.032, 2.0)])
+
+
+def test_sweep_node_without_exit_coordinate(monkeypatch):
+    with pytest.raises(BranchResolutionExceeded, match="L1: 1 sweep nodes have no exit"):
+        _enumerate(monkeypatch, SYNTHETIC, lost=True)
+
+
+def test_sweep_misses_the_nodes_of_the_first_series(monkeypatch):
+    # the precise sweep disagrees with the scan by twice END_MISS
+    with pytest.raises(BranchResolutionExceeded, match="L1: the sweep misses a node"):
+        _enumerate(monkeypatch, SYNTHETIC, shift=2 * returnmap.END_MISS)
 
 
 @pytest.fixture

@@ -2,21 +2,27 @@
 
 ``golden/bench_report.json`` holds ``golden_values`` of the session
 ``bench_pipeline``: ``make_bench()`` and ``run_dimension_pipeline`` at their
-defaults (i_max 3, n_scan 20000).  No tolerance is a free choice; each one
-follows from a budget the pipeline itself states:
+defaults (i_max 3, n_scan 3000).  The golden values were written by an
+earlier design that solved for the branch boundaries (roots of
+|exit_s| - 1) and measured |pi'| by finite differences; the pipeline now
+takes both from the fitted inverse series psi.  No tolerance is a free
+choice; each one follows from a budget the pipeline itself states:
 
 * round trip: the pipeline's ``roundtrip_budget``, 1e-9 (absolute);
-* branch boundaries: 1e-9 of the branch width W.  The boundary solver
-  stops once its bracket is narrower than 1e-9 of a scan bracket (on the
-  default scan, a fraction of the branch), or where ||exit_s| - 1| <=
-  1e-10, which is 5e-11 W where |pi'| takes its mean 2 / W;
-* derivative bounds: they are extremes of central differences
-  |pi(w + d) - pi(w - d)| / 2d with d = 2e-4 W, scaled by the safety factor
-  1.05.  One precise evaluation of pi is trusted to the round-trip budget
-  eps, so a difference moves by at most eps / d, which is
-  eps * deriv_hi / (1.05 * 2e-4 * W) relative to the smallest |pi'| of
-  the branch (about 4.3e-6).  The nodes move with the boundaries
-  (1e-9 W), which adds 10 * 1e-9 at most;
+* branch boundaries: 1e-9 of the branch width W, the golden solver's own
+  budget.  It stopped once its bracket was narrower than 1e-9 of a scan
+  bracket (a fraction of the branch), or where ||exit_s| - 1| <= 1e-10,
+  which is 5e-11 W where |pi'| takes its mean 2 / W.  The ends psi(-+1)
+  of the series must meet those roots within it;
+* derivative bounds: extremes of |pi'| over an interior Chebyshev grid of
+  the branch, scaled by the safety factor 1.05.  The golden |pi'| are
+  central differences |pi(w + d) - pi(w - d)| / 2d with d = 2e-4 W; the
+  pipeline's are 1 / |psi'| at the grid's preimages.  The tolerance bounds
+  the fit against those finite-difference values: one precise evaluation
+  of pi is trusted to the round-trip budget eps, so a golden difference
+  moves by at most eps / d, which is eps * deriv_hi / (1.05 * 2e-4 * W)
+  relative to the smallest |pi'| of the branch (about 4.3e-6).  The grid
+  moves with the boundaries (1e-9 W), which adds 10 * 1e-9 at most;
 * a_hat = min 1 / (deriv_hi * lambda_hat^winding): the derivative budget
   plus the winding (at most 2) times the lambda_hat budget;
 * lambda_hat: within 1e-9 of exp(2 pi a / b) on every run

@@ -5,6 +5,9 @@ An orbit is an X-flight to M (``filippov.fly``) and a sliding flow on M
 shooting (``bench._landings``, whose field takes the shooting parameters
 row by row) may call the integrator, so a change to how flows are built
 (events, projection, winding frame, tolerances, domain) is made once.
+Likewise only event localization (``odeint._localize``) calls the Illinois
+solver: branch boundaries come from the inverse-branch series, not from a
+second root solve on the return map.
 
 The package has no linter, so an import left behind by a deletion is
 caught here: every name a module imports must be used in it.
@@ -22,10 +25,11 @@ UNUSED_IMPORTS_ALLOWED = {"returnmap.manifold_project"}
 
 
 class _Calls(ast.NodeVisitor):
-    """Each call of integrate_batch, named by its innermost enclosing function."""
+    """Each call of ``callee``, named by its innermost enclosing function."""
 
-    def __init__(self, module):
+    def __init__(self, module, callee):
         self.stack = [module]
+        self.callee = callee
         self.callers = []
 
     def visit_FunctionDef(self, node):
@@ -38,23 +42,28 @@ class _Calls(ast.NodeVisitor):
     def visit_Call(self, node):
         fn = node.func
         name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-        if name == "integrate_batch":
+        if name == self.callee:
             self.callers.append(f"{self.stack[0]}.{self.stack[-1]}")
         self.generic_visit(node)
 
 
-def _integrator_callers():
+def _callers(callee):
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _Calls(path.stem)
+        visitor = _Calls(path.stem, callee)
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         callers.extend(visitor.callers)
     return callers
 
 
 def test_integrate_batch_is_called_only_by_the_flow_helpers():
-    callers = _integrator_callers()
+    callers = _callers("integrate_batch")
     assert sorted(callers) == sorted(ALLOWED), callers
+
+
+def test_illinois_is_called_only_by_event_localization():
+    callers = _callers("illinois")
+    assert callers == ["odeint._localize"], callers
 
 
 def _unused_imports(path):

@@ -192,8 +192,7 @@ def _identity_probe(value, seen):
 def test_refine_degenerate_bracket_bisects_and_terminates(ev_hi, value, first, frac):
     seen = []
     probe = _identity_probe(lambda x: np.full(x.size, value), seen)
-    got, point = odeint.illinois(probe, np.ones(1), np.full(1, ev_hi), np.ones(1),
-                                 1e-12, 1e-16)
+    got, point = odeint.illinois(probe, np.ones(1), np.full(1, ev_hi), np.ones(1), 1e-12)
     # midpoints only, until the bracket is narrower than 1e-16
     assert seen[:3] == pytest.approx(first, rel=1e-14)
     assert len(seen) < odeint.ILLINOIS_MAX_PROBES
@@ -204,14 +203,13 @@ def test_refine_degenerate_bracket_bisects_and_terminates(ev_hi, value, first, f
 def test_illinois_stops_at_the_width_floor():
     # a jump at 1/3: |value| never drops to tol, so only the width floor
     # ends the search, at the upper (positive) end of a bracket narrower
-    # than width; that takes 20 probes, a floor of 1e-16 takes 54
+    # than ILLINOIS_WIDTH; that takes 54 probes, before the probe cap
     seen = []
     probe = _identity_probe(lambda x: np.where(x < 1 / 3, -1.0, 1.0), seen)
-    got, point = odeint.illinois(probe, np.full(1, -1.0), np.ones(1), np.ones(1),
-                                 1e-12, 1e-6)
-    assert 1 / 3 <= got[0] < 1 / 3 + 1e-6
+    got, point = odeint.illinois(probe, np.full(1, -1.0), np.ones(1), np.ones(1), 1e-12)
+    assert 1 / 3 <= got[0] < 1 / 3 + odeint.ILLINOIS_WIDTH
     assert point[0] == got[0]
-    assert len(seen) <= 20
+    assert len(seen) <= 54 < odeint.ILLINOIS_MAX_PROBES
 
 
 def test_domain_exit_on_the_last_step_ends_in_timeout():

@@ -142,14 +142,16 @@ def test_branch_width_ratios_follow_lambda(bench_pipeline):
 
 
 def test_branch_bounds_and_expansion(bench_pipeline):
-    s = max(b.deriv_hi for b in bench_pipeline.branches)
+    branches = bench_pipeline.branches
+    s = max(b.deriv_hi for b in branches)
     assert 0 < s < 1
-    for b in bench_pipeline.branches:
+    for b, psi in zip(branches, returnmap.branch_contractions(branches)):
         assert 0 < b.deriv_lo <= b.deriv_hi < 1
         assert b.surjective
         assert b.winding == b.index - 1
-        assert np.all(b.samples_dpi >= 1 / s)
-        assert np.all(b.samples_dpi > 1)
+        dpi = 1 / psi.deriv(b.samples_pi)
+        assert np.all(dpi >= 1 / s)
+        assert np.all(dpi > 1)
 
 
 def test_inverse_maps_contract_and_compose(bench_pipeline):
@@ -179,11 +181,26 @@ def test_inverse_series_ends_on_branch_boundaries(bench_pipeline):
         assert np.all(np.abs(ends - b.interval) <= 1e-9 * b.width), b.interval
 
 
-def test_inverse_series_derivative_inverts_sampled_slope(bench_pipeline):
-    # |psi'(pi(w))| * |pi'(w)| = 1 at every measured sample of the branch
-    for psi, b in _maps_and_branches(bench_pipeline):
-        product = psi.deriv(b.samples_pi) * b.samples_dpi
-        assert np.all(np.abs(product - 1) <= 1e-5), psi.tag
+def test_inverse_series_derivative_inverts_sampled_slope(bench, bench_pipeline):
+    # |psi'(x)| * |pi'(psi(x))| = 1 on the interior Chebyshev grid w of every
+    # branch (65 nodes, as for the derivative bounds), with |pi'| from central
+    # differences of one precise batch at w -+ 2e-4 W
+    res = bench_pipeline
+    pairs = _maps_and_branches(res)
+    local = np.cos(np.pi * np.arange(1, 66) / 66)
+    grids = [0.5 * (b.interval[0] + b.interval[1]) + 0.5 * b.width * local for _, b in pairs]
+    steps = [2e-4 * b.width for _, b in pairs]
+    ws = np.concatenate([np.concatenate([w - d, w + d]) for w, d in zip(grids, steps)])
+    t_slide_max = ((max(b.index for _, b in pairs) + returnmap.SPARE_TURNS)
+                   * res.cert.flight_time_scale)
+    ret, _, ok, _ = returnmap.first_return_batch(returnmap.precise(bench.system), res.fold,
+                                                 ws, res.cert.p, t_slide_max)
+    assert ok.all()
+    for (psi, b), w, d, (lo_v, hi_v) in zip(pairs, grids, steps,
+                                            ret.reshape(len(pairs), 2, -1)):
+        dpi = np.abs(hi_v - lo_v) / (2 * d)
+        product = psi.deriv(psi.solve(w)) * dpi
+        assert np.all(np.abs(product - 1) <= 1e-5), (b.side, b.index)
 
 
 # --- index cutoff arithmetic ----------------------------------------------------------------
@@ -197,8 +214,7 @@ def _dummy_branches(lam, a_hat, i_max, surjective=True):
         c = min(c, 0.94)
         width = 0.05 * lam ** -(i - 1)
         out.append(Branch("R", i, i - 1, (pos, pos + width), 0.8 * c, c,
-                          surjective, float(i), np.zeros(1), np.zeros(1),
-                          np.ones(1)))
+                          surjective, float(i), np.zeros(1), np.zeros(1)))
         pos = pos - 2 * width
     return out
 
@@ -232,7 +248,7 @@ def test_select_u_skips_nonsurjective():
     branches = _dummy_branches(lam, 30.0, 3)
     branches[0] = Branch("R", 1, 0, branches[0].interval, branches[0].deriv_lo,
                          branches[0].deriv_hi, False, 1.0, np.zeros(1),
-                         np.zeros(1), np.ones(1))
+                         np.zeros(1))
     i_min, _ = select_u(branches, lam, a_hat=30.0)
     assert i_min == 2
 
