@@ -134,10 +134,15 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
 
 
-def _codegen(trees):
-    """Statements and value expressions for ``trees``: a subtree used more
-    than once across them (trees are tuples, so equal subtrees hash alike)
-    is assigned to a temporary on first use."""
+def _codegen(trees, fixed=None):
+    """Prelude statements, statements and value expressions for ``trees``: a
+    subtree used more than once across them (trees are tuples, so equal
+    subtrees hash alike) is assigned to a temporary on first use.
+
+    With ``fixed``, a set of variable names, every subtree that uses no
+    other variable (parameters are fixed too) goes to the prelude instead,
+    assigned to a temporary of its own; without it the prelude is empty.
+    """
     uses = Counter()
 
     def count(node):
@@ -149,9 +154,9 @@ def _codegen(trees):
 
     for tree in trees:
         count(tree)
-    lines, names = [], {}
+    prelude, lines, names = [], [], {}
 
-    def emit(node):
+    def emit(node, into):
         if node in names:
             return names[node]
         kind = node[0]
@@ -159,20 +164,30 @@ def _codegen(trees):
             return repr(node[1])
         if kind in ("var", "param"):
             return node[1] if kind == "var" else "p_" + node[1]
+        hoist = into is lines and fixed is not None and _variables(node) <= fixed
+        if hoist:
+            into = prelude
         if kind == "neg":
-            code = f"(-{emit(node[1])})"
+            code = f"(-{emit(node[1], into)})"
         elif kind == "call":
-            code = f"_{node[1]}({emit(node[2])})"
+            code = f"_{node[1]}({emit(node[2], into)})"
         else:
             _, op, left, right = node
-            code = f"({emit(left)} {'**' if op == '^' else op} {emit(right)})"
-        if uses[node] == 1:
+            code = f"({emit(left, into)} {'**' if op == '^' else op} {emit(right, into)})"
+        if uses[node] == 1 and not hoist:
             return code
         names[node] = f"_t{len(names)}"
-        lines.append(f"{names[node]} = {code}")
+        into.append(f"{names[node]} = {code}")
         return names[node]
 
-    return lines, [emit(tree) for tree in trees]
+    return prelude, lines, [emit(tree, lines) for tree in trees]
+
+
+def _variables(node):
+    """The names of the variables a tree uses."""
+    if node[0] == "var":
+        return {node[1]}
+    return set().union(*(_variables(child) for child in node[1:] if isinstance(child, tuple)))
 
 
 _NAMESPACE = {f"_{name}": getattr(np, name) for name in FUNCTIONS} | {"_empty": np.empty}
@@ -195,6 +210,10 @@ def _sub(a, b):
     if b == ZERO:
         return a
     return ("neg", b) if a == ZERO else ("bin", "-", a, b)
+
+
+def _neg(a):
+    return ZERO if a == ZERO else ("neg", a)
 
 
 def _mul(a, b):
@@ -231,8 +250,7 @@ def _diff(node, var):
     if kind in ("num", "param"):
         return ZERO
     if kind == "neg":
-        d = _diff(node[1], var)
-        return ZERO if d == ZERO else ("neg", d)
+        return _neg(_diff(node[1], var))
     if kind == "call":
         return _mul(_CHAIN[node[1]](node[2]), _diff(node[2], var))
     _, op, a, b = node
@@ -256,19 +274,48 @@ def _compile(trees, params, field=False):
     kernel ``(u, **params)`` takes points of shape (..., 3) and writes tree k
     to ``out[..., k]`` of one fresh array; otherwise ``(x, y, z, **params)``
     returns the value of the single tree."""
-    lines, values = _codegen(trees)
+    _, lines, values = _codegen(trees)
     if field:
         lines = ["x, y, z = u[..., 0], u[..., 1], u[..., 2]", "out = _empty(u.shape)",
                  *lines, *(f"out[..., {k}] = {v}" for k, v in enumerate(values))]
         values = ["out"]
     args = ["u"] if field else ["x", "y", "z"]
-    args += ["*", *(f"p_{k}={float(v)!r}" for k, v in params.items())] if params else []
-    source = "\n    ".join([f"def _f({', '.join(args)}):", *lines,
+    source = "\n    ".join([f"def _f({', '.join(args + _params_args(params))}):", *lines,
                             f"return {values[0]}"]) + "\n"
+    return _exec(source)
+
+
+def _params_args(params):
+    return ["*", *(f"p_{k}={float(v)!r}" for k, v in params.items())] if params else []
+
+
+def _exec(source):
     scope = dict(_NAMESPACE)
     exec(source, scope)  # noqa: S102 - code built from our own validated AST
     scope["_f"].source = source
     return scope["_f"]
+
+
+def _compile_stages(trees, varying, params):
+    """The stage kernel of a field, for one integration step.
+
+    ``(x, y, z, **params)``, called with the components at the start of the
+    step, returns ``stage(v)``: the components ``varying`` of the field, as
+    one (m, N) array, at a stage state ``v`` (m, N) of those components.
+    The others have the constant 0 as their tree: they are constant along
+    the flow, so they keep their start values and are not part of ``v``;
+    every subtree that uses only them and parameters is evaluated once per
+    step, in the prelude.
+    """
+    fixed = set(VARIABLES) - {VARIABLES[k] for k in varying}
+    prelude, lines, values = _codegen([trees[k] for k in varying], fixed)
+    body = [f"{''.join(VARIABLES[k] + ', ' for k in varying)}= _v", *lines,
+            "_o = _empty(_v.shape)", *(f"_o[{i}] = {v}" for i, v in enumerate(values)),
+            "return _o"]
+    source = "\n    ".join([f"def _f({', '.join(['x', 'y', 'z', *_params_args(params)])}):",
+                            *prelude, "def _stage(_v):",
+                            *("    " + line for line in body), "return _stage"]) + "\n"
+    return _exec(source)
 
 
 class ScalarExpr:
@@ -365,6 +412,9 @@ class VectorFieldExpr:
         self.components = tuple(components)
         self.params = dict(components[0].params)
         self.kernel = _compile([c.tree for c in self.components], self.params, field=True)
+        # the components that change along the flow; a field component
+        # folded to the constant 0 keeps its start value
+        self.varying = tuple(k for k, c in enumerate(self.components) if c.tree != ZERO)
 
     def __call__(self, u, **params):
         """Evaluate at points ``u`` of shape (..., 3); returns (..., 3).
@@ -376,6 +426,19 @@ class VectorFieldExpr:
         if params:
             return self.kernel(u, **{"p_" + k: v for k, v in params.items()})
         return self.kernel(u)
+
+    def stages(self, x, y, z, params=None):
+        """The stage function of one integration step that starts at the
+        components (x, y, z) (see ``_compile_stages``); ``params`` maps
+        parameter names to values (scalars, or arrays of one value per
+        row) that override the bound ones for this step."""
+        if params:
+            return self._stage_kernel(x, y, z, **{"p_" + k: v for k, v in params.items()})
+        return self._stage_kernel(x, y, z)
+
+    @cached_property
+    def _stage_kernel(self):
+        return _compile_stages([c.tree for c in self.components], self.varying, self.params)
 
     def lie(self, expr):
         """The Lie derivative sum_i F_i d(expr)/dx_i as a compiled expression."""

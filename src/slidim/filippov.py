@@ -21,7 +21,7 @@ from .errors import (DegenerateTangency, DenominatorVanishes, LeftSlidingRegion,
                      NoConvergence, NonFinite, NonUniqueForward,
                      NotHyperbolic, OffManifold, StepFailure)
 from .expressions import (VARIABLES, ScalarExpr, SwitchingFunction, VectorFieldExpr,
-                          _div, _mul, _sub, parse_field)
+                          _div, _mul, _neg, _sub, parse_field)
 
 DEFAULT_DOMAIN = (np.full(3, -50.0), np.full(3, 50.0))
 MAX_NEWTON = 60      # Newton steps of find_pseudo_equilibrium
@@ -98,6 +98,13 @@ class FilippovSystem:
             ScalarExpr(f"Z~_{v}", {**xg.params, **yg.params},
                        _div(_sub(_mul(yg.tree, a.tree), _mul(xg.tree, b.tree)), den))
             for v, a, b in zip(VARIABLES, self.X.components, self.Y.components)])
+
+    @cached_property
+    def backward_sliding(self):
+        """The negated sliding field, compiled as one kernel: the backward
+        sliding flow."""
+        return VectorFieldExpr([ScalarExpr(f"-{c.text}", c.params, _neg(c.tree))
+                                for c in self.sliding.components])
 
 
 def make_system(x_src, y_src, g_src, params=None, domain=None, tol=None):
@@ -349,7 +356,7 @@ def fly(sys, F, u0, t_max, record=False):
     The trivial root at t = 0 is excluded: a crossing counts only after |g|
     exceeded tol.event at an accepted sample.
     """
-    return odeint.integrate_batch(F, u0, t_max, [odeint.EventSpec(sys.g)],
+    return odeint.integrate_batch(odeint.Stepper(F), u0, t_max, [odeint.EventSpec(sys.g)],
                                   rtol=sys.tol.rtol, atol=sys.tol.atol,
                                   tol_event=sys.tol.event, record=record,
                                   domain=sys.domain)
@@ -363,9 +370,9 @@ def slide(sys, u0, t_max, events=(), sign=1.0, center=None, record=False):
     projection along grad g.  With ``center`` given, the rotation of each
     orbit about it is accumulated (``BatchResult.winding``).
     """
-    rhs = sys.sliding if sign > 0 else lambda u: -sys.sliding(u)
+    field = sys.sliding if sign > 0 else sys.backward_sliding
     return odeint.integrate_batch(
-        rhs, u0, t_max, events,
+        odeint.Stepper(field), u0, t_max, events,
         rtol=sys.tol.rtol, atol=sys.tol.atol, tol_event=sys.tol.event,
         project=lambda pts: manifold_project(sys.g, pts, 1),
         winding=None if center is None else winding_frame(sys, center),

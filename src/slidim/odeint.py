@@ -10,12 +10,29 @@ Every probe re-integrates one short step from the state at the start of
 the step (no dense output), down to ``|event| <= tol_event``.
 
 The scheme is the Dormand-Prince 5(4) pair; the 5th-order solution is
-propagated.
+propagated.  One routine, :class:`Stepper`, takes every step, on the
+contiguous component arrays of the states and through the field's stage
+kernel (``VectorFieldExpr.stages``):
+
+* the stage sums run left to right in the tableau's order, term by term,
+  for each row alone, so a row's result does not depend on the batch it
+  rides in;
+* the 5th-order solution is the argument of the 7th stage (the tableau's
+  last row equals its weights), and the error estimate is summed in the
+  same index order;
+* a component whose field folds to the constant 0 keeps its start value
+  and is not integrated, and the subtrees that use only such components
+  and parameters are evaluated once per step;
+* first same as last (FSAL): where no projection follows a step, the 7th
+  stage of an accepted step is the 1st stage of the next one, and the 1st
+  stage of a bracketed step is reused by every localization probe.
 """
 
 import numpy as np
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
+# (1980) 19): the stage rows, whose last row is also the 5th-order weights,
+# and the error weights (5th minus 4th order)
 _A = (
     (),
     (1 / 5,),
@@ -25,9 +42,7 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                 -17253 / 339200, 22 / 525, -1 / 40])
+_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 # terminal status codes
 RUNNING = 0
@@ -69,21 +84,57 @@ class BatchResult:
         self.samples = None
 
 
-def _rk_step(f, u, h):
-    """One DP54 step of sizes ``h`` for states ``u``; returns (u_new, err)."""
-    hcol = h[:, None]
-    ks = np.empty((7,) + u.shape)
-    ks[0] = f(u)
-    for i, row in enumerate(_A[1:], 1):
-        du = row[0] * ks[0]
-        for coef, ki in zip(row[1:], ks[1:i]):
-            du += coef * ki
-        du *= hcol
-        du += u
-        ks[i] = f(du)
-    u_new = u + hcol * np.tensordot(_B5, ks, axes=(0, 0))
-    err = hcol * np.tensordot(_ERR, ks, axes=(0, 0))
-    return u_new, err
+# the same, as (stage, coefficient) pairs without the zeros: every sum
+# below runs over them left to right
+_A_TERMS = tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in _A)
+_ERR_TERMS = tuple((i, c) for i, c in enumerate(_ERR) if c)
+
+
+class Stepper:
+    """One Dormand-Prince 5(4) step of a field, for every row at once.
+
+    ``field`` has a stage kernel ``field.stages(x, y, z, params)`` and the
+    indices ``field.varying`` of its m components that change along the
+    flow (``expressions.VectorFieldExpr``).  ``step(u, h, k1, params)``
+    takes states ``u`` (N, 3) (fastest when each column is contiguous),
+    sizes ``h`` (N,), the 1st stage ``k1`` (m, N) at ``u`` where it is known
+    (FSAL; else None) and the per-row parameters (or None).  It returns
+    ``(u_new, err, k1, k7)``: the new states (N, 3) with contiguous columns,
+    the error estimate (3, N) by component (0 for a constant one), and the
+    first and last stages (m, N).
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self._rows = list(field.varying)
+        self._constant = [j for j in range(3) if j not in field.varying]
+
+    def __call__(self, u, h, k1, params):
+        ut = u.T
+        stage = self.field.stages(ut[0], ut[1], ut[2], params)
+        start = ut[self._rows]
+        ks = [stage(start) if k1 is None else k1]
+        for terms in _A_TERMS[1:]:
+            (s0, c0), *rest = terms
+            acc = c0 * ks[s0]
+            for s, c in rest:
+                acc += c * ks[s]
+            acc *= h
+            acc += start
+            ks.append(stage(acc))
+        u_new = np.empty((3, len(h)))
+        u_new[self._rows] = acc     # the 7th stage's argument
+        for j in self._constant:
+            u_new[j] = ut[j]
+        (s0, c0), *rest = _ERR_TERMS
+        err = c0 * ks[s0]
+        for s, c in rest:
+            err += c * ks[s]
+        err *= h
+        if self._constant:
+            err, e = np.zeros((3, len(h))), err
+            err[self._rows] = e
+        return u_new.T, err, ks[0], ks[6]
 
 
 def _angles(u, winding):
@@ -96,23 +147,25 @@ def _wrap(a):
     return (a + np.pi) % (2 * np.pi) - np.pi
 
 
-def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
+def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                     tol_event=1e-12, project=None, winding=None, domain=None,
-                    record=False, row_args=None):
+                    record=False, row_params=None):
     """Advance every row of ``u0`` until an event, t_max, or domain exit.
 
-    f        : (M, 3) -> (M, 3) field (sign-folded by the caller for
-               backward flows); t does not appear (autonomous systems).
-    events   : sequence of EventSpec; first localized crossing terminates.
-    project  : optional (M, 3) -> (M, 3) applied after each step
-               (manifold drift correction); like the event functions it
-               also sees the end points of rejected steps, which are
-               dropped.
-    winding  : optional (center, e1, e2) accumulating the rotation angle
-               of u around center in the (e1, e2) frame.
-    record   : keep per-trajectory (t, u) samples (scalar use only).
-    row_args : optional (N, K) per-trajectory constants; f is then called
-               as f(u, args) with rows aligned.
+    step       : the field's :class:`Stepper` (or a callable of the same
+                 signature), called as ``step(u, h, k1, params)``; t does
+                 not appear (autonomous systems).
+    events     : sequence of EventSpec; first localized crossing terminates.
+    project    : optional (M, 3) -> (M, 3) applied after each step
+                 (manifold drift correction); like the event functions it
+                 also sees the end points of rejected steps, which are
+                 dropped.  Without it the last stage of each accepted step
+                 is the first of the next (FSAL).
+    winding    : optional (center, e1, e2) accumulating the rotation angle
+                 of u around center in the (e1, e2) frame.
+    record     : keep per-trajectory (t, u) samples (scalar use only).
+    row_params : optional {name: (N,) array} of per-trajectory parameter
+                 values, passed to ``step`` with rows aligned.
 
     The loop steps only the rows still running, kept as contiguous arrays
     that shrink on the rounds where some row ends.  A row whose accepted
@@ -122,17 +175,19 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
     earliest crossing of a row wins, the lower event index on a tie; a
     landing counts as a crossing at the end of the step.
     """
-    u = np.array(u0, dtype=float)
-    if u.ndim == 1:
-        u = u[None, :]
-    n = u.shape[0]
+    u0 = np.array(u0, dtype=float)
+    if u0.ndim == 1:
+        u0 = u0[None, :]
+    n = u0.shape[0]
     res = BatchResult(n)
-    res.u[:] = u
+    res.u[:] = u0
     if record:
-        res.samples = [[(0.0, u[i].copy())] for i in range(n)]
+        res.samples = [[(0.0, u0[i].copy())] for i in range(n)]
 
-    # the working set: one entry per running row, in row order
+    # the working set: one entry per running row, in row order; the states
+    # are kept column by column (the transpose of a (3, n) array)
     ids = np.arange(n)
+    u = np.ascontiguousarray(u0.T).T
     t = np.zeros(n)
     h = np.full(n, H0)
     t_max = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
@@ -140,9 +195,13 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
     steps = np.zeros(n, dtype=int)
     theta = _angles(u, winding) if winding is not None else np.zeros(n)
     turned = np.zeros(n)
+    params = row_params
+    fsal = project is None
+    k1 = None
 
     n_ev = len(events)
     direction = np.array([ev.direction for ev in events])
+    either, rising = direction == 0, direction > 0
     ev_prev = np.zeros((n, n_ev))
     departed = np.zeros((n, n_ev), dtype=bool)
     for j, ev in enumerate(events):
@@ -152,30 +211,33 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
 
     # by row, the step over which a row that ends at an event crossed or
     # landed on it: start state, size and angle, the event values at both
-    # ends, and which events it crossed or landed on.  Its start time, end
-    # point, steps and winding go to res straight away.
+    # ends, and which events it crossed or landed on; on FSAL legs also
+    # its first stage (m, n).  Its start time, end point, steps and winding
+    # go to res straight away.
     bracket = (np.empty((n, 3)), np.empty(n), np.empty(n), np.empty((n, n_ev)),
                np.empty((n, n_ev)), np.empty((n, n_ev), dtype=bool),
                np.empty((n, n_ev), dtype=bool))
-    fi = _bind(f, row_args, ids)
+    bracket_k1 = None
     with np.errstate(all="ignore"):
         for _ in range(MAX_ROUNDS):
             if not ids.size:
                 break
             hs = np.minimum(h, t_max - t)
-            u_new, err = _rk_step(fi, u, hs)
-            scale = atol + rtol * np.maximum(np.abs(u), np.abs(u_new))
-            q = err / scale
+            u_new, err, k_first, k_last = step(u, hs, k1, params)
+            # RMS over the components; a constant one has error 0 and adds 0
+            q = np.maximum(np.abs(u.T), np.abs(u_new.T))
+            q *= rtol
+            q += atol
+            np.divide(err, q, out=q)
             q *= q
-            errnorm = np.sqrt((q[:, 0] + q[:, 1] + q[:, 2]) / 3)   # RMS over components
-            errnorm[~np.isfinite(errnorm)] = np.inf
+            errnorm = np.fmin(np.sqrt((q[0] + q[1] + q[2]) / 3), np.inf)  # NaN -> inf
             accept = errnorm <= 1.0
 
-            # step-size update (factor clipped to [0.2, 5]); a rejected row
-            # retries with its new size, and fails once that underflows
+            # step-size update (factor clipped to [0.2, 5]; 5 for a zero
+            # error); a rejected row retries with its new size, and fails
+            # once that underflows
             fac = 0.9 * errnorm ** -0.2
-            fac[errnorm == 0.0] = 5.0
-            h = np.minimum(hs * np.clip(fac, 0.2, 5.0), H_MAX)
+            h = np.minimum(hs * np.minimum(np.maximum(fac, 0.2), 5.0), H_MAX)
             stop = np.where(~accept & (h < 1e-14 * np.maximum(1.0, t)), STEP_FAIL, RUNNING)
 
             ua = u_new if project is None else project(u_new)
@@ -185,9 +247,9 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                 for j, ev in enumerate(events):
                     vals[:, j] = ev.fn(ua)
                 dep = departed & accept[:, None]
-                crossed = dep & (ev_prev * vals < 0.0) & (
-                    (direction == 0) | ((direction > 0) == (vals > ev_prev)))
-                landed = dep & (np.abs(vals) <= tol_event) & ~crossed
+                crossed = dep & (ev_prev * vals < 0.0) & (either | (rising == (vals > ev_prev)))
+                size = np.abs(vals)
+                landed = dep & (size <= tol_event) & ~crossed
                 hit = (crossed | landed).any(axis=1)
                 if hit.any():
                     r = ids[hit]
@@ -197,19 +259,25 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                     for kept, x in zip(bracket, (u, hs, theta, ev_prev, vals, crossed,
                                                  landed)):
                         kept[r] = x[hit]
-                departed |= accept[:, None] & (np.abs(vals) > tol_event)
-                ev_prev = np.where(accept[:, None], vals, ev_prev)
+                    if fsal:
+                        if bracket_k1 is None:
+                            bracket_k1 = np.empty((len(k_first), n))
+                        bracket_k1[:, r] = k_first[:, hit]
+                departed |= accept[:, None] & (size > tol_event)
+                for j in range(n_ev):
+                    np.copyto(ev_prev[:, j], vals[:, j], where=accept)
 
             # every accepted row moves on; the hit rows end below, their
             # results already kept
+            if fsal:
+                k1 = np.where(accept, k_last, k_first)
             if winding is not None:
                 th = _angles(ua, winding)
-                turn = _wrap(th - theta)
-                turned += np.where(accept, turn, 0.0)
-                theta = np.where(accept, th, theta)
-            u = np.where(accept[:, None], ua, u)
-            t = np.where(accept, t + hs, t)
-            steps = steps + accept
+                turned += np.where(accept, _wrap(th - theta), 0.0)
+                np.copyto(theta, th, where=accept)
+            np.copyto(u.T, ua.T, where=accept)
+            np.add(t, hs, out=t, where=accept)
+            steps += accept
 
             go = accept if hit is None else accept & ~hit
             if record:
@@ -218,19 +286,23 @@ def integrate_batch(f, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
             if domain is not None:
                 lo, hi_box = domain
                 out = (ua < lo) | (ua > hi_box)
-                stop[go & (out[:, 0] | out[:, 1] | out[:, 2])] = DOMAIN_EXIT
+                stop[go & out.any(axis=1)] = DOMAIN_EXIT
             stop[go & (t >= t_end)] = TIMEOUT
 
             if stop.any():
                 _write_out(res, stop, ids, t, u, steps, turned)
                 keep = stop == RUNNING
-                ids, u, t, h, t_max, t_end, steps, theta, turned, ev_prev, departed = (
-                    x[keep] for x in (ids, u, t, h, t_max, t_end, steps, theta, turned,
+                u = u.T[:, keep].T
+                ids, t, h, t_max, t_end, steps, theta, turned, ev_prev, departed = (
+                    x[keep] for x in (ids, t, h, t_max, t_end, steps, theta, turned,
                                       ev_prev, departed))
-                fi = _bind(f, row_args, ids)
+                params = _rows_of(params, keep)
+                if fsal:
+                    k1 = k1[:, keep]
 
         _write_out(res, np.full(ids.size, STEPS_EXHAUSTED), ids, t, u, steps, turned)
-        _localize(res, bracket, f, events, tol_event, project, winding, row_args, record)
+        _localize(res, bracket, bracket_k1, step, events, tol_event, project, winding,
+                  row_params, record)
     return res
 
 
@@ -243,7 +315,8 @@ def _write_out(res, stop, ids, t, u, steps, turned):
     res.t[r], res.u[r], res.steps[r], res.winding[r] = t[out], u[out], steps[out], turned[out]
 
 
-def _localize(res, bracket, f, events, tol_event, project, winding, row_args, record):
+def _localize(res, bracket, bracket_k1, step, events, tol_event, project, winding,
+              row_params, record):
     """Localize the crossings of every row that ended at an event: one
     Illinois pass per event over all its crossings, then the earliest
     crossing of each row (a landing counts as the end of its step)."""
@@ -252,6 +325,7 @@ def _localize(res, bracket, f, events, tol_event, project, winding, row_args, re
     if not m:
         return
     u0, h, theta, prev, vals, crossed, landed = (x[ids] for x in bracket)
+    k1 = None if bracket_k1 is None else bracket_k1[:, ids]
     u1 = res.u[ids]
     hit_event = np.full(m, -1, dtype=int)
     hit_frac = np.full(m, np.inf)
@@ -262,7 +336,9 @@ def _localize(res, bracket, f, events, tol_event, project, winding, row_args, re
                 continue
             sub = np.nonzero(mask)[0]
             if kind == "cross":
-                probe = _step_probe(f, row_args, project, ev.fn, ids[sub], u0[sub], h[sub])
+                probe = _step_probe(step, project, ev.fn, u0[sub], h[sub],
+                                    None if k1 is None else k1[:, sub],
+                                    _rows_of(row_params, ids[sub]))
                 frac, u_land = illinois(probe, prev[sub, j], vals[sub, j], u1[sub],
                                         tol_event)
             else:
@@ -282,18 +358,18 @@ def _localize(res, bracket, f, events, tol_event, project, winding, row_args, re
             res.samples[row].append((res.t[row], hit_u[i].copy()))
 
 
-def _bind(f, row_args, idx):
-    """f restricted to the rows ``idx`` of ``row_args`` (f itself without them)."""
-    if row_args is None:
-        return f
-    return lambda uu, _a=row_args[idx]: f(uu, _a)  # noqa: E731
+def _rows_of(params, idx):
+    """The per-row parameters of the rows ``idx`` (None without any)."""
+    return None if params is None else {k: v[idx] for k, v in params.items()}
 
 
-def _step_probe(f, row_args, project, ev_fn, rows, u0, h):
-    """Illinois probe: event and state one (projected) step of x * h from u0."""
+def _step_probe(step, project, ev_fn, u0, h, k1, params):
+    """Illinois probe: event and state one (projected) step of x * h from u0,
+    with the first stage k1 (m, rows) where it is known."""
 
     def probe(live, x):
-        u1, _ = _rk_step(_bind(f, row_args, rows[live]), u0[live], x * h[live])
+        u1 = step(u0[live], x * h[live], None if k1 is None else k1[:, live],
+                  _rows_of(params, live))[0]
         u1 = project(u1) if project is not None else u1
         return ev_fn(u1), u1
 

@@ -151,8 +151,12 @@ class FoldSegment:
             num = np.sum((p - c) * tvec, axis=-1)
             den = np.sum(tvec * tvec, axis=-1)
             step = num / den
-            s = np.clip(s + step, -self.r, self.r)
-            if np.max(np.abs(step)) < 1e-15:
+            s_next = np.clip(s + step, -self.r, self.r)
+            # rows clipped at -+r keep a step forever: stop once no s moves,
+            # a fixed point of the remaining iterations
+            done = np.array_equal(s_next, s) or np.max(np.abs(step)) < 1e-15
+            s = s_next
+            if done:
                 break
         c = self._curve(s)
         tang = self._tangent(s)

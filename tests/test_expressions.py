@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from slidim.errors import ExpressionSyntaxError, UnknownIdentifier
-from slidim.bench import BENCH_X
+from slidim.bench import BENCH_G, BENCH_X, BENCH_Y
 from slidim.expressions import (SwitchingFunction, parse_expr, parse_field)
+from slidim.filippov import make_system
 
 
 def test_parse_basic_arithmetic():
@@ -145,6 +146,35 @@ def test_bench_field_kernel_evaluates_shared_subtrees_once():
     source = parse_field(BENCH_X, {"al": 0.4, "be": 1.0, "u1": 0.0, "u2": 0.0}).kernel.source
     assert source.count("_tanh(") == source.count("_tanh((50.0 * z))") == 1
     assert source.count("_exp(") == source.count("(z * _exp((-z)))") == 1
+
+
+def test_stage_kernel_skips_constant_components_and_hoists_their_subtrees():
+    # on g = z the bench sliding field's z-component folds to 0: z keeps its
+    # start value over a step, so tanh(50 z) and z exp(-z) are evaluated once
+    # per step, before the stage function, and the stages take (x, y) only
+    sys = make_system(BENCH_X, BENCH_Y, BENCH_G,
+                      params={"al": 0.4, "be": 1.0, "u1": 0.3, "u2": -0.2})
+    sliding = sys.sliding
+    assert sliding.varying == (0, 1)
+    prelude, stage_source = sliding._stage_kernel.source.split("def _stage(_v):")
+    for call in ("_tanh(", "_exp("):
+        assert prelude.count(call) == 1 and call not in stage_source
+    rng = np.random.default_rng(3)
+    u = np.column_stack([rng.uniform(-0.5, 0.5, (20, 2)), rng.uniform(-1e-3, 1e-3, 20)])
+    v = u[:, :2] + rng.uniform(-0.01, 0.01, (20, 2))   # a stage state of (x, y)
+    stage = sliding.stages(u[:, 0], u[:, 1], u[:, 2])
+    want = sliding(np.column_stack([v, u[:, 2]]))
+    assert np.array_equal(stage(v.T).T, want[:, :2])
+
+
+def test_stage_kernel_takes_parameters_row_by_row():
+    field = parse_field(BENCH_X, {"al": 0.4, "be": 1.0, "u1": 0.0, "u2": 0.0})
+    assert field.varying == (0, 1, 2)
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-0.5, 0.5, (9, 3))
+    rows = {"u1": rng.uniform(-99, -98, 9), "u2": rng.uniform(-9, -8, 9)}
+    stage = field.stages(u[:, 0], u[:, 1], u[:, 2], rows)
+    assert np.array_equal(stage(u.T).T, field(u, **rows))
 
 
 def test_gradient_of_constant_independent_component():

@@ -5,7 +5,13 @@
 defaults (i_max 3, n_scan 3000).  The golden values were written by an
 earlier design that solved for the branch boundaries (roots of
 |exit_s| - 1) and measured |pi'| by finite differences; the pipeline now
-takes both from the fitted inverse series psi.  No tolerance is a free
+takes both from the fitted inverse series psi.  They were written at the
+connection of today's shooting, the root of the landing map (see
+``bench.solve_connection_params``), which both designs reach to 5e-12 in
+(u1, u2) whatever the integrator's rounding.  The first point within the
+landing target, which the shooting used to return, depends on the
+rounding by about 1e-9 and moves branch L3's boundaries by about 1e-8 W,
+ten times their budget below.  No tolerance is a free
 choice; each one follows from a budget the pipeline itself states:
 
 * round trip: the pipeline's ``roundtrip_budget``, 1e-9 (absolute);

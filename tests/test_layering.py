@@ -16,6 +16,8 @@ caught here: every name a module imports must be used in it.
 import ast
 from pathlib import Path
 
+import numpy as np
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slidim"
 
 ALLOWED = {"filippov.fly", "filippov.slide", "bench._landings"}
@@ -59,6 +61,42 @@ def _callers(callee):
 def test_integrate_batch_is_called_only_by_the_flow_helpers():
     callers = _callers("integrate_batch")
     assert sorted(callers) == sorted(ALLOWED), callers
+
+
+def test_flows_pass_the_steppers_of_compiled_fields(monkeypatch):
+    # no lambda is handed to the integrator: fly, slide (both signs) and the
+    # bench shooting each pass the Stepper of one compiled field
+    from slidim import bench, expressions, filippov, odeint
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None)
+                    == "integrate_batch"):
+                assert not isinstance(node.args[0], ast.Lambda), path.stem
+    seen = []
+
+    def record(step, u0, *args, **kwargs):
+        seen.append(step)
+        return odeint.BatchResult(len(u0))
+
+    monkeypatch.setattr(odeint, "integrate_batch", record)
+    sys = filippov.make_system(bench.BENCH_X, bench.BENCH_Y, bench.BENCH_G,
+                               params={"al": 0.4, "be": 1.0, "u1": 0.0, "u2": 0.0})
+    u0 = np.zeros((1, 3))
+    filippov.fly(sys, sys.X, u0, 1.0)
+    filippov.slide(sys, u0, 1.0)
+    filippov.slide(sys, u0, 1.0, sign=-1.0)
+    bench._landings(sys.X, np.zeros((1, 2)), sys.tol)
+    assert all(isinstance(step, odeint.Stepper) for step in seen)
+    assert [step.field for step in seen] == [sys.X, sys.sliding, sys.backward_sliding, sys.X]
+    assert all(isinstance(step.field, expressions.VectorFieldExpr) for step in seen)
+
+
+def test_the_step_has_one_tableau_and_no_tensor_contraction():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    for coefficient in ("35 / 384", "71 / 57600", "19372 / 6561"):
+        assert sum(text.count(coefficient) for text in sources.values()) == 1, coefficient
+    assert "tensordot" not in sources["odeint"]
 
 
 def test_illinois_is_called_only_by_event_localization():

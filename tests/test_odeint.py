@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from slidim import odeint
-from slidim.odeint import EventSpec, integrate_batch
+from slidim.expressions import parse_field
+from slidim.odeint import EventSpec, Stepper, integrate_batch
 
-
-def descent(u):
-    return np.broadcast_to(np.array([0.0, 0.0, -1.0]), u.shape)
-
-
-def harmonic(u):
-    return np.stack([u[:, 1], -u[:, 0], np.zeros(u.shape[0])], axis=1)
+descent = Stepper(parse_field("0, 0, -1"))
+harmonic = Stepper(parse_field("y, -x, 0"))
 
 
 def test_event_localized_below_tolerance():
@@ -32,9 +28,7 @@ def test_harmonic_accuracy_and_winding():
 
 def test_departure_excludes_trivial_root():
     # z(t) = t - t^2/2 starts on the event surface and returns at t = 2
-    def f(u):
-        return np.stack([u[:, 1], -np.ones(u.shape[0]), np.zeros(u.shape[0])], axis=1)
-
+    f = Stepper(parse_field("y, -1, 0"))
     ev = EventSpec(lambda u: u[:, 0])
     res = integrate_batch(f, np.array([[0.0, 1.0, 0.0]]), 10.0, [ev])
     assert res.status[0] == odeint.EVENT
@@ -50,16 +44,37 @@ def test_timeout_and_domain_exit():
 
 
 def test_batch_matches_scalar_runs():
-    # rows evolve independently; only BLAS reduction order may differ by
-    # batch shape, so agreement is to the ulp level
+    # rows evolve independently, and every stage and error sum runs term by
+    # term in a fixed order for each row alone, so a row agrees bit for bit
     ev = EventSpec(lambda u: u[:, 2])
     starts = np.array([[0.0, 0.0, 1.0], [0.2, -0.1, 0.5], [1.0, 2.0, 2.5]])
     batch = integrate_batch(descent, starts, 10.0, [ev])
     for k, u0 in enumerate(starts):
         one = integrate_batch(descent, u0[None, :], 10.0, [ev])
         assert one.steps[0] == batch.steps[k]
-        assert abs(one.t[0] - batch.t[k]) < 1e-13
-        assert np.abs(one.u[0] - batch.u[k]).max() < 1e-13
+        assert one.t[0] == batch.t[k]
+        assert np.array_equal(one.u[0], batch.u[k])
+
+
+def test_rows_are_bit_identical_alone_and_in_a_batch():
+    # x' = 0.7 y, y' = -0.7 x, z' = -0.3 from six start angles to z = 0: the
+    # error estimate is not rounding noise here, so any batch-shape
+    # dependent rounding in it would change the step sizes
+    f = Stepper(parse_field("0.7*y, -0.7*x, -0.3"))
+    ev = EventSpec(lambda u: u[:, 2])
+    angles = np.linspace(0.0, 2 * np.pi, 6, endpoint=False) + 0.3
+    starts = np.column_stack([np.cos(angles), np.sin(angles), np.ones(6)])
+    batch = integrate_batch(f, starts, 10.0, [ev], record=True)
+    assert np.all(batch.status == odeint.EVENT)
+    for k in range(6):
+        one = integrate_batch(f, starts[k:k + 1], 10.0, [ev], record=True)
+        assert one.steps[0] == batch.steps[k]
+        assert one.t[0] == batch.t[k]
+        assert np.array_equal(one.u[0], batch.u[k])
+        assert len(one.samples[0]) == len(batch.samples[k])
+        for (t1, u1), (t2, u2) in zip(one.samples[0], batch.samples[k]):
+            assert t1 == t2
+            assert np.array_equal(u1, u2)
 
 
 def test_same_shape_runs_are_bit_identical():
@@ -71,16 +86,42 @@ def test_same_shape_runs_are_bit_identical():
     assert np.array_equal(a.u, b.u)
 
 
-def test_row_args_carry_per_trajectory_constants():
-    def f(u, args):
-        out = np.zeros_like(u)
-        out[:, 2] = -args[:, 0]
-        return out
+def test_fsal_saves_one_field_evaluation_per_step_and_changes_nothing():
+    # without a projection the last stage of an accepted step is the first
+    # of the next: 6 stage evaluations per step plus the very first; an
+    # identity projection turns FSAL off and must give the same bits
+    field = parse_field("y, -x, 0.1*x*y")
+    evaluations, steps = [], []
 
+    class Counted:
+        varying = field.varying
+
+        def stages(self, x, y, z, params=None):
+            stage = field.stages(x, y, z, params)
+            return lambda *v: evaluations.append(1) or stage(*v)
+
+    stepper = Stepper(Counted())
+
+    def step(*args):
+        steps.append(1)
+        return stepper(*args)
+
+    u0 = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.2]])
+    fsal = integrate_batch(step, u0, 3.0, record=True)
+    assert len(evaluations) == 1 + 6 * len(steps)
+    evaluations.clear()
+    steps.clear()
+    full = integrate_batch(step, u0, 3.0, record=True, project=lambda u: u)
+    assert len(evaluations) == 7 * len(steps)
+    assert np.array_equal(fsal.t, full.t) and np.array_equal(fsal.u, full.u)
+    assert [t for t, _ in fsal.samples[1]] == [t for t, _ in full.samples[1]]
+
+
+def test_row_args_carry_per_trajectory_constants():
+    f = Stepper(parse_field("0, 0, -a", {"a": 0.0}))
     ev = EventSpec(lambda u: u[:, 2])
-    rates = np.array([[1.0], [2.0], [4.0]])
     res = integrate_batch(f, np.tile([0.0, 0.0, 1.0], (3, 1)), 10.0, [ev],
-                          row_args=rates)
+                          row_params={"a": np.array([1.0, 2.0, 4.0])})
     assert np.allclose(res.t, [1.0, 0.5, 0.25], atol=1e-10)
 
 
@@ -126,20 +167,20 @@ def test_row_args_follow_rows_still_refining(monkeypatch):
     # polynomial in t, so z = 0 has a closed-form time per row.  All four
     # crossings are localized together; the linear row converges on the
     # first probe, the others need more, so later probes carry a subset.
-    def f(u, a):
-        seen_args.append(a.copy())
-        out = np.empty_like(u)
-        out[:, 0] = a[:, 0]
-        out[:, 1] = u[:, 0]
-        out[:, 2] = -a[:, 1] - a[:, 2] * u[:, 0] - a[:, 3] * u[:, 1]
-        return out
+    names = ("a0", "a1", "a2", "a3")
+    stepper = Stepper(parse_field("a0, x, -a1 - a2*x - a3*y", dict.fromkeys(names, 0.0)))
+
+    def f(u, h, k1, params):
+        seen_args.append(np.column_stack([params[k] for k in names]))
+        seen_k1.append(k1)
+        return stepper(u, h, k1, params)
 
     args = np.array([[0.0, 1.0, 0.0, 0.0],     # z = 1 - t
                      [1.0, 0.0, 2.0, 0.0],     # z = 1 - t^2
                      [1.0, 0.0, 0.0, 8.0],     # z = 1 - 4 t^3 / 3
                      [1.0, 0.1, 1.5, 0.0]])    # z = 1 - 0.1 t - 0.75 t^2
     t_exact = [1.0, 1.0, 0.75 ** (1 / 3), (-0.1 + np.sqrt(3.01)) / 1.5]
-    probed, seen_args, starts = [], [], []
+    probed, seen_args, seen_k1, starts = [], [], [], []
 
     def z_event(u):
         probed.append(u[:, 2].copy())
@@ -153,21 +194,23 @@ def test_row_args_follow_rows_still_refining(monkeypatch):
     monkeypatch.setattr(odeint, "illinois", marked)
     tol = 1e-12
     res = integrate_batch(f, np.tile([0.0, 0.0, 1.0], (4, 1)), 10.0,
-                          [EventSpec(z_event)], tol_event=tol, row_args=args)
+                          [EventSpec(z_event)], tol_event=tol,
+                          row_params=dict(zip(names, args.T)))
     assert np.all(res.status == odeint.EVENT)
     assert np.allclose(res.t, t_exact, rtol=0, atol=1e-12)
     assert np.all(np.abs(res.u[:, 2]) <= 1e-12)
     [(first_probe, first_rhs)] = starts
     probes = probed[first_probe:]
-    # one Runge-Kutta step (7 field calls) per probe
-    assert len(seen_args) - first_rhs == 7 * len(probes)
-    # each probe's field calls carry the args of exactly the rows whose
+    # one Runge-Kutta step per probe, which starts from the first stage
+    # kept with its bracket (no projection follows, so FSAL holds)
+    assert len(seen_args) - first_rhs == len(probes)
+    assert all(k1 is not None for k1 in seen_k1[first_rhs:])
+    # each probe's step carries the args of exactly the rows whose
     # previous probes stayed above tol, in row order
     live = np.arange(4)
     for k, z in enumerate(probes):
         assert z.size == live.size
-        for a in seen_args[first_rhs + 7 * k:first_rhs + 7 * (k + 1)]:
-            assert np.array_equal(a, args[live])
+        assert np.array_equal(seen_args[first_rhs + k], args[live])
         live = live[np.abs(z) > tol]
     assert len(probes[0]) == 4 and 0 < len(probes[1]) < 4
     # the linear row converges on the first probe and leaves
@@ -225,11 +268,7 @@ def test_domain_exit_on_the_last_step_ends_in_timeout():
 def test_step_fail_keeps_the_last_accepted_state():
     # the field is NaN below z = 0.5, so steps near it are rejected until the
     # step size underflows; the second row ends at its event meanwhile
-    def f(u):
-        out = np.zeros_like(u)
-        out[:, 2] = np.where(u[:, 2] > 0.5, -1.0, np.nan)
-        return out
-
+    f = Stepper(parse_field("0, 0, -1 + 0*log(z - 0.5)"))
     ev = EventSpec(lambda u: u[:, 2] - 0.8 * (u[:, 0] > 0))
     res = integrate_batch(f, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]), 10.0, [ev],
                           record=True)
@@ -242,10 +281,13 @@ def test_step_fail_keeps_the_last_accepted_state():
     assert res.t[1] == pytest.approx(0.2, abs=1e-12)
 
 
-def _drift(u, a):
-    # constant velocity per row: the error estimate is rounding alone, so
-    # every step grows by the factor 5 up to H_MAX whatever the batch
-    return a.copy()
+# constant velocity per row: the error estimate is rounding alone, so
+# every step grows by the factor 5 up to H_MAX whatever the batch
+_drift = Stepper(parse_field("a, b, c", {"a": 0.0, "b": 0.0, "c": 0.0}))
+
+
+def _velocities(vel):
+    return dict(zip("abc", np.asarray(vel, dtype=float).T))
 
 
 # from (1, 0, 1): x - 0.2 y^2 crosses 0 downward; z - 0.5 clipped at 0
@@ -265,7 +307,8 @@ def test_batched_localization_matches_single_rows():
     starts = np.tile([1.0, 0.0, 1.0], (len(vel), 1))
     frame = (np.array([0.0, -0.5, 0.0]), np.eye(3)[0], np.eye(3)[1])
     kw = dict(winding=frame, record=True)
-    batch = integrate_batch(_drift, starts, 4.0, _DRIFT_EVENTS, row_args=vel, **kw)
+    batch = integrate_batch(_drift, starts, 4.0, _DRIFT_EVENTS, row_params=_velocities(vel),
+                            **kw)
     assert list(batch.event) == [0, 0, 1, 0, 1, -1]
     assert batch.status[-1] == odeint.TIMEOUT
     assert len(set(batch.steps)) == len(vel)     # each row ends in its own round
@@ -276,7 +319,7 @@ def test_batched_localization_matches_single_rows():
     assert np.all(batch.winding[:5] > 0.0)
     for k in range(len(vel)):
         one = integrate_batch(_drift, starts[k:k + 1], 4.0, _DRIFT_EVENTS,
-                              row_args=vel[k:k + 1], **kw)
+                              row_params=_velocities(vel[k:k + 1]), **kw)
         assert one.status[0] == batch.status[k]
         assert one.event[0] == batch.event[k]
         assert one.steps[0] == batch.steps[k]
@@ -307,7 +350,7 @@ def test_one_illinois_pass_per_event(monkeypatch):
                            -1.0 / rng.uniform(0.5, 10.0, 50)])
     events = [_DRIFT_EVENTS[0], EventSpec(lambda u: u[:, 2])]
     res = integrate_batch(_drift, np.tile([1.0, 0.0, 1.0], (50, 1)), 20.0, events,
-                          row_args=vel)
+                          row_params=_velocities(vel))
     assert np.all(res.status == odeint.EVENT)
     assert len(set(res.steps)) > 10
     assert len(calls) == 2 and sum(calls) >= res.t.size

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slidim import bench as bench_module
 from slidim import returnmap
 from slidim.cifs import TailModel
 from slidim.errors import (BranchResolutionExceeded, LambdaDisagreement,
@@ -13,6 +14,23 @@ from slidim.returnmap import (Branch, branch_width_lambda,
 
 
 # --- connection certificate (shared pipeline run) ---------------------------------
+
+
+def test_bench_shooting_returns_the_root_of_the_landing_map(bench):
+    # the landing is insensitive to one direction in (u1, u2), so a point
+    # merely within the 1e-10 target can sit ~1e-9 off the root, where the
+    # integrator's rounding puts it; the shooting runs on to the landing's
+    # rounding floor, and one more Newton step from its answer moves
+    # (u1, u2) by that floor over the smaller singular value, ~1e-12
+    v = np.array([bench.u1, bench.u2])
+    d = 1e-6
+    probes = np.array([v, v + [d, 0], v - [d, 0], v + [0, d], v - [0, d]])
+    land, ok, _ = bench_module._landings(bench.system.X, probes, bench.system.tol)
+    assert ok.all()
+    jac = np.column_stack([(land[1] - land[2]) / (2 * d), (land[3] - land[4]) / (2 * d)])
+    step = np.linalg.solve(jac, -land[0])
+    assert np.hypot(*land[0]) < 1e-14
+    assert np.linalg.norm(step) < 2e-11
 
 
 def test_certificate_residual_and_rate(bench, bench_pipeline):
@@ -62,6 +80,39 @@ def test_fold_segment_chart(bench_pipeline):
     ends = fold.point_at(np.array([-1.0, 1.0]))
     assert np.linalg.norm(ends[0] - fold.q) == pytest.approx(fold.r, rel=1e-9)
     assert np.linalg.norm(ends[1] - fold.q) == pytest.approx(fold.r, rel=1e-9)
+
+
+def _coord_of_all_steps(fold, p):
+    """``FoldSegment.coord_of`` with all 40 projection steps, no early exit."""
+    d2 = np.stack([np.einsum("ij,ij->i", p - node, p - node) for node in fold.nodes])
+    s = np.asarray(fold.arcs)[np.argmin(d2, axis=0)]
+    for _ in range(40):
+        c = fold._curve(s)
+        tvec = np.stack([fold._dfx(s), fold._dfy(s), fold._dfz(s)], axis=-1)
+        step = np.sum((p - c) * tvec, axis=-1) / np.sum(tvec * tvec, axis=-1)
+        s = np.clip(s + step, -fold.r, fold.r)
+    overshoot = np.sum((p - fold._curve(s)) * fold._tangent(s), axis=-1)
+    return (s + overshoot) / fold.r
+
+
+def test_fold_coord_stops_once_no_point_moves(bench_pipeline, monkeypatch):
+    # points on the segment and beyond it along the end tangents, as the
+    # sliding orbits' exits are: the rows clipped at -+r never take a step
+    # below 1e-15, so only the no-move exit ends the projection early, with
+    # the same coordinates as all 40 steps
+    fold = bench_pipeline.fold
+    w = np.random.default_rng(11).uniform(-3.0, 3.0, 400)
+    ends = np.clip(w, -1, 1)
+    pts = (fold.point_at(ends) + ((w - ends) * fold.r)[:, None]
+           * fold._tangent(ends * fold.r))
+    full = _coord_of_all_steps(fold, pts)
+    calls = []
+    curve = fold._curve
+    monkeypatch.setattr(fold, "_curve", lambda s: calls.append(1) or curve(s))
+    got = fold.coord_of(pts)
+    assert len(calls) <= 5
+    assert np.array_equal(got, full)
+    assert np.sum(np.abs(got) > 1) > 100
 
 
 def test_fold_chart_derivative_is_arclength_normalized(bench_pipeline):
