@@ -10,10 +10,10 @@ from .bench import BenchConnection, make_bench
 from .cifs import (CantorCertificate, ContractionMap, CoverSet,
                    DimensionReport, IfsSystem, ScaffoldSet, TailModel,
                    attractor_iterate, cantor_certify, check_conditions,
-                   closure_scaffold, dimension_positive, dimension_report,
-                   dimension_sup, equal_ratio_system, make_geometric_model,
-                   middle_thirds, moran_bounds, piecewise_expanding, pressure,
-                   pressure_root, verify_forward_backward, word_intervals)
+                   closure_scaffold, dimension_report, dimension_sup,
+                   equal_ratio_system, make_geometric_model, middle_thirds,
+                   moran_bounds, piecewise_expanding, pressure, pressure_root,
+                   verify_forward_backward, word_intervals)
 from .config import Tolerances
 from .expressions import (ScalarExpr, SwitchingFunction, VectorFieldExpr,
                           parse_expr, parse_field)
@@ -27,8 +27,8 @@ from .pipeline import (forward_backward_check, run_dimension_pipeline,
                        run_fixture_pipeline)
 from .returnmap import (Branch, FoldSegment, ShilnikovCertificate,
                         branch_contractions, branch_width_lambda,
-                        build_fold_segment, enumerate_branches, first_return,
-                        first_return_batch, select_u, theta_x,
-                        validate_inverse_maps, verify_connection)
+                        build_fold_segment, enumerate_branches,
+                        first_return_batch, select_u, validate_inverse_maps,
+                        verify_connection)
 
 __version__ = "0.1.0"

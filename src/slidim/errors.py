@@ -92,14 +92,6 @@ class CurveEscapesDomain(SlidimError):
     """Fold-curve continuation left the domain box."""
 
 
-class HitOutsideSliding(SlidimError):
-    """Flight landed outside the closure of the sliding region."""
-
-
-class SectionMiss(SlidimError):
-    """Sliding orbit left the sliding region without crossing the section."""
-
-
 class BranchResolutionExceeded(SlidimError):
     """Branch width at the noise floor set by residual/event tolerances."""
 
@@ -129,10 +121,6 @@ class ConditionViolated(SlidimError):
 
 class DegenerateSystem(SlidimError):
     """A contraction carries a zero lower derivative bound."""
-
-
-class InsufficientMaps(SlidimError):
-    """Operation needs at least two maps."""
 
 
 class NonMonotone(SlidimError):

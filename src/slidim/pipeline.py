@@ -141,13 +141,14 @@ def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
 
 
 def return_map_fn(system, fold, cert):
-    """Batched first-return callable with the (values, ok) contract."""
+    """Batched first-return callable with the (values, ok) contract: the
+    values are NaN where ``ok`` is False."""
     t_slide_max = 12 * cert.flight_time_scale
 
     def pi(points):
-        vals, _, ok, _ = returnmap.first_return_batch(
+        coord, _, ok = returnmap.first_return_batch(
             system, fold, np.asarray(points, dtype=float), cert.p, t_slide_max)
-        return vals, ok
+        return np.where(ok, coord, np.nan), ok
 
     return pi
 

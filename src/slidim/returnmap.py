@@ -7,12 +7,16 @@ p, and whose X-flight from q lands on p in finite time, the machinery here
 * builds the fold segment through q with its arclength chart onto [-1, 1],
 * certifies the connection (flight residual, backward decay, focus rate),
 * evaluates the first return map pi = (sliding flow back to the section)
-  after (X-flight off the section),
+  after (X-flight off the section) as one contract,
+  ``first_return_batch -> (coord, turns, ok)``: the fold-exit coordinate
+  and focus turns of every orbit that leaves through the fold, and
+  ``ok = |coord| <= 1`` where that exit is on the section,
 * enumerates the branches of Dom(pi) accumulating at q, and
 * realizes each inverse branch psi_J as a Chebyshev series of its own, a
-  contraction map on [-1, 1] fitted to one precise sweep of the branch;
-  the branch boundaries psi_J(-+1) and the derivative bounds come from
-  that series.
+  contraction map on [-1, 1] fitted to one precise sweep of the branch.
+  The branch carries it (``Branch.psi``), so the branch boundaries
+  psi_J(-+1), the derivative bounds and the IFS map all come from that
+  one fit.
 
 Everything expensive is evaluated in batches: each orbit is an X-flight
 (``filippov.fly``) followed by a sliding flow (``filippov.slide``).
@@ -26,11 +30,10 @@ from numpy.polynomial import chebyshev as cheb
 from . import odeint
 from .errors import (BackwardDivergence, BranchResolutionExceeded,
                      ConnectionResidualTooLarge, CurveEscapesDomain,
-                     FoldRegularityLost, HitOutsideSliding, LambdaDisagreement,
-                     NoHit, NotAFocus, NoValidCutoff, SectionMiss)
-from .filippov import (Region, classify_region, find_pseudo_equilibrium, fly,
-                       fold_events, is_visible_fold_regular, slide,
-                       winding_frame)
+                     FoldRegularityLost, LambdaDisagreement, NoHit, NotAFocus,
+                     NoValidCutoff)
+from .filippov import (find_pseudo_equilibrium, fly, fold_events,
+                       is_visible_fold_regular, slide, winding_frame)
 # not called here: perfbench/tracing.py wraps this name in every module that imports it
 from .filippov import manifold_project  # noqa: F401
 
@@ -290,7 +293,6 @@ def verify_connection(sys, p_seed, q_seed):
 
 def check_lambda_agreement(values, rel=0.10):
     """Abort when independent estimates of the focus rate disagree."""
-    values = [v for v in values if v is not None]
     lo, hi = min(values), max(values)
     if hi / lo - 1 > rel:
         raise LambdaDisagreement(f"focus-rate estimates disagree beyond {rel:.0%}: {values}")
@@ -300,60 +302,29 @@ def check_lambda_agreement(values, rel=0.10):
 # --- the first return map -----------------------------------------------------------
 
 
-def theta_x(sys, fold, w):
-    """Flight of X from the chart point w to its first manifold return."""
-    res = fly(sys, sys.X, np.atleast_2d(fold.point_at(w)), FLIGHT_T_MAX)
-    if res.status[0] != odeint.EVENT:
-        raise NoHit("flight found no manifold return")
-    hit = res.u[0]
-    region = classify_region(sys, hit)
-    if region not in (Region.SLIDING,) and not region.is_tangency:
-        raise HitOutsideSliding(f"flight landed in {region}")
-    return hit
-
-
 def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0):
-    """Vectorized pi: chart coords -> (return coord, turns, ok, raw exit coord).
+    """Vectorized pi: chart coords -> (exit coord, turns, ok).
 
-    ``ok`` is False where the orbit misses the section (exits the sliding
-    region elsewhere, or never leaves the focus within the time budget); the
-    raw exit coordinate (linear extension beyond the segment) remains useful
-    for locating branch boundaries.
+    ``coord`` and ``turns`` are set wherever the sliding orbit leaves
+    through the fold, and NaN where it does not (the flight finds no
+    manifold return, or the orbit exits the sliding region elsewhere or
+    never leaves the focus within the time budget).  Beyond the segment
+    ``coord`` is the chart's linear extension, which still places branch
+    ends; ``ok = |coord| <= 1`` marks the returns to the section.
     """
     ws = np.asarray(ws, dtype=float)
     flight = fly(sys, sys.X, fold.point_at(ws), FLIGHT_T_MAX)
-    ok = flight.status == odeint.EVENT
-    n = ws.size
-    out_w = np.full(n, np.nan)
-    exit_s = np.full(n, np.nan)
-    turns = np.full(n, np.nan)
-    if not ok.any():
-        return out_w, turns, ok, exit_s
-
-    idx = np.nonzero(ok)[0]
-    orbit = slide(sys, flight.u[idx], t_slide_max, fold_events(sys), center=center)
-    hit_fold = (orbit.status == odeint.EVENT) & (orbit.event == 0)
-    rows = idx[hit_fold]
-    if rows.size:
-        coords = fold.coord_of(orbit.u[hit_fold])
-        exit_s[rows] = coords
-        turns[rows] = np.abs(orbit.winding[hit_fold]) / (2 * np.pi)
-        inside = np.abs(coords) <= 1.0
-        out_w[rows[inside]] = coords[inside]
-        ok[rows[~inside]] = False
-    ok[idx[~hit_fold]] = False
-    ok &= ~np.isnan(out_w)
-    return out_w, turns, ok, exit_s
-
-
-def first_return(sys, fold, w, center=None):
-    """pi(w): return chart coordinate and the winding count of the orbit."""
-    if center is None:
-        center = find_pseudo_equilibrium(sys, theta_x(sys, fold, 0.0)).point
-    out_w, turns, ok, _ = first_return_batch(sys, fold, np.array([w]), center)
-    if not ok[0]:
-        raise SectionMiss(f"orbit from w = {w} left the sliding region off-section")
-    return float(out_w[0]), float(turns[0])
+    landed = np.nonzero(flight.status == odeint.EVENT)[0]
+    coord = np.full(ws.size, np.nan)
+    turns = np.full(ws.size, np.nan)
+    if landed.size:
+        orbit = slide(sys, flight.u[landed], t_slide_max, fold_events(sys), center=center)
+        hit_fold = (orbit.status == odeint.EVENT) & (orbit.event == 0)
+        rows = landed[hit_fold]
+        if rows.size:
+            coord[rows] = fold.coord_of(orbit.u[hit_fold])
+            turns[rows] = np.abs(orbit.winding[hit_fold]) / (2 * np.pi)
+    return coord, turns, np.abs(coord) <= 1.0
 
 
 # --- branch enumeration ------------------------------------------------------------
@@ -362,15 +333,12 @@ def first_return(sys, fold, w, center=None):
 @dataclass
 class Branch:
     side: str                 # "L" (chart < 0) or "R" (chart > 0)
-    index: int                # i >= 1, increasing toward the fold point
-    winding: int              # c_J = index - 1
+    index: int                # i >= 1, increasing toward the fold point; c_J = i - 1 turns
     interval: tuple           # (lo, hi): the ends psi(-+1), in chart coordinates
     deriv_lo: float           # sampled, not certified: min |psi'| over the grid / SAFETY
     deriv_hi: float           # sampled, not certified: max |psi'| over the grid * SAFETY
-    surjective: bool
     raw_turns: float          # median winding of the scan run
-    samples_w: np.ndarray     # the precise sweep's nodes
-    samples_pi: np.ndarray    # pi (beyond the section: exit coordinate) at samples_w
+    psi: "BranchInverseMap"   # the inverse branch, fitted to the precise sweep
 
     @property
     def width(self):
@@ -399,9 +367,10 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):
 
     The branches are the scan's runs of in-section points; runs clipped by
     the scan window are dropped (this removes the possibly non-surjective
-    outermost components).  A first series psi_0, fitted to a run's scan
-    pairs (pi(w), w), places ``n_samples`` nodes w_j = psi_0(x_j) at the
-    Chebyshev extrema x_j of [-1, 1].  One precise sweep evaluates the
+    outermost components), and a sweep that misses a node raises, so every
+    branch returned maps onto the whole section.  A first series psi_0,
+    fitted to a run's scan pairs (pi(w), w), places ``n_samples`` nodes
+    w_j = psi_0(x_j) at the Chebyshev extrema x_j of [-1, 1].  One precise sweep evaluates the
     nodes of every branch together; its pairs fix the branch's series psi
     (:class:`BranchInverseMap`), whose ends psi(-+1) are the branch
     boundaries.  The sweep must land within ``END_MISS`` of every x_j: at
@@ -409,6 +378,7 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):
     cosh(n sqrt(2 d)), about 2 for the default n = 32, so the ends psi(-+1)
     keep the accuracy of the fit.  |pi'| = 1 / |psi'| at the preimages of
     an interior Chebyshev grid of the branch gives the derivative bounds.
+    Each branch keeps its series as ``Branch.psi``.
     """
     lam = cert.lambda_hat
     cap = noise_floor_imax(lam, fold.r, cert.residual, sys.tol.event)
@@ -422,7 +392,7 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):
     ws = np.concatenate([-mags, mags[::-1]])
     ws.sort()
 
-    ret, turns, ok, _ = first_return_batch(sys, fold, ws, cert.p, t_slide_max)
+    ret, turns, ok = first_return_batch(sys, fold, ws, cert.p, t_slide_max)
 
     runs = []
     for side, sel in (("L", ws < 0), ("R", ws > 0)):
@@ -469,13 +439,12 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):
     # may exit just beyond the section, where its exit coordinate serves
     nodes = np.cos(np.pi * np.arange(n_samples) / (n_samples - 1))
     allw = np.concatenate([psi0(nodes) for *_, psi0 in runs])
-    ret, _, ok, exit_s = first_return_batch(precise(sys), fold, allw, cert.p, t_slide_max)
-    vals = np.where(ok, ret, exit_s)
+    coord, _, _ = first_return_batch(precise(sys), fold, allw, cert.p, t_slide_max)
     # interior Chebyshev-extrema grid of the branch, where |pi'| is estimated
     grid = np.cos(np.pi * np.arange(1, n_samples + 1) / (n_samples + 1))[::-1]
     branches = []
     for (side, index, turn, _), w, x in zip(runs, np.split(allw, len(runs)),
-                                            np.split(vals, len(runs))):
+                                            np.split(coord, len(runs))):
         if not np.isfinite(x).all():
             raise BranchResolutionExceeded(
                 f"{side}{index}: {np.count_nonzero(~np.isfinite(x))} sweep nodes "
@@ -488,10 +457,9 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):
         psi = BranchInverseMap(x, w)
         lo, hi = sorted(psi(np.array([-1.0, 1.0])))
         dpsi = psi.deriv(psi.solve(0.5 * (lo + hi) + 0.5 * (hi - lo) * grid))
-        # surjective: the sweep reached every node of [-1, 1]
-        branches.append(Branch(side, index, index - 1, (float(lo), float(hi)),
+        branches.append(Branch(side, index, (float(lo), float(hi)),
                                float(dpsi.min() / SAFETY), float(dpsi.max() * SAFETY),
-                               True, turn, w, x))
+                               turn, psi))
     branches.sort(key=lambda br: br.interval[0])
     return branches
 
@@ -531,20 +499,20 @@ def branch_width_lambda(branches):
 def select_u(branches, lam, a_hat=None):
     """Smallest index cutoff making the inverse family uniformly summable.
 
-    Requires every branch with index >= i_min to be surjective with
-    contraction bound < 1, and the modeled tail sum
+    Requires every branch with index >= i_min to have contraction bound
+    < 1, and the modeled tail sum
     sum_{i >= i_min, both sides} (a_hat * lam^(i-1))^(-1) < 1.
     """
     if lam <= 1:
         raise NoValidCutoff("focus rate must exceed 1")
     if a_hat is None:
-        a_hat = min(1.0 / (b.deriv_hi * lam ** b.winding) for b in branches)
+        a_hat = min(1.0 / (b.deriv_hi * lam ** (b.index - 1)) for b in branches)
     i_top = max(b.index for b in branches)
     for i_min in range(1, i_top + 1):
         chosen = [b for b in branches if b.index >= i_min]
         if not chosen:
             break
-        if not all(b.surjective and b.deriv_hi < 1 for b in chosen):
+        if not all(b.deriv_hi < 1 for b in chosen):
             continue
         tail = 2.0 * lam ** (-(i_min - 1)) / (a_hat * (1 - 1 / lam))
         if tail < 1:
@@ -563,10 +531,11 @@ class BranchInverseMap:
     least-squares series in x.  The degree is half the pair count:
     interpolating through all the mapped nodes is ill-conditioned.  psi and
     |psi'| are one ``chebval`` each, so a call costs microseconds and no
-    integration.
+    integration.  The fitted pairs stay on the map as ``x`` and ``w``.
     """
 
     def __init__(self, x, w):
+        self.x, self.w = x, w
         self._mid, self._halfwidth = 0.5 * (w.max() + w.min()), 0.5 * (w.max() - w.min())
         self.coef = cheb.chebfit(x, (w - self._mid) / self._halfwidth, w.size // 2)
         self.dcoef = cheb.chebder(self.coef)
@@ -596,9 +565,9 @@ class BranchInverseMap:
 
 
 def branch_contractions(branches):
-    """One BranchInverseMap per branch, in branch order: the series refitted
-    from the branch's sweep pairs, whose ends are its boundaries."""
-    return [BranchInverseMap(b.samples_pi, b.samples_w) for b in branches]
+    """One BranchInverseMap per branch, in branch order: each branch's own
+    series, whose ends are its boundaries."""
+    return [b.psi for b in branches]
 
 
 def validate_inverse_maps(sys, fold, cert, branches, maps):
@@ -606,7 +575,6 @@ def validate_inverse_maps(sys, fold, cert, branches, maps):
     t_slide_max = (max(b.index for b in branches) + SPARE_TURNS) * cert.flight_time_scale
     grid = np.cos(np.pi * (np.arange(N_CHECK) + 0.5) / N_CHECK)
     allw = np.concatenate([m(grid) for m in maps])
-    ret, _, ok, exit_s = first_return_batch(sys, fold, allw, cert.p, t_slide_max)
-    vals = np.where(ok, ret, exit_s)
-    resid = np.abs(vals.reshape(len(maps), -1) - grid[None, :])
+    coord, _, _ = first_return_batch(sys, fold, allw, cert.p, t_slide_max)
+    resid = np.abs(coord.reshape(len(maps), -1) - grid[None, :])
     return resid.max(axis=1)

@@ -56,9 +56,9 @@ class RunConfig:
             raise ConfigError(f"system: {exc}") from exc
 
 
-def bench_config(tol=None):
+def bench_config():
     """The built-in reference configuration (connection closed by shooting)."""
-    b = bench.make_bench(tol=tol)
+    b = bench.make_bench()
     return RunConfig(
         x_src=bench.BENCH_X, y_src=bench.BENCH_Y, g_src=bench.BENCH_G,
         params=dict(b.system.params),

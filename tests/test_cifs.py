@@ -4,8 +4,8 @@ import pytest
 from slidim import cifs
 from slidim.errors import (CertificateFailure, ConditionViolated,
                            DegenerateSystem, EquivalenceFailure,
-                           InsufficientMaps, NoRootInUnitInterval,
-                           ParameterInfeasible, TailDiverges)
+                           NoRootInUnitInterval, ParameterInfeasible,
+                           TailDiverges)
 
 LN2_LN3 = np.log(2) / np.log(3)
 LN3_LN4 = np.log(3) / np.log(4)
@@ -43,27 +43,33 @@ def test_zero_lower_bound_rejected():
         cifs.ContractionMap(lambda x: 0.5 * x, (-0.5, 0.5), 0.0, 0.5, tag="bad")
 
 
+def _two_map_witness(sys_):
+    """log 2 / log(1/b), b the smaller lower bound of the two strongest maps:
+    sum b_i^s >= 2 b^s = 1 there, so the Moran lower bound is at least this."""
+    b = sorted(m.b for m in sys_.maps)[-2]
+    return np.log(2.0) / np.log(1.0 / b)
+
+
 def test_dimension_positive_witness():
-    out = cifs.dimension_positive(cifs.middle_thirds())
-    assert out["lower_bound"] == pytest.approx(LN2_LN3, abs=1e-12)
-    assert not out["capped"]
+    for sys_ in (cifs.middle_thirds(), cifs.make_geometric_model(0.5, 3.0, 1, 6)):
+        lower = cifs.dimension_report(sys_).moran_lower
+        assert 0 < _two_map_witness(sys_) <= lower + 1e-12
+    assert _two_map_witness(cifs.middle_thirds()) == pytest.approx(LN2_LN3, abs=1e-12)
+    assert cifs.dimension_report(cifs.middle_thirds()).moran_lower == \
+        pytest.approx(LN2_LN3, abs=1e-12)
 
 
 def test_dimension_positive_capped_near_one():
-    # claimed lower bounds near 1 push the two-map formula above the
-    # ambient dimension; the report caps at 1 and keeps the raw value
+    # claimed lower bounds near 1 push the two-map witness above the
+    # ambient dimension; the report caps both Moran bounds at 1
     def mk(lo, hi, tag):
         base = cifs._affine_map(lo, hi, tag)
         return cifs.ContractionMap(base.eval, base.image, 0.9, 0.95,
                                    deriv=base.deriv, tag=tag)
-    out = cifs.dimension_positive(cifs.IfsSystem([mk(-1.0, -0.1, "a"),
-                                                  mk(0.1, 1.0, "b")]))
-    assert out["capped"] and out["lower_bound"] == 1.0 and out["raw"] > 1
-
-
-def test_dimension_positive_needs_two_maps():
-    with pytest.raises(InsufficientMaps):
-        cifs.dimension_positive(cifs.IfsSystem([cifs._affine_map(-0.5, 0.0, "x")]))
+    sys_ = cifs.IfsSystem([mk(-1.0, -0.1, "a"), mk(0.1, 1.0, "b")])
+    rep = cifs.dimension_report(sys_)
+    assert _two_map_witness(sys_) > 1
+    assert rep.capped and rep.moran_lower == 1.0 and rep.moran_upper == 1.0
 
 
 def test_dimension_sup_monotone_convergence():
@@ -200,8 +206,9 @@ def test_conditions_pass_on_middle_thirds():
 def test_conditions_overlap_violates_c3():
     maps = [cifs._affine_map(-1.0, 0.1, "a"), cifs._affine_map(0.0, 1.0, "b")]
     with pytest.raises(ConditionViolated) as err:
-        cifs.check_conditions(cifs.IfsSystem(maps, validate=False))
+        cifs.IfsSystem(maps)
     assert err.value.condition == "C3"
+    assert err.value.witness == ("a", "b")
 
 
 def test_conditions_missing_derivative_violates_c4():

@@ -137,6 +137,12 @@ def test_config_errors_exit_one(tmp_path):
     cfg2.write_text(json.dumps(broken))
     r = run_cli("--config", str(cfg2), "--out", str(tmp_path), "classify")
     assert r.returncode == 1
+    # a command-line override is validated like the file's own value
+    cfg3 = tmp_path / "escape.json"
+    cfg3.write_text(json.dumps(ESCAPE_CONFIG))
+    r = run_cli("--config", str(cfg3), "--radius", "-1", "--out", str(tmp_path), "classify")
+    assert r.returncode == 1
+    assert "analysis.r" in r.stderr
 
 
 def test_config_tolerances_reach_the_run(tmp_path):

@@ -37,15 +37,13 @@ def _banded_map(bands, calls=None, shift=0.0, lost=False):
         calls.append(ws.size)
         near = np.argmin(np.maximum(lo - ws, ws - hi), axis=0)   # <= 0 inside
         b_lo, b_hi = lo[near, 0], hi[near, 0]
-        exit_s = 2 * (ws - b_lo) / (b_hi - b_lo) - 1
+        coord = 2 * (ws - b_lo) / (b_hi - b_lo) - 1
         if len(calls) > 1:
-            exit_s += shift
+            coord += shift
             if lost:
-                exit_s[0] = np.nan
-        ok = (np.abs(exit_s) <= 1) & (ws >= b_lo) & (ws <= b_hi)
-        ret = np.where(ok, exit_s, np.nan)
-        turns = np.where(ok, k[near, 0], np.nan)
-        return ret, turns, ok, exit_s
+                coord[0] = np.nan
+        turns = np.where(np.isnan(coord), np.nan, k[near, 0])
+        return coord, turns, np.abs(coord) <= 1
 
     return first_return_batch
 

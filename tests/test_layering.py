@@ -10,7 +10,9 @@ solver: branch boundaries come from the inverse-branch series, not from a
 second root solve on the return map.
 
 The package has no linter, so an import left behind by a deletion is
-caught here: every name a module imports must be used in it.
+caught here: every name a module imports must be used in it.  Likewise
+every public top-level function must have a caller outside the tests,
+unless it is an oracle or a fixture the tests check the package against.
 """
 
 import ast
@@ -18,12 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slidim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "slidim"
 
 ALLOWED = {"filippov.fly", "filippov.slide", "bench._landings"}
 
 # imported but not used: perfbench/tracing.py wraps this name in every module that imports it
 UNUSED_IMPORTS_ALLOWED = {"returnmap.manifold_project"}
+
+# public functions that only the tests call, each with its reason
+TEST_ONLY_ALLOWED = {
+    "filippov.lie_derivative": "oracle of the sliding kernel's Lie derivatives",
+    "cifs.equal_ratio_system": "analytic fixture with a closed-form Moran root",
+}
 
 
 class _Calls(ast.NodeVisitor):
@@ -120,3 +129,36 @@ def test_every_imported_name_is_used():
         if path.stem != "__init__":
             unused |= _unused_imports(path)
     assert unused == UNUSED_IMPORTS_ALLOWED
+
+
+def _names_by_scope(path):
+    """Names a file refers to (names, attributes, and strings, which is how
+    perfbench patches a function), per top-level def; key None: the rest."""
+    scopes = {}
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        names = scopes.setdefault(top.name if isinstance(top, ast.FunctionDef) else None,
+                                  set())
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return scopes
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    others = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    scopes = {path: _names_by_scope(path) for path in modules + others}
+    test_only = set()
+    for home in modules:
+        for name in scopes[home]:
+            if name is None or name.startswith("_"):
+                continue
+            # a function's own body does not count as its caller
+            if not any(name in names for path, by_def in scopes.items()
+                       for key, names in by_def.items() if (path, key) != (home, name)):
+                test_only.add(f"{home.stem}.{name}")
+    assert test_only == set(TEST_ONLY_ALLOWED), test_only

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from slidim import bench as bench_module
-from slidim import returnmap
+from slidim import odeint, returnmap
 from slidim.cifs import TailModel
 from slidim.errors import (BranchResolutionExceeded, LambdaDisagreement,
-                           NoValidCutoff, SectionMiss, SlidimError)
+                           NoValidCutoff, SlidimError)
+from slidim.filippov import Region, classify_region, fly
 from slidim.returnmap import (Branch, branch_width_lambda,
                               build_fold_segment, check_lambda_agreement,
-                              enumerate_branches, first_return,
-                              noise_floor_imax, select_u,
-                              theta_x, verify_connection)
+                              enumerate_branches, first_return_batch,
+                              noise_floor_imax, select_u, verify_connection)
 
 
 # --- connection certificate (shared pipeline run) ---------------------------------
@@ -134,39 +134,52 @@ def test_fold_nodes_are_visible_fold_regular(bench, bench_pipeline):
 # --- flight map and first return -------------------------------------------------------
 
 
-def test_theta_x_lands_on_p_at_center(bench, bench_pipeline):
-    hit = theta_x(bench.system, bench_pipeline.fold, 0.0)
-    assert np.linalg.norm(hit - bench_pipeline.cert.p) < 1e-8
+THETA_WS = np.linspace(-1, 1, 9)
 
 
-def test_theta_x_monotone_ordering(bench, bench_pipeline):
-    fold = bench_pipeline.fold
-    ws = np.linspace(-1, 1, 9)
-    pts = np.array([theta_x(bench.system, fold, w) for w in ws])
-    direction = pts[-1] - pts[0]
+@pytest.fixture(scope="module")
+def theta_x(bench, bench_pipeline):
+    """Theta_X at THETA_WS: one batch of X-flights from the chart to M."""
+    res = fly(bench.system, bench.system.X, bench_pipeline.fold.point_at(THETA_WS),
+              returnmap.FLIGHT_T_MAX)
+    assert np.all(res.status == odeint.EVENT)
+    return res.u
+
+
+def test_theta_x_lands_on_p_at_center(bench_pipeline, theta_x):
+    assert THETA_WS[4] == 0.0
+    assert np.linalg.norm(theta_x[4] - bench_pipeline.cert.p) < 1e-8
+
+
+def test_theta_x_monotone_ordering(bench, theta_x):
+    for hit in theta_x:
+        region = classify_region(bench.system, hit)
+        assert region is Region.SLIDING or region.is_tangency, region
+    direction = theta_x[-1] - theta_x[0]
     direction /= np.linalg.norm(direction)
-    coords = pts @ direction
+    coords = theta_x @ direction
     assert np.all(np.diff(coords) > 0)
 
 
-def test_theta_x_outside_chart(bench, bench_pipeline):
+def test_theta_x_outside_chart(bench_pipeline):
     with pytest.raises(ValueError):
-        theta_x(bench.system, bench_pipeline.fold, 1.5)
+        bench_pipeline.fold.point_at(1.5)
 
 
 def test_first_return_on_branch(bench, bench_pipeline):
     branch = [b for b in bench_pipeline.branches if b.side == "R" and b.index == 1][0]
     w = 0.5 * (branch.interval[0] + branch.interval[1])
-    val, turns = first_return(bench.system, bench_pipeline.fold, w,
-                              center=bench_pipeline.cert.p)
-    assert -1 <= val <= 1
-    assert turns == pytest.approx(branch.raw_turns, abs=0.2)
+    coord, turns, ok = first_return_batch(bench.system, bench_pipeline.fold,
+                                          np.array([w]), bench_pipeline.cert.p)
+    assert ok[0]
+    assert -1 <= coord[0] <= 1
+    assert turns[0] == pytest.approx(branch.raw_turns, abs=0.2)
 
 
 def test_first_return_at_center_misses(bench, bench_pipeline):
-    with pytest.raises(SectionMiss):
-        first_return(bench.system, bench_pipeline.fold, 0.0,
-                     center=bench_pipeline.cert.p)
+    _, _, ok = first_return_batch(bench.system, bench_pipeline.fold,
+                                  np.array([0.0]), bench_pipeline.cert.p)
+    assert not ok[0]
 
 
 # --- branch family -----------------------------------------------------------------------
@@ -196,13 +209,27 @@ def test_branch_bounds_and_expansion(bench_pipeline):
     branches = bench_pipeline.branches
     s = max(b.deriv_hi for b in branches)
     assert 0 < s < 1
-    for b, psi in zip(branches, returnmap.branch_contractions(branches)):
+    for b in branches:
         assert 0 < b.deriv_lo <= b.deriv_hi < 1
-        assert b.surjective
-        assert b.winding == b.index - 1
-        dpi = 1 / psi.deriv(b.samples_pi)
+        # surjective: the precise sweep reached both ends of the section
+        assert b.psi.x.min() <= -1 + returnmap.END_MISS
+        assert b.psi.x.max() >= 1 - returnmap.END_MISS
+        # the windings are consecutive, c_J = index - 1 on top of each side's base
+        base = min(a.raw_turns for a in branches if a.side == b.side)
+        assert abs(b.raw_turns - base - (b.index - 1)) < 0.25
+        dpi = 1 / b.psi.deriv(b.psi.x)
         assert np.all(dpi >= 1 / s)
         assert np.all(dpi > 1)
+
+
+def test_each_ifs_map_is_its_branch_series(bench_pipeline):
+    # one fit per branch: the IFS evaluates the very series the branch carries
+    branches = {f"{b.side}{b.index}": b for b in bench_pipeline.branches}
+    for m in bench_pipeline.ifs.maps:
+        b = branches[m.tag]
+        assert m.eval is b.psi
+        assert m.deriv == b.psi.deriv
+        assert m.image == b.interval
 
 
 def test_inverse_maps_contract_and_compose(bench_pipeline):
@@ -244,8 +271,8 @@ def test_inverse_series_derivative_inverts_sampled_slope(bench, bench_pipeline):
     ws = np.concatenate([np.concatenate([w - d, w + d]) for w, d in zip(grids, steps)])
     t_slide_max = ((max(b.index for _, b in pairs) + returnmap.SPARE_TURNS)
                    * res.cert.flight_time_scale)
-    ret, _, ok, _ = returnmap.first_return_batch(returnmap.precise(bench.system), res.fold,
-                                                 ws, res.cert.p, t_slide_max)
+    ret, _, ok = first_return_batch(returnmap.precise(bench.system), res.fold,
+                                    ws, res.cert.p, t_slide_max)
     assert ok.all()
     for (psi, b), w, d, (lo_v, hi_v) in zip(pairs, grids, steps,
                                             ret.reshape(len(pairs), 2, -1)):
@@ -257,15 +284,14 @@ def test_inverse_series_derivative_inverts_sampled_slope(bench, bench_pipeline):
 # --- index cutoff arithmetic ----------------------------------------------------------------
 
 
-def _dummy_branches(lam, a_hat, i_max, surjective=True):
+def _dummy_branches(lam, a_hat, i_max):
     out = []
     pos = 0.4
     for i in range(1, i_max + 1):
         c = 1.0 / (a_hat * lam ** (i - 1))
         c = min(c, 0.94)
         width = 0.05 * lam ** -(i - 1)
-        out.append(Branch("R", i, i - 1, (pos, pos + width), 0.8 * c, c,
-                          surjective, float(i), np.zeros(1), np.zeros(1)))
+        out.append(Branch("R", i, (pos, pos + width), 0.8 * c, c, float(i), psi=None))
         pos = pos - 2 * width
     return out
 
@@ -292,16 +318,6 @@ def test_select_u_immediate_when_a_large():
 def test_select_u_rejects_subunit_rate():
     with pytest.raises(NoValidCutoff):
         select_u(_dummy_branches(2.0, 1.0, 3), 0.9)
-
-
-def test_select_u_skips_nonsurjective():
-    lam = 23.0
-    branches = _dummy_branches(lam, 30.0, 3)
-    branches[0] = Branch("R", 1, 0, branches[0].interval, branches[0].deriv_lo,
-                         branches[0].deriv_hi, False, 1.0, np.zeros(1),
-                         np.zeros(1))
-    i_min, _ = select_u(branches, lam, a_hat=30.0)
-    assert i_min == 2
 
 
 def test_noise_floor_guard(bench, bench_pipeline):
