@@ -19,8 +19,8 @@ subtree once (common-subexpression elimination) into one (..., 3) array.
 Derivatives come from the parse tree itself: :func:`_diff` differentiates a
 tree symbolically into another tree of the same form (folding the constants
 0 and 1), which is compiled like any parsed expression.  Gradients, Lie
-derivatives Fg = sum_i F_i dg/dx_i and second Lie derivatives F(Fg) are all
-built this way, once per expression.
+derivatives Fg = sum_i F_i dg/dx_i, second Lie derivatives F(Fg) and the
+Newton step onto g = 0 are all built this way, once per expression.
 """
 
 import re
@@ -481,3 +481,18 @@ class SwitchingFunction:
     def _gradient(self):
         return _compile([self.expr.diff(v).tree for v in VARIABLES], self.params,
                         field=True)
+
+    @cached_property
+    def newton_step(self):
+        """One Newton step toward g = 0 along grad g, compiled once: it maps
+        points v (3, ...) to x_i - g / sum_j (dg/dx_j)^2 * dg/dx_i as one
+        fresh (3, ...) array, with the constants 0 and 1 folded (for g = z
+        it is (x, y, 0)).  It is the stage kernel of that map read as a
+        field whose components all vary, so it reads no start values."""
+        grad = [self.expr.diff(v).tree for v in VARIABLES]
+        norm2 = ZERO
+        for d in grad:
+            norm2 = _add(norm2, _mul(d, d))
+        ratio = _div(self.expr.tree, norm2)
+        trees = [_sub(("var", v), _mul(ratio, d)) for v, d in zip(VARIABLES, grad)]
+        return _compile_stages(trees, range(3), self.params)(None, None, None)

@@ -11,7 +11,7 @@ manifold along the visible field.
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (DegenerateTangency, DenominatorVanishes, LeftSlidingRegion,
                      NoConvergence, NonFinite, NonUniqueForward,
                      NotHyperbolic, OffManifold, StepFailure)
 from .expressions import (VARIABLES, ScalarExpr, SwitchingFunction, VectorFieldExpr,
-                          _div, _mul, _neg, _sub, parse_field)
+                          _div, _mul, _neg, _sub, _variables, parse_field)
 
 DEFAULT_DOMAIN = (np.full(3, -50.0), np.full(3, 50.0))
 MAX_NEWTON = 60      # Newton steps of find_pseudo_equilibrium
@@ -224,12 +224,14 @@ def sliding_field(sys, u):
 
 
 def manifold_project(g, u, iterations=2):
-    """Newton steps toward g = 0 along grad g."""
+    """Newton steps toward g = 0 along grad g (``g.newton_step``) from a
+    point (3,) or points (N, 3).  Points (N, 3) come back as the transpose
+    of a (3, N) array, so each coordinate is one contiguous row."""
+    u = np.asarray(u, dtype=float)
+    v = u.reshape(-1, 3).T
     for _ in range(iterations):
-        val, grad = g.value_and_gradient(u)
-        n2 = np.sum(grad * grad, axis=-1)
-        u = u - (val / n2)[..., None] * grad
-    return u
+        v = g.newton_step(v)
+    return v.T.reshape(u.shape)
 
 
 def tangent_basis(grad):
@@ -366,22 +368,28 @@ def slide(sys, u0, t_max, events=(), sign=1.0, center=None, record=False):
     """Flow the sliding field (sign = 1) or its negation (sign = -1) from the
     rows of u0 until an event.
 
-    Drift off M is corrected after each accepted step by one Newton
-    projection along grad g.  With ``center`` given, the rotation of each
-    orbit about it is accumulated (``BatchResult.winding``).
+    Drift off M is corrected after each step by one Newton step along
+    grad g (``manifold_project``, compiled per switching function).  With
+    ``center`` given, the rotation of each orbit about it is accumulated
+    (``BatchResult.winding``).
     """
     field = sys.sliding if sign > 0 else sys.backward_sliding
     return odeint.integrate_batch(
         odeint.Stepper(field), u0, t_max, events,
         rtol=sys.tol.rtol, atol=sys.tol.atol, tol_event=sys.tol.event,
-        project=lambda pts: manifold_project(sys.g, pts, 1),
+        project=partial(manifold_project, sys.g, iterations=1),
         winding=None if center is None else winding_frame(sys, center),
         record=record, domain=sys.domain)
 
 
 def fold_events(sys):
-    """Events Xg = 0 (index 0) and Yg = 0 (index 1): the sliding region's folds."""
-    return [odeint.EventSpec(sys.xg), odeint.EventSpec(sys.yg)]
+    """Events Xg = 0 (index 0) and Yg = 0 (index 1): the sliding region's
+    folds.  Where Yg folds to a constant (Y = (0, 0, 1) on g = z) its event
+    is left out: it can never cross or land."""
+    events = [odeint.EventSpec(sys.xg)]
+    if _variables(sys.yg.expr.tree):
+        events.append(odeint.EventSpec(sys.yg))
+    return events
 
 
 # --- full hybrid trajectories --------------------------------------------------------

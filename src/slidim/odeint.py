@@ -26,6 +26,14 @@ kernel (``VectorFieldExpr.stages``):
 * first same as last (FSAL): where no projection follows a step, the 7th
   stage of an accepted step is the 1st stage of the next one, and the 1st
   stage of a bracketed step is reused by every localization probe.
+
+The states of the running rows stay one (3, n) component array from the
+start of :func:`integrate_batch` to its end.  The step, the projection and
+the event functions get its (n, 3) transpose, whose columns are contiguous
+(they count rows as ``shape[0]``), and hand back points the same way; the
+error norm, the winding angle, the domain test, the state update and the
+compaction of the working set run on its rows.  No round builds a
+row-major (n, 3) array.
 """
 
 import numpy as np
@@ -57,6 +65,7 @@ H_MAX = 0.25           # largest step
 MAX_ROUNDS = 300000    # step attempts before STEPS_EXHAUSTED
 ILLINOIS_MAX_PROBES = 80
 ILLINOIS_WIDTH = 1e-16  # narrowest Illinois bracket on the fraction scale [0, 1]
+_TWO_PI = 2 * np.pi
 
 
 class EventSpec:
@@ -96,12 +105,13 @@ class Stepper:
     ``field`` has a stage kernel ``field.stages(x, y, z, params)`` and the
     indices ``field.varying`` of its m components that change along the
     flow (``expressions.VectorFieldExpr``).  ``step(u, h, k1, params)``
-    takes states ``u`` (N, 3) (fastest when each column is contiguous),
+    takes states ``u`` (N, 3), the transpose of a (3, N) component array as
+    ``integrate_batch`` passes them (any (N, 3) array works, more slowly),
     sizes ``h`` (N,), the 1st stage ``k1`` (m, N) at ``u`` where it is known
     (FSAL; else None) and the per-row parameters (or None).  It returns
-    ``(u_new, err, k1, k7)``: the new states (N, 3) with contiguous columns,
-    the error estimate (3, N) by component (0 for a constant one), and the
-    first and last stages (m, N).
+    ``(u_new, err, k1, k7)``: the new states (N, 3), the transpose of a
+    fresh (3, N) array, the error estimate (3, N) by component (0 for a
+    constant one), and the first and last stages (m, N).
     """
 
     def __init__(self, field):
@@ -137,14 +147,23 @@ class Stepper:
         return u_new.T, err, ks[0], ks[6]
 
 
-def _angles(u, winding):
+def _angles(U, winding):
+    """The angle of each point of the component rows ``U`` (3, N) about the
+    center, in the (e1, e2) frame."""
     center, e1, e2 = winding
-    d = u - center
-    return np.arctan2(d @ e2, d @ e1)
+    d = U - center[:, None]
+    return np.arctan2(e2 @ d, e1 @ d)
 
 
 def _wrap(a):
-    return (a + np.pi) % (2 * np.pi) - np.pi
+    """(a + pi) % (2 pi) - pi for a difference a of two angles in [-pi, pi]
+    (or NaN), bit for bit: over that range the remainder is one subtraction
+    of 2 pi (exact, by Sterbenz's lemma) or one addition."""
+    x = a + np.pi
+    x -= _TWO_PI * (x >= _TWO_PI)
+    x += _TWO_PI * (x < 0.0)
+    x -= np.pi
+    return x
 
 
 def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
@@ -157,23 +176,26 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                  not appear (autonomous systems).
     events     : sequence of EventSpec; first localized crossing terminates.
     project    : optional (M, 3) -> (M, 3) applied after each step
-                 (manifold drift correction); like the event functions it
-                 also sees the end points of rejected steps, which are
-                 dropped.  Without it the last stage of each accepted step
-                 is the first of the next (FSAL).
+                 (manifold drift correction, ``filippov.manifold_project``);
+                 like the event functions it also sees the end points of
+                 rejected steps, which are dropped.  It gets and should
+                 return the transpose of a (3, M) array.  Without it the
+                 last stage of each accepted step is the first of the next
+                 (FSAL).
     winding    : optional (center, e1, e2) accumulating the rotation angle
                  of u around center in the (e1, e2) frame.
     record     : keep per-trajectory (t, u) samples (scalar use only).
     row_params : optional {name: (N,) array} of per-trajectory parameter
                  values, passed to ``step`` with rows aligned.
 
-    The loop steps only the rows still running, kept as contiguous arrays
-    that shrink on the rounds where some row ends.  A row whose accepted
-    step brackets or lands on an event ends there, whatever the crossing
-    fraction turns out to be.  Its bracket is kept, and after the loop one
-    Illinois pass per event localizes all kept crossings together.  The
-    earliest crossing of a row wins, the lower event index on a tie; a
-    landing counts as a crossing at the end of the step.
+    The loop steps only the rows still running, in the component layout
+    of the module docstring; the working set shrinks on the rounds where
+    some row ends.  A row whose accepted step brackets or lands on an event
+    ends there, whatever the crossing fraction turns out to be.  Its
+    bracket is kept, and after the loop one Illinois pass per event
+    localizes all kept crossings together.  The earliest crossing of a row
+    wins, the lower event index on a tie; a landing counts as a crossing at
+    the end of the step.
     """
     u0 = np.array(u0, dtype=float)
     if u0.ndim == 1:
@@ -185,47 +207,48 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
         res.samples = [[(0.0, u0[i].copy())] for i in range(n)]
 
     # the working set: one entry per running row, in row order; the states
-    # are kept column by column (the transpose of a (3, n) array)
+    # are the columns of U (3, n), the event values the columns of (n_ev, n)
     ids = np.arange(n)
-    u = np.ascontiguousarray(u0.T).T
+    U = np.ascontiguousarray(u0.T)
     t = np.zeros(n)
     h = np.full(n, H0)
     t_max = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
     t_end = t_max - np.maximum(1e-14, 1e-14 * t_max)
     steps = np.zeros(n, dtype=int)
-    theta = _angles(u, winding) if winding is not None else np.zeros(n)
+    theta = _angles(U, winding) if winding is not None else np.zeros(n)
     turned = np.zeros(n)
     params = row_params
     fsal = project is None
     k1 = None
+    if domain is not None:
+        lo, hi_box = (np.asarray(b, dtype=float)[:, None] for b in domain)
 
     n_ev = len(events)
-    direction = np.array([ev.direction for ev in events])
+    direction = np.array([ev.direction for ev in events])[:, None]
     either, rising = direction == 0, direction > 0
-    ev_prev = np.zeros((n, n_ev))
-    departed = np.zeros((n, n_ev), dtype=bool)
+    ev_prev = np.empty((n_ev, n))
+    departed = np.empty((n_ev, n), dtype=bool)
     for j, ev in enumerate(events):
-        vals = np.asarray(ev.fn(u), dtype=float)
-        ev_prev[:, j] = vals
-        departed[:, j] = np.abs(vals) > tol_event if ev.require_departure else True
+        ev_prev[j] = ev.fn(U.T)
+        departed[j] = np.abs(ev_prev[j]) > tol_event if ev.require_departure else True
 
     # by row, the step over which a row that ends at an event crossed or
-    # landed on it: start state, size and angle, the event values at both
-    # ends, and which events it crossed or landed on; on FSAL legs also
-    # its first stage (m, n).  Its start time, end point, steps and winding
-    # go to res straight away.
-    bracket = (np.empty((n, 3)), np.empty(n), np.empty(n), np.empty((n, n_ev)),
-               np.empty((n, n_ev)), np.empty((n, n_ev), dtype=bool),
-               np.empty((n, n_ev), dtype=bool))
+    # landed on it: start state (3, n), size and angle, the event values at
+    # both ends, and which events it crossed or landed on (n_ev, n); on FSAL
+    # legs also its first stage (m, n).  Its start time, end point, steps
+    # and winding go to res straight away.
+    bracket = (np.empty((3, n)), np.empty(n), np.empty(n), np.empty((n_ev, n)),
+               np.empty((n_ev, n)), np.empty((n_ev, n), dtype=bool),
+               np.empty((n_ev, n), dtype=bool))
     bracket_k1 = None
     with np.errstate(all="ignore"):
         for _ in range(MAX_ROUNDS):
             if not ids.size:
                 break
             hs = np.minimum(h, t_max - t)
-            u_new, err, k_first, k_last = step(u, hs, k1, params)
+            u_new, err, k_first, k_last = step(U.T, hs, k1, params)
             # RMS over the components; a constant one has error 0 and adds 0
-            q = np.maximum(np.abs(u.T), np.abs(u_new.T))
+            q = np.maximum(np.abs(U), np.abs(u_new.T))
             q *= rtol
             q += atol
             np.divide(err, q, out=q)
@@ -236,83 +259,96 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
             # step-size update (factor clipped to [0.2, 5]; 5 for a zero
             # error); a rejected row retries with its new size, and fails
             # once that underflows
-            fac = 0.9 * errnorm ** -0.2
-            h = np.minimum(hs * np.minimum(np.maximum(fac, 0.2), 5.0), H_MAX)
+            h = errnorm ** -0.2
+            h *= 0.9
+            np.maximum(h, 0.2, out=h)
+            np.minimum(h, 5.0, out=h)
+            h *= hs
+            np.minimum(h, H_MAX, out=h)
             stop = np.where(~accept & (h < 1e-14 * np.maximum(1.0, t)), STEP_FAIL, RUNNING)
 
             ua = u_new if project is None else project(u_new)
+            Ua = ua.T
             hit = None
             if n_ev:
                 vals = np.empty_like(ev_prev)
                 for j, ev in enumerate(events):
-                    vals[:, j] = ev.fn(ua)
-                dep = departed & accept[:, None]
-                crossed = dep & (ev_prev * vals < 0.0) & (either | (rising == (vals > ev_prev)))
+                    vals[j] = ev.fn(ua)
+                # a departed event crossed (changed sign, in its direction)
+                # or landed (|value| <= tol_event) over an accepted step
+                sign_change = ev_prev * vals < 0.0
+                sign_change &= either | (rising == (vals > ev_prev))
                 size = np.abs(vals)
-                landed = dep & (size <= tol_event) & ~crossed
-                hit = (crossed | landed).any(axis=1)
+                met = size <= tol_event
+                met |= sign_change
+                met &= departed
+                met &= accept
+                hit = met.any(axis=0)
                 if hit.any():
                     r = ids[hit]
                     res.status[r] = stop[hit] = EVENT
                     res.t[r], res.u[r], res.steps[r], res.winding[r] = (
                         t[hit], ua[hit], steps[hit], turned[hit])
-                    for kept, x in zip(bracket, (u, hs, theta, ev_prev, vals, crossed,
-                                                 landed)):
-                        kept[r] = x[hit]
+                    met, crossed = met[:, hit], sign_change[:, hit]
+                    for kept, x in zip(bracket, (U[:, hit], hs[hit], theta[hit],
+                                                 ev_prev[:, hit], vals[:, hit],
+                                                 met & crossed, met & ~crossed)):
+                        kept[..., r] = x
                     if fsal:
                         if bracket_k1 is None:
                             bracket_k1 = np.empty((len(k_first), n))
                         bracket_k1[:, r] = k_first[:, hit]
-                departed |= accept[:, None] & (size > tol_event)
-                for j in range(n_ev):
-                    np.copyto(ev_prev[:, j], vals[:, j], where=accept)
+                departed |= accept & (size > tol_event)
+                np.copyto(ev_prev, vals, where=accept)
 
             # every accepted row moves on; the hit rows end below, their
             # results already kept
             if fsal:
                 k1 = np.where(accept, k_last, k_first)
             if winding is not None:
-                th = _angles(ua, winding)
-                turned += np.where(accept, _wrap(th - theta), 0.0)
+                th = _angles(Ua, winding)
+                np.add(turned, _wrap(th - theta), out=turned, where=accept)
                 np.copyto(theta, th, where=accept)
-            np.copyto(u.T, ua.T, where=accept)
+            np.copyto(U, Ua, where=accept)
             np.add(t, hs, out=t, where=accept)
             steps += accept
 
             go = accept if hit is None else accept & ~hit
             if record:
                 for i in np.flatnonzero(go):
-                    res.samples[ids[i]].append((t[i], u[i].copy()))
+                    res.samples[ids[i]].append((t[i], U[:, i].copy()))
             if domain is not None:
-                lo, hi_box = domain
-                out = (ua < lo) | (ua > hi_box)
-                stop[go & out.any(axis=1)] = DOMAIN_EXIT
+                out = Ua < lo
+                out |= Ua > hi_box
+                stop[go & out.any(axis=0)] = DOMAIN_EXIT
             stop[go & (t >= t_end)] = TIMEOUT
 
             if stop.any():
-                _write_out(res, stop, ids, t, u, steps, turned)
+                _write_out(res, stop, ids, t, U, steps, turned)
                 keep = stop == RUNNING
-                u = u.T[:, keep].T
-                ids, t, h, t_max, t_end, steps, theta, turned, ev_prev, departed = (
-                    x[keep] for x in (ids, t, h, t_max, t_end, steps, theta, turned,
-                                      ev_prev, departed))
+                ids, t, h, t_max, t_end, steps, theta, turned = (
+                    x[keep] for x in (ids, t, h, t_max, t_end, steps, theta, turned))
+                # np.compress returns C-contiguous rows; U[:, keep] would not
+                U, ev_prev, departed = (np.compress(keep, x, axis=1)
+                                        for x in (U, ev_prev, departed))
                 params = _rows_of(params, keep)
                 if fsal:
-                    k1 = k1[:, keep]
+                    k1 = np.compress(keep, k1, axis=1)
 
-        _write_out(res, np.full(ids.size, STEPS_EXHAUSTED), ids, t, u, steps, turned)
+        _write_out(res, np.full(ids.size, STEPS_EXHAUSTED), ids, t, U, steps, turned)
         _localize(res, bracket, bracket_k1, step, events, tol_event, project, winding,
                   row_params, record)
     return res
 
 
-def _write_out(res, stop, ids, t, u, steps, turned):
+def _write_out(res, stop, ids, t, U, steps, turned):
     """Write the rows ending with ``stop`` to ``res``, except the EVENT rows:
     _localize writes those."""
     out = (stop != RUNNING) & (stop != EVENT)
     r = ids[out]
     res.status[r] = stop[out]
-    res.t[r], res.u[r], res.steps[r], res.winding[r] = t[out], u[out], steps[out], turned[out]
+    res.t[r], res.u[r], res.steps[r], res.winding[r] = (
+        t[out], U[:, out].T, steps[out], turned[out])
 
 
 def _localize(res, bracket, bracket_k1, step, events, tol_event, project, winding,
@@ -324,22 +360,22 @@ def _localize(res, bracket, bracket_k1, step, events, tol_event, project, windin
     m = ids.size
     if not m:
         return
-    u0, h, theta, prev, vals, crossed, landed = (x[ids] for x in bracket)
-    k1 = None if bracket_k1 is None else bracket_k1[:, ids]
+    u0, h, theta, prev, vals, crossed, landed = (x.take(ids, axis=-1) for x in bracket)
+    k1 = None if bracket_k1 is None else bracket_k1.take(ids, axis=1)
     u1 = res.u[ids]
     hit_event = np.full(m, -1, dtype=int)
     hit_frac = np.full(m, np.inf)
     hit_u = np.empty((m, 3))
     for j, ev in enumerate(events):
-        for kind, mask in (("cross", crossed[:, j]), ("land", landed[:, j])):
+        for kind, mask in (("cross", crossed[j]), ("land", landed[j])):
             if not mask.any():
                 continue
             sub = np.nonzero(mask)[0]
             if kind == "cross":
-                probe = _step_probe(step, project, ev.fn, u0[sub], h[sub],
-                                    None if k1 is None else k1[:, sub],
+                probe = _step_probe(step, project, ev.fn, u0.take(sub, axis=1), h[sub],
+                                    None if k1 is None else k1.take(sub, axis=1),
                                     _rows_of(row_params, ids[sub]))
-                frac, u_land = illinois(probe, prev[sub, j], vals[sub, j], u1[sub],
+                frac, u_land = illinois(probe, prev[j, sub], vals[j, sub], u1[sub],
                                         tol_event)
             else:
                 frac, u_land = np.ones(sub.size), u1[sub]
@@ -352,7 +388,7 @@ def _localize(res, bracket, bracket_k1, step, events, tol_event, project, windin
     res.t[ids] += hit_frac * h
     res.u[ids] = hit_u
     if winding is not None:
-        res.winding[ids] += _wrap(_angles(hit_u, winding) - theta)
+        res.winding[ids] += _wrap(_angles(hit_u.T, winding) - theta)
     if record:
         for i, row in enumerate(ids):
             res.samples[row].append((res.t[row], hit_u[i].copy()))
@@ -364,12 +400,13 @@ def _rows_of(params, idx):
 
 
 def _step_probe(step, project, ev_fn, u0, h, k1, params):
-    """Illinois probe: event and state one (projected) step of x * h from u0,
-    with the first stage k1 (m, rows) where it is known."""
+    """Illinois probe: event and state one (projected) step of x * h from
+    the component rows u0 (3, rows), with the first stage k1 (m, rows)
+    where it is known."""
 
     def probe(live, x):
-        u1 = step(u0[live], x * h[live], None if k1 is None else k1[:, live],
-                  _rows_of(params, live))[0]
+        u1 = step(u0.take(live, axis=1).T, x * h[live],
+                  None if k1 is None else k1.take(live, axis=1), _rows_of(params, live))[0]
         u1 = project(u1) if project is not None else u1
         return ev_fn(u1), u1
 

@@ -7,8 +7,9 @@ from slidim.errors import (DegenerateTangency, DenominatorVanishes, NoConvergenc
 from slidim.filippov import (Mode, Region, TerminalEvent, classify_region,
                              classify_tangency, filippov_trajectory,
                              find_pseudo_equilibrium, fly, fold_events,
-                             lie_derivative, make_system, slide, sliding_field)
-from slidim.expressions import parse_field
+                             lie_derivative, make_system, manifold_project, slide,
+                             sliding_field)
+from slidim.expressions import SwitchingFunction, parse_field
 
 
 def canonical(al=0.3, be=1.0):
@@ -34,6 +35,48 @@ def test_folded_lie_derivatives_keep_the_row_shape():
     for ev in fold_events(s):
         assert ev.fn(pts).shape == (3,)
     assert np.array_equal(s.yyg(pts), np.zeros(3))
+
+
+def test_fold_events_leave_out_a_constant_yg(bench):
+    # Yg = 0 can never cross or land where Yg is a constant: Y = (0, 0, +-1)
+    # on g = z, as on the bench; the fold Xg = 0 stays at index 0
+    for s in (bench.system, canonical(), make_system("x, y, 1", "0, 0, -1", "z")):
+        assert [ev.fn for ev in fold_events(s)] == [s.xg]
+    s = make_system("al*x - be*y, be*x + al*y, x - 1", "0, 0, 1 + 0.5*y", "z",
+                    params={"al": 0.3, "be": 1.0})
+    assert [ev.fn for ev in fold_events(s)] == [s.xg, s.yg]
+    # the orbit from (0.05, 0, 0) leaves through the fold x = 1 at y ~ -1.3,
+    # where Yg = 1 + 0.5 y is still positive
+    res = slide(s, [0.05, 0.0, 0.0], 1e4, fold_events(s))
+    assert res.status[0] == odeint.EVENT and res.event[0] == 0
+    assert res.u[0, 0] == pytest.approx(1.0, abs=1e-9)
+
+
+def _newton_in_numpy(g, u, iterations):
+    """The Newton step toward g = 0 written out in numpy, from the value
+    and the gradient of the switching function."""
+    for _ in range(iterations):
+        val, grad = g.value_and_gradient(u)
+        u = u - (val / np.sum(grad * grad, axis=-1))[..., None] * grad
+    return u
+
+
+@pytest.mark.parametrize("src", ["z", "z - 0.3*x^2 + 0.1*sin(y)", "x^2 + y^2 + z^2 - 1"])
+def test_manifold_project_is_the_compiled_newton_step(src):
+    g = SwitchingFunction(src)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (40, 3))
+    # the integrator's layout: the transpose of a (3, N) component array
+    for u in (pts, np.ascontiguousarray(pts.T).T):
+        for iterations in (1, 2, 4):
+            got = manifold_project(g, u, iterations)
+            assert got.shape == (40, 3)
+            assert all(got[:, j].flags.c_contiguous for j in range(3))
+            assert np.array_equal(got, _newton_in_numpy(g, pts, iterations))
+        assert np.array_equal(manifold_project(g, u), _newton_in_numpy(g, pts, 2))
+    for p in pts[:5]:
+        got = manifold_project(g, p)
+        assert got.shape == (3,) and np.array_equal(got, _newton_in_numpy(g, p, 2))
+        assert np.array_equal(manifold_project(g, p, 3), _newton_in_numpy(g, p, 3))
 
 
 def test_lie_derivative_vanishes_at_fold():

@@ -74,18 +74,20 @@ def test_integrate_batch_is_called_only_by_the_flow_helpers():
 
 def test_flows_pass_the_steppers_of_compiled_fields(monkeypatch):
     # no lambda is handed to the integrator: fly, slide (both signs) and the
-    # bench shooting each pass the Stepper of one compiled field
+    # bench shooting each pass the Stepper of one compiled field, and slide
+    # projects through manifold_project itself
     from slidim import bench, expressions, filippov, odeint
 
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and getattr(node.func, "attr", None)
                     == "integrate_batch"):
-                assert not isinstance(node.args[0], ast.Lambda), path.stem
+                values = node.args + [k.value for k in node.keywords]
+                assert not any(isinstance(v, ast.Lambda) for v in values), path.stem
     seen = []
 
     def record(step, u0, *args, **kwargs):
-        seen.append(step)
+        seen.append((step, kwargs.get("project")))
         return odeint.BatchResult(len(u0))
 
     monkeypatch.setattr(odeint, "integrate_batch", record)
@@ -96,9 +98,54 @@ def test_flows_pass_the_steppers_of_compiled_fields(monkeypatch):
     filippov.slide(sys, u0, 1.0)
     filippov.slide(sys, u0, 1.0, sign=-1.0)
     bench._landings(sys.X, np.zeros((1, 2)), sys.tol)
-    assert all(isinstance(step, odeint.Stepper) for step in seen)
-    assert [step.field for step in seen] == [sys.X, sys.sliding, sys.backward_sliding, sys.X]
-    assert all(isinstance(step.field, expressions.VectorFieldExpr) for step in seen)
+    steps = [step for step, _ in seen]
+    assert all(isinstance(step, odeint.Stepper) for step in steps)
+    assert [step.field for step in steps] == [sys.X, sys.sliding, sys.backward_sliding, sys.X]
+    assert all(isinstance(step.field, expressions.VectorFieldExpr) for step in steps)
+    projections = [project for _, project in seen]
+    assert projections[0] is None and projections[3] is None
+    for project in projections[1:3]:
+        assert project.func is filippov.manifold_project
+        assert project.args == (sys.g,) and project.keywords == {"iterations": 1}
+
+
+def test_flow_callables_get_contiguous_coordinate_columns(monkeypatch):
+    # the integrator keeps its states as one (3, n) component array: the
+    # step, the projection and the events of every flow (the Illinois
+    # probes included) get its (n, 3) transpose, whose columns are contiguous
+    from slidim import bench, filippov, odeint
+
+    integrate_batch = odeint.integrate_batch
+    layouts = []
+
+    def checked(fn):
+        def call(u, *rest):
+            layouts.append(u.ndim == 2 and u.shape[1] == 3
+                           and all(u[:, j].flags.c_contiguous for j in range(3)))
+            return fn(u, *rest)
+        return call
+
+    def record(step, u0, t_max, events=(), project=None, **kwargs):
+        events = [odeint.EventSpec(checked(ev.fn), ev.direction, ev.require_departure)
+                  for ev in events]
+        return integrate_batch(checked(step), u0, t_max, events,
+                               project=None if project is None else checked(project),
+                               **kwargs)
+
+    monkeypatch.setattr(odeint, "integrate_batch", record)
+    sys = filippov.make_system(bench.BENCH_X, bench.BENCH_Y, bench.BENCH_G,
+                               domain=bench.BENCH_DOMAIN,
+                               params={"al": 0.4, "be": 1.0, "u1": 0.0, "u2": 0.0})
+    above = np.array([[1.0, 0.0, 0.2], [0.8, 0.3, 0.4], [0.5, -0.2, 0.3]])
+    landed = filippov.fly(sys, sys.X, above, 20.0)
+    assert (landed.status == odeint.EVENT).all()
+    sliding = np.array([[0.6, 0.1, 0.0], [0.9, -0.1, 0.0], [0.3, 0.4, 0.0]])
+    exits = filippov.slide(sys, sliding, 50.0, filippov.fold_events(sys),
+                           center=np.zeros(3))
+    assert (exits.status == odeint.EVENT).all()
+    filippov.slide(sys, sliding, 1.0, sign=-1.0)
+    bench._landings(sys.X, np.zeros((3, 2)), sys.tol)
+    assert len(layouts) > 100 and all(layouts)
 
 
 def test_the_step_has_one_tableau_and_no_tensor_contraction():

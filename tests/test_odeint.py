@@ -354,3 +354,15 @@ def test_one_illinois_pass_per_event(monkeypatch):
     assert np.all(res.status == odeint.EVENT)
     assert len(set(res.steps)) > 10
     assert len(calls) == 2 and sum(calls) >= res.t.size
+
+
+def test_wrap_is_the_remainder_of_an_angle_difference():
+    # differences of two angles in [-pi, pi], the ends and the wrap points
+    # included: the same bits as the remainder formula
+    rng = np.random.default_rng(9)
+    ends = np.array([np.pi, -np.pi, 0.0, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)])
+    th = np.concatenate([rng.uniform(-np.pi, np.pi, 20000), np.repeat(ends, 5)])
+    th0 = np.concatenate([rng.uniform(-np.pi, np.pi, 20000), np.tile(ends, 5)])
+    a = np.append(th - th0, np.nan)
+    want = (a + np.pi) % (2 * np.pi) - np.pi
+    assert np.array_equal(odeint._wrap(a).view(np.int64), want.view(np.int64))

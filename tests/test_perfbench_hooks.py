@@ -34,9 +34,12 @@ def test_instrument_wraps_and_restores_every_traced_name():
         system.X(pts)
         filippov.sliding_field(system, pts)
         filippov.manifold_project(system.g, pts)
-    # X, then the sliding field's own kernel; the projection's two Newton steps
+        system.g.value_and_gradient(pts)
+    # X, then the sliding field's own kernel; the projection runs its
+    # compiled Newton step, not the gradient
     assert tracer.calls["expressions.field"] == 2
-    assert tracer.count["expressions.grad.rows"] == 2 * 2
+    assert tracer.calls["filippov.manifold_project"] == 1
+    assert tracer.count["expressions.grad.rows"] == 2
     after = (expressions.VectorFieldExpr.__dict__["__call__"],
              expressions.SwitchingFunction.__dict__["value_and_gradient"],
              filippov.manifold_project, returnmap.manifold_project,

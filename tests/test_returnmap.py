@@ -6,7 +6,7 @@ from slidim import odeint, returnmap
 from slidim.cifs import TailModel
 from slidim.errors import (BranchResolutionExceeded, LambdaDisagreement,
                            NoValidCutoff, SlidimError)
-from slidim.filippov import Region, classify_region, fly
+from slidim.filippov import Region, classify_region, fly, slide
 from slidim.returnmap import (Branch, branch_width_lambda,
                               build_fold_segment, check_lambda_agreement,
                               enumerate_branches, first_return_batch,
@@ -180,6 +180,25 @@ def test_first_return_at_center_misses(bench, bench_pipeline):
     _, _, ok = first_return_batch(bench.system, bench_pipeline.fold,
                                   np.array([0.0]), bench_pipeline.cert.p)
     assert not ok[0]
+
+
+def test_first_return_counts_the_fold_exits_event_zero(bench, bench_pipeline, monkeypatch):
+    # the bench's Yg is the constant 1, so Xg = 0 is the only fold event:
+    # every sliding orbit that ends at an event leaves through the fold, and
+    # exactly those rows get an exit coordinate
+    orbits = []
+
+    def spy(*args, **kwargs):
+        orbits.append(slide(*args, **kwargs))
+        return orbits[-1]
+
+    monkeypatch.setattr(returnmap, "slide", spy)
+    coord, turns, _ = first_return_batch(bench.system, bench_pipeline.fold,
+                                         np.linspace(-1.0, 1.0, 8), bench_pipeline.cert.p)
+    (orbit,) = orbits
+    ended = orbit.status == odeint.EVENT
+    assert ended.sum() == 8 and np.array_equal(orbit.event[ended], np.zeros(8))
+    assert np.isfinite(coord).all() and np.isfinite(turns).all()
 
 
 # --- branch family -----------------------------------------------------------------------
