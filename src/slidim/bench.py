@@ -92,8 +92,12 @@ def solve_connection_params(alpha=0.4, beta=1.0, target=1e-10, tol=None):
     landing map to its rounding floor (about 1e-15), whatever path Newton
     took.  The landing is insensitive to one direction in (u1, u2) (smaller
     singular value about 3.5e-4), so the first point within ``target`` is
-    fixed only to about 1e-9, by the path, while the root is fixed to about
-    5e-12.
+    fixed only to about 1e-9, by the path.  The root does not depend on
+    the path, but it is the root of the landing map integrated at ``tol``,
+    so it carries the tableau's truncation error: at the default
+    tolerances u1 = -98.72275981668264 with a Dormand-Prince 5(4) pair and
+    -98.72275993175184 with DOP853, against -98.72275993178165 at rtol
+    1e-13.
     """
     tol = tol or Tolerances()
     field = parse_field(BENCH_X, {"al": alpha, "be": beta, "u1": 0.0, "u2": 0.0})

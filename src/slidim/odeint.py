@@ -1,4 +1,4 @@
-"""Batched embedded Runge-Kutta 5(4) integration with event localization.
+"""Batched embedded Runge-Kutta 8(5,3) integration with event localization.
 
 All flows in the package go through :func:`integrate_batch`.  It advances N
 trajectories simultaneously, each with its own adaptive step size, which is
@@ -9,23 +9,32 @@ crossing fraction of every bracketed step, one batched pass per event.
 Every probe re-integrates one short step from the state at the start of
 the step (no dense output), down to ``|event| <= tol_event``.
 
-The scheme is the Dormand-Prince 5(4) pair; the 5th-order solution is
-propagated.  One routine, :class:`Stepper`, takes every step, on the
-contiguous component arrays of the states and through the field's stage
-kernel (``VectorFieldExpr.stages``):
+The scheme is Dormand and Prince's eighth-order pair DOP853 (Hairer,
+Norsett & Wanner, *Solving Ordinary Differential Equations I*, 2nd ed.
+1993, section II.10).  The 8th-order solution is propagated, and the step
+size follows the combined norm of its 5th- and 3rd-order error estimates.
+One routine, :class:`Stepper`, takes every step, on the contiguous
+component arrays of the states and through the field's stage kernel
+(``VectorFieldExpr.stages``):
 
 * the stage sums run left to right in the tableau's order, term by term,
   for each row alone, so a row's result does not depend on the batch it
   rides in;
-* the 5th-order solution is the argument of the 7th stage (the tableau's
-  last row equals its weights), and the error estimate is summed in the
-  same index order;
+* a step evaluates the field 12 times.  The 13th stage (the field at the
+  new state, which DOP853's dense output uses) is not computed: the error
+  estimates weight only stages 1 and 6-12, so first-same-as-last would
+  save no evaluation.  The 1st stage of a step that brackets an event is
+  reused by every localization probe, which costs 11 evaluations;
 * a component whose field folds to the constant 0 keeps its start value
-  and is not integrated, and the subtrees that use only such components
-  and parameters are evaluated once per step;
-* first same as last (FSAL): where no projection follows a step, the 7th
-  stage of an accepted step is the 1st stage of the next one, and the 1st
-  stage of a bracketed step is reused by every localization probe.
+  and is not integrated, the subtrees that use only such components and
+  parameters are evaluated once per step, and the error norm runs over
+  the other components only;
+* an 8th-order step can be long enough to jump an event's sign change and
+  its return within the same step (a sliding orbit that leaves past the
+  fold and comes back).  So the events are also evaluated at the
+  arguments of stages 6 and 9 (fractions 1/3 and 0.651 of the step), and
+  a step where one of them lies on the other side of both ends is
+  rejected and retried up to that fraction.
 
 The states of the running rows stay one (3, n) component array from the
 start of :func:`integrate_batch` to its end.  The step, the projection and
@@ -38,19 +47,59 @@ row-major (n, 3) array.
 
 import numpy as np
 
-# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6
-# (1980) 19): the stage rows, whose last row is also the 5th-order weights,
-# and the error weights (5th minus 4th order)
+# The DOP853 tableau (Hairer, Norsett & Wanner, loc. cit.; the constants of
+# their code dop853.f): the nodes c, the stage rows and the 8th-order
+# weights b as (stage, coefficient) pairs without the zeros, and the 5th-
+# and 3rd-order error weights.  Every sum below runs over the pairs left
+# to right.
+_C = (0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+      0.118350341907227396726757197510, 0.281649658092772603273242802490,
+      1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7, 1.0)
 _A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2), (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2), (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1), (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2), (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2), (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2), (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2), (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1), (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1), (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1), (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1), (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1), (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1), (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1), (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1), (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654), (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1), (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762), (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449), (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444), (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1), (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258), (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
 )
-_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_B = ((0, 5.42937341165687622380535766363e-2), (5, 4.45031289275240888144113950566),
+      (6, 1.89151789931450038304281599044), (7, -5.8012039600105847814672114227),
+      (8, 3.1116436695781989440891606237e-1), (9, -1.52160949662516078556178806805e-1),
+      (10, 2.01365400804030348374776537501e-1), (11, 4.47106157277725905176885569043e-2))
+_E5 = ((0, 0.1312004499419488073250102996e-1), (5, -0.1225156446376204440720569753e1),
+       (6, -0.4957589496572501915214079952), (7, 0.1664377182454986536961530415e1),
+       (8, -0.3503288487499736816886487290), (9, 0.3341791187130174790297318841),
+       (10, 0.8192320648511571246570742613e-1), (11, -0.2235530786388629525884427845e-1))
+# the 3rd-order weights, nonzero at stages 1, 9 and 12: the 3rd-order
+# estimate is sum b_i k_i minus their sum
+_BHH = ((0, 0.244094488188976377952755905512), (8, 0.733846688281611857341361741547),
+        (11, 0.220588235294117647058823529412e-1))
+# the stages whose arguments are the interior samples of the event guard
+_GUARD_STAGES = (5, 8)
 
 # terminal status codes
 RUNNING = 0
@@ -61,7 +110,10 @@ STEP_FAIL = 4
 STEPS_EXHAUSTED = 5
 
 H0 = 1e-4              # first trial step of every row
-H_MAX = 0.25           # largest step
+# largest step.  It is also the events' safety cap: the guard samples a
+# step at 1/3 and 0.651 of its length, so an excursion of an event to its
+# other side that lasts longer than 0.349 * H_MAX holds a sample
+H_MAX = 0.25
 MAX_ROUNDS = 300000    # step attempts before STEPS_EXHAUSTED
 ILLINOIS_MAX_PROBES = 80
 ILLINOIS_WIDTH = 1e-16  # narrowest Illinois bracket on the fraction scale [0, 1]
@@ -93,14 +145,17 @@ class BatchResult:
         self.samples = None
 
 
-# the same, as (stage, coefficient) pairs without the zeros: every sum
-# below runs over them left to right
-_A_TERMS = tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in _A)
-_ERR_TERMS = tuple((i, c) for i, c in enumerate(_ERR) if c)
+def _combine(terms, ks):
+    """sum c * ks[s] over the (stage, coefficient) pairs, left to right."""
+    (s0, c0), *rest = terms
+    acc = c0 * ks[s0]
+    for s, c in rest:
+        acc += c * ks[s]
+    return acc
 
 
 class Stepper:
-    """One Dormand-Prince 5(4) step of a field, for every row at once.
+    """One DOP853 step of a field, for every row at once.
 
     ``field`` has a stage kernel ``field.stages(x, y, z, params)`` and the
     indices ``field.varying`` of its m components that change along the
@@ -108,10 +163,17 @@ class Stepper:
     takes states ``u`` (N, 3), the transpose of a (3, N) component array as
     ``integrate_batch`` passes them (any (N, 3) array works, more slowly),
     sizes ``h`` (N,), the 1st stage ``k1`` (m, N) at ``u`` where it is known
-    (FSAL; else None) and the per-row parameters (or None).  It returns
-    ``(u_new, err, k1, k7)``: the new states (N, 3), the transpose of a
-    fresh (3, N) array, the error estimate (3, N) by component (0 for a
-    constant one), and the first and last stages (m, N).
+    (else None) and the per-row parameters (or None).  It returns
+    ``(u_new, k1, inner, err)``:
+
+    * the new states (N, 3), the transpose of a fresh (3, N) array;
+    * the 1st stage (m, N);
+    * the states (N, 3) at the arguments of the stages ``_GUARD_STAGES``,
+      transposes of (3, N) arrays, for the event guard;
+    * ``(y0, y1, e5, e3)``: the m varying components at the start and the
+      end of the step and their 5th- and 3rd-order error estimates, not
+      yet multiplied by h, each (m, N).  A constant component has error 0
+      and is left out.
     """
 
     def __init__(self, field):
@@ -119,32 +181,69 @@ class Stepper:
         self._rows = list(field.varying)
         self._constant = [j for j in range(3) if j not in field.varying]
 
+    def _state(self, ut, v):
+        """The (3, N) states whose varying components are ``v`` (m, N) and
+        whose constant ones are those of ``ut``."""
+        if not self._constant:
+            return v
+        out = np.empty((3, v.shape[1]))
+        out[self._rows] = v
+        for j in self._constant:
+            out[j] = ut[j]
+        return out
+
     def __call__(self, u, h, k1, params):
         ut = u.T
         stage = self.field.stages(ut[0], ut[1], ut[2], params)
         start = ut[self._rows]
         ks = [stage(start) if k1 is None else k1]
-        for terms in _A_TERMS[1:]:
-            (s0, c0), *rest = terms
-            acc = c0 * ks[s0]
-            for s, c in rest:
-                acc += c * ks[s]
+        inner = []
+        for i, terms in enumerate(_A[1:], 1):
+            acc = _combine(terms, ks)
             acc *= h
             acc += start
+            if i in _GUARD_STAGES:
+                inner.append(self._state(ut, acc).T)
             ks.append(stage(acc))
-        u_new = np.empty((3, len(h)))
-        u_new[self._rows] = acc     # the 7th stage's argument
-        for j in self._constant:
-            u_new[j] = ut[j]
-        (s0, c0), *rest = _ERR_TERMS
-        err = c0 * ks[s0]
-        for s, c in rest:
-            err += c * ks[s]
-        err *= h
-        if self._constant:
-            err, e = np.zeros((3, len(h))), err
-            err[self._rows] = e
-        return u_new.T, err, ks[0], ks[6]
+        end = _combine(_B, ks)
+        e3 = end - _combine(_BHH, ks)
+        end *= h
+        end += start
+        return (self._state(ut, end).T, ks[0], inner,
+                (start, end, _combine(_E5, ks), e3))
+
+
+def _error_norm(err, h, rtol, atol):
+    """The DOP853 error norm of steps of sizes ``h`` (Hairer, Norsett &
+    Wanner, loc. cit.): with the scaled estimates s_j = e_j / (atol + rtol
+    max(|y0_j|, |y1_j|)) of ``err = (y0, y1, e5, e3)``,
+
+        h * S5 / sqrt(3 (S5 + S3 / 100)),   S = sum over components of s^2,
+
+    over the 3 components of a state; a constant one adds 0.  NaN (a non-
+    finite field value) becomes inf."""
+    y0, y1, e5, e3 = err
+    sk = np.abs(y0)
+    np.maximum(sk, np.abs(y1), out=sk)
+    sk *= rtol
+    sk += atol
+    sums = []
+    for e in (e5, e3):
+        e /= sk
+        e *= e
+        total = e[0].copy()
+        for row in e[1:]:
+            total += row
+        sums.append(total)
+    s5, s3 = sums
+    s3 *= 0.01
+    s3 += s5
+    s3 += s3 == 0.0         # both estimates 0: the norm is 0, not 0 / 0
+    s3 *= 3.0
+    np.sqrt(s3, out=s3)
+    s5 *= h
+    s5 /= s3
+    return np.fmin(s5, np.inf)
 
 
 def _angles(U, winding):
@@ -179,9 +278,7 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                  (manifold drift correction, ``filippov.manifold_project``);
                  like the event functions it also sees the end points of
                  rejected steps, which are dropped.  It gets and should
-                 return the transpose of a (3, M) array.  Without it the
-                 last stage of each accepted step is the first of the next
-                 (FSAL).
+                 return the transpose of a (3, M) array.
     winding    : optional (center, e1, e2) accumulating the rotation angle
                  of u around center in the (e1, e2) frame.
     record     : keep per-trajectory (t, u) samples (scalar use only).
@@ -218,8 +315,6 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
     theta = _angles(U, winding) if winding is not None else np.zeros(n)
     turned = np.zeros(n)
     params = row_params
-    fsal = project is None
-    k1 = None
     if domain is not None:
         lo, hi_box = (np.asarray(b, dtype=float)[:, None] for b in domain)
 
@@ -234,9 +329,9 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
 
     # by row, the step over which a row that ends at an event crossed or
     # landed on it: start state (3, n), size and angle, the event values at
-    # both ends, and which events it crossed or landed on (n_ev, n); on FSAL
-    # legs also its first stage (m, n).  Its start time, end point, steps
-    # and winding go to res straight away.
+    # both ends, and which events it crossed or landed on (n_ev, n); and its
+    # first stage (m, n).  Its start time, end point, steps and winding go
+    # to res straight away.
     bracket = (np.empty((3, n)), np.empty(n), np.empty(n), np.empty((n_ev, n)),
                np.empty((n_ev, n)), np.empty((n_ev, n), dtype=bool),
                np.empty((n_ev, n), dtype=bool))
@@ -246,34 +341,46 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
             if not ids.size:
                 break
             hs = np.minimum(h, t_max - t)
-            u_new, err, k_first, k_last = step(U.T, hs, k1, params)
-            # RMS over the components; a constant one has error 0 and adds 0
-            q = np.maximum(np.abs(U), np.abs(u_new.T))
-            q *= rtol
-            q += atol
-            np.divide(err, q, out=q)
-            q *= q
-            errnorm = np.fmin(np.sqrt((q[0] + q[1] + q[2]) / 3), np.inf)  # NaN -> inf
+            u_new, k_first, inner, err = step(U.T, hs, None, params)
+            errnorm = _error_norm(err, hs, rtol, atol)
             accept = errnorm <= 1.0
 
             # step-size update (factor clipped to [0.2, 5]; 5 for a zero
-            # error); a rejected row retries with its new size, and fails
-            # once that underflows
-            h = errnorm ** -0.2
+            # error); a rejected row retries with its new size
+            h = errnorm ** -0.125
             h *= 0.9
             np.maximum(h, 0.2, out=h)
             np.minimum(h, 5.0, out=h)
             h *= hs
             np.minimum(h, H_MAX, out=h)
-            stop = np.where(~accept & (h < 1e-14 * np.maximum(1.0, t)), STEP_FAIL, RUNNING)
 
             ua = u_new if project is None else project(u_new)
             Ua = ua.T
-            hit = None
             if n_ev:
                 vals = np.empty_like(ev_prev)
                 for j, ev in enumerate(events):
                     vals[j] = ev.fn(ua)
+                # the guard: a departed event whose value at an interior
+                # sample lies beyond tol_event on the other side of both
+                # ends crossed twice or more; the step is retried up to
+                # the fraction of the first such sample
+                inside = np.empty_like(ev_prev)
+                for i, state in zip(_GUARD_STAGES, inner):
+                    for j, ev in enumerate(events):
+                        inside[j] = ev.fn(state)
+                    jumped = np.abs(inside) > tol_event
+                    jumped &= inside * ev_prev < 0.0
+                    jumped &= inside * vals < 0.0
+                    jumped &= departed
+                    jumped = jumped.any(axis=0)
+                    jumped &= accept
+                    accept &= ~jumped
+                    np.minimum(h, _C[i] * hs, out=h, where=jumped)
+            # a rejected row fails once its step size underflows
+            stop = np.where(~accept & (h < 1e-14 * np.maximum(1.0, t)), STEP_FAIL, RUNNING)
+
+            hit = None
+            if n_ev:
                 # a departed event crossed (changed sign, in its direction)
                 # or landed (|value| <= tol_event) over an accepted step
                 sign_change = ev_prev * vals < 0.0
@@ -294,17 +401,14 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                                                  ev_prev[:, hit], vals[:, hit],
                                                  met & crossed, met & ~crossed)):
                         kept[..., r] = x
-                    if fsal:
-                        if bracket_k1 is None:
-                            bracket_k1 = np.empty((len(k_first), n))
-                        bracket_k1[:, r] = k_first[:, hit]
+                    if bracket_k1 is None:
+                        bracket_k1 = np.empty((len(k_first), n))
+                    bracket_k1[:, r] = k_first[:, hit]
                 departed |= accept & (size > tol_event)
                 np.copyto(ev_prev, vals, where=accept)
 
             # every accepted row moves on; the hit rows end below, their
             # results already kept
-            if fsal:
-                k1 = np.where(accept, k_last, k_first)
             if winding is not None:
                 th = _angles(Ua, winding)
                 np.add(turned, _wrap(th - theta), out=turned, where=accept)
@@ -332,8 +436,6 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                 U, ev_prev, departed = (np.compress(keep, x, axis=1)
                                         for x in (U, ev_prev, departed))
                 params = _rows_of(params, keep)
-                if fsal:
-                    k1 = np.compress(keep, k1, axis=1)
 
         _write_out(res, np.full(ids.size, STEPS_EXHAUSTED), ids, t, U, steps, turned)
         _localize(res, bracket, bracket_k1, step, events, tol_event, project, winding,
@@ -361,7 +463,7 @@ def _localize(res, bracket, bracket_k1, step, events, tol_event, project, windin
     if not m:
         return
     u0, h, theta, prev, vals, crossed, landed = (x.take(ids, axis=-1) for x in bracket)
-    k1 = None if bracket_k1 is None else bracket_k1.take(ids, axis=1)
+    k1 = bracket_k1.take(ids, axis=1)
     u1 = res.u[ids]
     hit_event = np.full(m, -1, dtype=int)
     hit_frac = np.full(m, np.inf)
@@ -373,8 +475,7 @@ def _localize(res, bracket, bracket_k1, step, events, tol_event, project, windin
             sub = np.nonzero(mask)[0]
             if kind == "cross":
                 probe = _step_probe(step, project, ev.fn, u0.take(sub, axis=1), h[sub],
-                                    None if k1 is None else k1.take(sub, axis=1),
-                                    _rows_of(row_params, ids[sub]))
+                                    k1.take(sub, axis=1), _rows_of(row_params, ids[sub]))
                 frac, u_land = illinois(probe, prev[j, sub], vals[j, sub], u1[sub],
                                         tol_event)
             else:
@@ -401,12 +502,11 @@ def _rows_of(params, idx):
 
 def _step_probe(step, project, ev_fn, u0, h, k1, params):
     """Illinois probe: event and state one (projected) step of x * h from
-    the component rows u0 (3, rows), with the first stage k1 (m, rows)
-    where it is known."""
+    the component rows u0 (3, rows), with their first stage k1 (m, rows)."""
 
     def probe(live, x):
-        u1 = step(u0.take(live, axis=1).T, x * h[live],
-                  None if k1 is None else k1.take(live, axis=1), _rows_of(params, live))[0]
+        u1 = step(u0.take(live, axis=1).T, x * h[live], k1.take(live, axis=1),
+                  _rows_of(params, live))[0]
         u1 = project(u1) if project is not None else u1
         return ev_fn(u1), u1
 

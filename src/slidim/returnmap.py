@@ -308,13 +308,18 @@ def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0):
     ``coord`` and ``turns`` are set wherever the sliding orbit leaves
     through the fold, and NaN where it does not (the flight finds no
     manifold return, or the orbit exits the sliding region elsewhere or
-    never leaves the focus within the time budget).  Beyond the segment
+    never leaves the focus within the time budget).  The chart's center
+    w = 0 is q, whose flight is the connection: it lands on the focus and
+    stays, so pi is not defined there and its row is NaN without a
+    sliding flow (numerically the flight lands within the connection
+    residual of the focus, and the orbit would leave after a number of
+    turns set by that residual's rounding).  Beyond the segment
     ``coord`` is the chart's linear extension, which still places branch
     ends; ``ok = |coord| <= 1`` marks the returns to the section.
     """
     ws = np.asarray(ws, dtype=float)
     flight = fly(sys, sys.X, fold.point_at(ws), FLIGHT_T_MAX)
-    landed = np.nonzero(flight.status == odeint.EVENT)[0]
+    landed = np.nonzero((flight.status == odeint.EVENT) & (ws != 0.0))[0]
     coord = np.full(ws.size, np.nan)
     turns = np.full(ws.size, np.nan)
     if landed.size:
@@ -350,13 +355,15 @@ def noise_floor_imax(lam, r, residual, tol_event):
     return int(np.floor(np.log(r / (10 * floor)) / np.log(lam)))
 
 
-def precise(sys, rtol=1e-12, atol=1e-17, event=1e-14):
+def precise(sys, rtol=1e-13, atol=1e-18, event=1e-14):
     """Copy of the system with tightened integration control.
 
     The branch sweep and round-trip validation need the orbit accuracy
     (in particular, the flight-landing slop set by the event tolerance is
     amplified by the spiral on deep branches), while bulk scans do not; the
-    pipeline keeps the defaults everywhere else.
+    pipeline keeps the defaults everywhere else.  With DOP853 steps, rtol
+    1e-12 / atol 1e-17 left the default pipeline's round trip at 5.1e-10,
+    half its 1e-9 budget; 1e-13 / 1e-18 gives 1.0e-10.
     """
     from dataclasses import replace
     return replace(sys, tol=sys.tol.updated(rtol=rtol, atol=atol, event=event))

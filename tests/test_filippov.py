@@ -321,6 +321,32 @@ def test_flow_sliding_reaches_fold():
     assert res.u[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_slide_reports_the_first_fold_exit_of_the_bench_spiral(bench):
+    # On M the bench's sliding orbits are the exact spirals rho(theta) =
+    # rho0 exp((al/be)(theta - theta0)), al/be = 0.4, and they leave the
+    # sliding region x < 1 through the fold x = 1.  Each start lies
+    # Delta back along the spiral through the exit (1, y*): before that
+    # exit rho cos(theta) < 1 (it rises toward the exit, and one turn
+    # earlier rho is 12 times smaller), so the first crossing is at y*
+    # after Delta / 2 pi turns.  Beyond the fold the spiral comes back
+    # across x = 1 within 0.26 time units at y* = 0.25 and 0.09 at 0.35
+    # (it touches x = 1 at y = 0.4), so a step that spans the excursion
+    # sees no sign change at its ends.
+    rng = np.random.default_rng(1)
+    y_exit = np.linspace(0.2, 0.35, 400)
+    delta = 2 * np.pi * rng.uniform(0.3, 2.0, y_exit.size)
+    theta0 = np.arctan(y_exit) - delta
+    rho0 = np.hypot(1.0, y_exit) * np.exp(-0.4 * delta)
+    u0 = np.column_stack([rho0 * np.cos(theta0), rho0 * np.sin(theta0),
+                          np.zeros(y_exit.size)])
+    s = bench.system
+    res = slide(s, u0, 200.0, fold_events(s), center=np.zeros(3))
+    assert np.all((res.status == odeint.EVENT) & (res.event == 0))
+    assert np.abs(res.u[:, 0] - 1.0).max() < 1e-9
+    assert np.abs(res.u[:, 1] - y_exit).max() < 1e-8
+    assert np.abs(res.winding - delta).max() < 1e-8
+
+
 def test_flow_sliding_time_reversal():
     s = canonical()
     start = np.array([0.3, 0.1, 0.0])

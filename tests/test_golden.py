@@ -2,17 +2,21 @@
 
 ``golden/bench_report.json`` holds ``golden_values`` of the session
 ``bench_pipeline``: ``make_bench()`` and ``run_dimension_pipeline`` at their
-defaults (i_max 3, n_scan 3000).  The golden values were written by an
-earlier design that solved for the branch boundaries (roots of
+defaults (i_max 3, n_scan 3000).  After a deliberate change of the numbers,
+rewrite it with ``PYTHONPATH=src python tests/test_golden.py``, which first
+prints each field's |delta| against its budget.  The budgets below were
+set for an earlier design that solved for the branch boundaries (roots of
 |exit_s| - 1) and measured |pi'| by finite differences; the pipeline now
-takes both from the fitted inverse series psi.  They were written at the
-connection of today's shooting, the root of the landing map (see
-``bench.solve_connection_params``), which both designs reach to 5e-12 in
-(u1, u2) whatever the integrator's rounding.  The first point within the
-landing target, which the shooting used to return, depends on the
-rounding by about 1e-9 and moves branch L3's boundaries by about 1e-8 W,
-ten times their budget below.  No tolerance is a free
-choice; each one follows from a budget the pipeline itself states:
+takes both from the fitted inverse series psi, and the values were last
+written by it.  They are written at the connection of today's shooting, the root of the landing map as integrated
+at the default tolerances (see ``bench.solve_connection_params``).  That
+root carries the tableau's truncation error: going from a 5(4) pair to
+DOP853 moved u1 by 1.2e-7 and the branch boundaries by 2.9e-9 W (L1) to
+4.2e-7 W (L3), far beyond their budget below, while at one shared
+connection the two tableaus agree within 1.7e-9 W.  So the values are
+refrozen with a change of tableau, after ``python tests/test_golden.py``
+has printed every field's move against its budget.  No tolerance is a
+free choice; each one follows from a budget the pipeline itself states:
 
 * round trip: the pipeline's ``roundtrip_budget``, 1e-9 (absolute);
 * branch boundaries: 1e-9 of the branch width W, the golden solver's own
@@ -97,46 +101,74 @@ def _rel(got, want):
     return abs(got - want) / abs(want)
 
 
+def budget_table(got, want):
+    """{field: (|delta|, budget)} for every frozen number, relative where
+    the field's name ends in ``(rel)``; each budget is derived above."""
+    table = {}
+    for g, w in zip(got["branches"], want["branches"]):
+        name = f"{w['side']}{w['index']}"
+        width = w["hi"] - w["lo"]
+        for end in ("lo", "hi"):
+            table[f"{name}.{end}"] = (abs(g[end] - w[end]), BOUNDARY_REL * width)
+        for key in ("deriv_lo", "deriv_hi"):
+            table[f"{name}.{key} (rel)"] = (_rel(g[key], w[key]), _deriv_rel(w))
+    lam_got, lam_want = got["lambda_estimates"], want["lambda_estimates"]
+    for key, budget in (("eigenvalue", LAMBDA_HAT_REL), ("backward_decay", LAMBDA_DECAY_REL),
+                        ("branch_widths", LAMBDA_WIDTHS_REL)):
+        table[f"lambda_estimates.{key} (rel)"] = (_rel(lam_got[key], lam_want[key]), budget)
+    deriv = max(_deriv_rel(b) for b in want["branches"])
+    a_rel = deriv + 2 * LAMBDA_HAT_REL
+    table["a_hat (rel)"] = (_rel(got["a_hat"], want["a_hat"]), a_rel)
+    b_max = max(b["deriv_lo"] for b in want["branches"])
+    c_max = max(b["deriv_hi"] for b in want["branches"])
+    s, t = want["moran_lower"], want["moran_upper"]
+    table["moran_lower"] = (abs(got["moran_lower"] - s),
+                            s * deriv / np.log(1 / b_max) + ROOT_RESIDUAL)
+    table["moran_upper"] = (abs(got["moran_upper"] - t),
+                            t * max(deriv, a_rel + 5 * LAMBDA_HAT_REL) / np.log(1 / c_max)
+                            + ROOT_RESIDUAL)
+    table["box_slope"] = (abs(got["box_slope"] - want["box_slope"]), BOX_SLOPE_ABS)
+    table["roundtrip_max"] = (abs(got["roundtrip_max"] - want["roundtrip_max"]),
+                              ROUNDTRIP_BUDGET)
+    return table
+
+
+def _within(pair, prefixes):
+    for name, (delta, budget) in budget_table(*pair).items():
+        if name.startswith(prefixes):
+            assert delta <= budget, (name, delta, budget)
+
+
 def test_branch_table(pair):
     got, want = pair
     assert [(b["side"], b["index"]) for b in got["branches"]] == \
         [(b["side"], b["index"]) for b in want["branches"]]
     assert len(got["branches"]) == 6
     assert got["i_min"] == want["i_min"]
-    for g, w in zip(got["branches"], want["branches"]):
-        width = w["hi"] - w["lo"]
-        assert abs(g["lo"] - w["lo"]) <= BOUNDARY_REL * width, g
-        assert abs(g["hi"] - w["hi"]) <= BOUNDARY_REL * width, g
-        rel = _deriv_rel(w)
-        assert _rel(g["deriv_lo"], w["deriv_lo"]) <= rel, g
-        assert _rel(g["deriv_hi"], w["deriv_hi"]) <= rel, g
+    _within(pair, ("L", "R"))
 
 
 def test_rates_and_cutoff(pair):
-    got, want = pair
-    lam_got, lam_want = got["lambda_estimates"], want["lambda_estimates"]
-    assert _rel(lam_got["eigenvalue"], lam_want["eigenvalue"]) <= LAMBDA_HAT_REL
-    assert _rel(lam_got["backward_decay"], lam_want["backward_decay"]) <= LAMBDA_DECAY_REL
-    assert _rel(lam_got["branch_widths"], lam_want["branch_widths"]) <= LAMBDA_WIDTHS_REL
-    deriv = max(_deriv_rel(b) for b in want["branches"])
-    assert _rel(got["a_hat"], want["a_hat"]) <= deriv + 2 * LAMBDA_HAT_REL
+    _within(pair, ("lambda_estimates.", "a_hat"))
 
 
 def test_moran_bracket(pair):
-    got, want = pair
-    deriv = max(_deriv_rel(b) for b in want["branches"])
-    a_rel = deriv + 2 * LAMBDA_HAT_REL
-    b_max = max(b["deriv_lo"] for b in want["branches"])
-    c_max = max(b["deriv_hi"] for b in want["branches"])
-    s, t = want["moran_lower"], want["moran_upper"]
-    tol_s = s * deriv / np.log(1 / b_max) + ROOT_RESIDUAL
-    tol_t = t * max(deriv, a_rel + 5 * LAMBDA_HAT_REL) / np.log(1 / c_max) + ROOT_RESIDUAL
-    assert abs(got["moran_lower"] - s) <= tol_s
-    assert abs(got["moran_upper"] - t) <= tol_t
+    _within(pair, ("moran_",))
 
 
 def test_box_slope_and_round_trip(pair):
-    got, want = pair
-    assert abs(got["box_slope"] - want["box_slope"]) <= BOX_SLOPE_ABS
+    got, _ = pair
     assert got["roundtrip_max"] <= ROUNDTRIP_BUDGET
-    assert abs(got["roundtrip_max"] - want["roundtrip_max"]) <= ROUNDTRIP_BUDGET
+    _within(pair, ("box_slope", "roundtrip_max"))
+
+
+if __name__ == "__main__":
+    from slidim.bench import make_bench
+    from slidim.pipeline import run_dimension_pipeline
+
+    bench = make_bench()
+    got = golden_values(run_dimension_pipeline(bench.system, bench.p_seed, bench.q_seed))
+    for name, (delta, budget) in budget_table(got, json.loads(GOLDEN.read_text())).items():
+        print(f"{name:38s} |delta| {delta:.3e}  budget {budget:.3e}"
+              f"  {delta / budget:8.3f} of it")
+    GOLDEN.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")

@@ -86,10 +86,10 @@ def test_same_shape_runs_are_bit_identical():
     assert np.array_equal(a.u, b.u)
 
 
-def test_fsal_saves_one_field_evaluation_per_step_and_changes_nothing():
-    # without a projection the last stage of an accepted step is the first
-    # of the next: 6 stage evaluations per step plus the very first; an
-    # identity projection turns FSAL off and must give the same bits
+def test_a_step_evaluates_the_field_12_times_and_a_probe_11():
+    # DOP853's 13th stage is not computed, with or without a projection
+    # (the identity projection must give the same bits); every
+    # localization probe reuses the 1st stage of its bracketing step
     field = parse_field("y, -x, 0.1*x*y")
     evaluations, steps = [], []
 
@@ -102,19 +102,65 @@ def test_fsal_saves_one_field_evaluation_per_step_and_changes_nothing():
 
     stepper = Stepper(Counted())
 
-    def step(*args):
-        steps.append(1)
-        return stepper(*args)
+    def step(u, h, k1, params):
+        steps.append(k1 is None)
+        return stepper(u, h, k1, params)
 
     u0 = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.2]])
-    fsal = integrate_batch(step, u0, 3.0, record=True)
-    assert len(evaluations) == 1 + 6 * len(steps)
+    free = integrate_batch(step, u0, 3.0, record=True)
+    assert len(evaluations) == 12 * len(steps) and all(steps)
     evaluations.clear()
     steps.clear()
-    full = integrate_batch(step, u0, 3.0, record=True, project=lambda u: u)
-    assert len(evaluations) == 7 * len(steps)
-    assert np.array_equal(fsal.t, full.t) and np.array_equal(fsal.u, full.u)
-    assert [t for t, _ in fsal.samples[1]] == [t for t, _ in full.samples[1]]
+    projected = integrate_batch(step, u0, 3.0, record=True, project=lambda u: u)
+    assert len(evaluations) == 12 * len(steps)
+    assert np.array_equal(free.t, projected.t) and np.array_equal(free.u, projected.u)
+    assert [t for t, _ in free.samples[1]] == [t for t, _ in projected.samples[1]]
+    evaluations.clear()
+    steps.clear()
+    res = integrate_batch(step, u0, 10.0, [EventSpec(lambda u: u[:, 0])])
+    assert np.all(res.status == odeint.EVENT)
+    probes = steps.count(False)
+    assert probes > 0 and len(evaluations) == 12 * steps.count(True) + 11 * probes
+
+
+def _tableau():
+    """The DOP853 coefficients as dense arrays: A (12, 12), b, E5 and E3
+    (b minus the 3rd-order weights)."""
+    A = np.zeros((12, 12))
+    for i, row in enumerate(odeint._A):
+        for s, c in row:
+            A[i, s] = c
+    b, e5, bhh = (np.zeros(12) for _ in range(3))
+    for w, terms in zip((b, e5, bhh), (odeint._B, odeint._E5, odeint._BHH)):
+        for s, c in terms:
+            w[s] = c
+    return A, b, e5, b - bhh
+
+
+def test_tableau_order_conditions():
+    A, b, e5, e3 = _tableau()
+    c = np.array(odeint._C)
+    assert np.abs(A.sum(axis=1) - c).max() < 1e-15
+    for k in range(1, 9):
+        assert b @ c ** (k - 1) == pytest.approx(1 / k, abs=1e-15), k
+    assert abs(e5.sum()) < 1e-15 and abs(e3.sum()) < 1e-15
+    # both estimates weight only stages 1 and 6-12
+    assert not (e5[1:5].any() or e3[1:5].any())
+
+
+def test_measured_global_order_is_eight():
+    # fixed steps of x' = y, y' = -x from (1, 0, 0) to t = 4 against
+    # (cos t, -sin t): halving the step divides the error by about 2^8
+    def error(n):
+        u = np.array([[1.0, 0.0, 0.0]])
+        h = np.full(1, 4.0 / n)
+        for _ in range(n):
+            u = harmonic(u, h, None, None)[0]
+        return np.abs(u[0, :2] - [np.cos(4.0), -np.sin(4.0)]).max()
+
+    errors = [error(n) for n in (4, 8, 16)]
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((7.5 < orders) & (orders < 8.5)), orders
 
 
 def test_row_args_carry_per_trajectory_constants():
@@ -202,7 +248,7 @@ def test_row_args_follow_rows_still_refining(monkeypatch):
     [(first_probe, first_rhs)] = starts
     probes = probed[first_probe:]
     # one Runge-Kutta step per probe, which starts from the first stage
-    # kept with its bracket (no projection follows, so FSAL holds)
+    # kept with its bracket
     assert len(seen_args) - first_rhs == len(probes)
     assert all(k1 is not None for k1 in seen_k1[first_rhs:])
     # each probe's step carries the args of exactly the rows whose
