@@ -46,8 +46,11 @@ BENCH_X = (
 BENCH_Y = "0, 0, 1"
 BENCH_G = "z"
 BENCH_DOMAIN = (np.full(3, -40.0), np.full(3, 40.0))
+_SHOOTING_DOMAIN = (np.append(BENCH_DOMAIN[0], [-np.inf, -np.inf]),
+                    np.append(BENCH_DOMAIN[1], [np.inf, np.inf]))
 
 _Q = np.array([1.0, 0.0, 0.0])
+SHOOTING_TARGET = 1e-10   # landing distance from p at which the shooting may stop
 
 
 @dataclass
@@ -69,38 +72,44 @@ class BenchConnection:
         return _Q.copy()
 
 
+def _shooting_field(alpha, beta):
+    """BENCH_X over the states (x, y, z, u1, u2), the controls constant."""
+    field = parse_field(BENCH_X, {"al": alpha, "be": beta, "u1": 0.0, "u2": 0.0})
+    return field.with_constants(("u1", "u2"))
+
+
 def _landings(field, pairs, tol):
-    """First z = 0 return of the flight from q for each (u1, u2) row."""
+    """First z = 0 return of the flight from q for each (u1, u2) row, on
+    the shooting field."""
     pairs = np.asarray(pairs, dtype=float)
-    u0 = np.tile(_Q, (len(pairs), 1))
+    u0 = np.column_stack([np.tile(_Q, (len(pairs), 1)), pairs])
     ev = odeint.EventSpec(lambda pts: pts[:, 2])
     res = odeint.integrate_batch(odeint.Stepper(field), u0, 40.0, [ev], rtol=tol.rtol,
                                  atol=tol.atol, tol_event=tol.event,
-                                 domain=BENCH_DOMAIN,
-                                 row_params={"u1": pairs[:, 0], "u2": pairs[:, 1]})
+                                 domain=_SHOOTING_DOMAIN)
     ok = res.status == odeint.EVENT
     return res.u[:, :2], ok, res.t
 
 
-def solve_connection_params(alpha=0.4, beta=1.0, target=1e-10, tol=None):
+def solve_connection_params(alpha=0.4, beta=1.0):
     """Find (u1, u2) landing the flight from q on the origin.
 
     Deterministic damped finite-difference Newton from (0, 0), with a coarse
     grid fallback for parameter sets where the plain start stalls.  Once
-    the landing is within ``target``, Newton goes on while each step at
-    least halves it and returns the last point that did: the root of the
-    landing map to its rounding floor (about 1e-15), whatever path Newton
-    took.  The landing is insensitive to one direction in (u1, u2) (smaller
-    singular value about 3.5e-4), so the first point within ``target`` is
-    fixed only to about 1e-9, by the path.  The root does not depend on
-    the path, but it is the root of the landing map integrated at ``tol``,
-    so it carries the tableau's truncation error: at the default
-    tolerances u1 = -98.72275981668264 with a Dormand-Prince 5(4) pair and
+    the landing is within ``SHOOTING_TARGET``, Newton goes on while each
+    step at least halves it and returns the last point that did: the root
+    of the landing map to its rounding floor (about 1e-15), whatever path
+    Newton took.  The landing is insensitive to one direction in (u1, u2)
+    (smaller singular value about 3.5e-4), so the first point within the
+    target is fixed only to about 1e-9, by the path.  The root does not
+    depend on the path, but it is the root of the landing map integrated
+    at the default tolerances, so it carries the tableau's truncation
+    error: u1 = -98.72275981668264 with a Dormand-Prince 5(4) pair and
     -98.72275993175184 with DOP853, against -98.72275993178165 at rtol
     1e-13.
     """
-    tol = tol or Tolerances()
-    field = parse_field(BENCH_X, {"al": alpha, "be": beta, "u1": 0.0, "u2": 0.0})
+    tol = Tolerances()
+    field = _shooting_field(alpha, beta)
 
     def residuals(pairs):
         land, ok, ts = _landings(field, pairs, tol)
@@ -118,7 +127,7 @@ def solve_connection_params(alpha=0.4, beta=1.0, target=1e-10, tol=None):
             rnorm = norm[0]
             if not np.isfinite(rnorm):
                 return best
-            if best is not None and best[3] < target and not rnorm < best[3] / 2:
+            if best is not None and best[3] < SHOOTING_TARGET and not rnorm < best[3] / 2:
                 return best
             if best is None or rnorm < best[3]:
                 best = (float(v[0]), float(v[1]), float(ts[0]), float(rnorm))
@@ -135,7 +144,7 @@ def solve_connection_params(alpha=0.4, beta=1.0, target=1e-10, tol=None):
         return best
 
     out = newton(np.zeros(2))
-    if out is not None and out[3] < target:
+    if out is not None and out[3] < SHOOTING_TARGET:
         return out
     grid = np.array([(a, b) for a in np.linspace(-24, 24, 9)
                      for b in np.linspace(-24, 24, 9)])
@@ -143,32 +152,31 @@ def solve_connection_params(alpha=0.4, beta=1.0, target=1e-10, tol=None):
     order = np.argsort(norm)
     for k in order[:8]:
         out = newton(grid[k].astype(float))
-        if out is not None and out[3] < target:
+        if out is not None and out[3] < SHOOTING_TARGET:
             return out
     raise NoConvergence("connection shooting failed from all starts")
 
 
 @lru_cache(maxsize=8)
-def _cached_params(alpha, beta, target):
-    return solve_connection_params(alpha, beta, target)
+def _cached_params(alpha, beta):
+    return solve_connection_params(alpha, beta)
 
 
-def make_bench(alpha=0.4, beta=1.0, target=1e-10, tol=None):
+def make_bench(alpha=0.4, beta=1.0):
     """Build the bench system with its connection closed by shooting.
 
     The final residual is re-verified through the parsed production system,
     not just the internal shooting path.
     """
-    tol = tol or Tolerances()
-    u1, u2, _, _ = _cached_params(float(alpha), float(beta), float(target))
+    u1, u2, _, _ = _cached_params(float(alpha), float(beta))
     system = make_system(BENCH_X, BENCH_Y, BENCH_G,
                          params={"al": alpha, "be": beta, "u1": u1, "u2": u2},
-                         domain=BENCH_DOMAIN, tol=tol)
+                         domain=BENCH_DOMAIN)
     res = fly(system, system.X, _Q[None, :], 40.0)
     if res.status[0] != odeint.EVENT:
         raise NoConvergence("verification flight lost the manifold return")
     residual = float(np.linalg.norm(res.u[0]))
     t_q = float(res.t[0])
-    if residual > 100 * target:
+    if residual > 100 * SHOOTING_TARGET:
         raise NoConvergence(f"parsed-system verification residual {residual:.3e}")
     return BenchConnection(system, alpha, beta, u1, u2, t_q, residual)

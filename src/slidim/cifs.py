@@ -24,6 +24,12 @@ from .errors import (CertificateFailure, ConditionViolated, DegenerateSystem,
                      NoRootInUnitInterval, ParameterInfeasible, TailDiverges)
 
 AMBIENT = (-1.0, 1.0)
+CONDITION_SAMPLES = 64             # C1: grid points per map
+HOLDER_ALPHA, HOLDER_CAP = 0.5, 1e4   # C6: Hoelder exponent, cap of the surrogate constant
+MORAN_RESIDUAL = 1e-12             # |sum c^u - 1| at an accepted Moran root
+INTERVAL_BUDGET = 10 ** 6          # intervals (or scaffold points) one level may make
+GAP_FRACTION = 0.5                 # gaps of the geometric model, in inner widths
+FB_COLLAR, FB_THRESHOLD = 1e-8, 0.999  # forward/backward check: endpoint collar, agreement
 
 
 # --- data model ---------------------------------------------------------------
@@ -143,7 +149,7 @@ class ConditionReport:
     details: dict
 
 
-def check_conditions(sys, n_samples=64, holder_alpha=0.5, holder_cap=1e4):
+def check_conditions(sys):
     """Evaluate the conformality conditions C1-C6 on sampled data.
 
     C1 injectivity (strict monotonicity on a grid), C2 uniform contraction,
@@ -152,7 +158,7 @@ def check_conditions(sys, n_samples=64, holder_alpha=0.5, holder_cap=1e4):
     endpoints), C6 a finite-sample Hoelder surrogate for the derivative
     modulus.  Raises ConditionViolated with the id and a witness.
     """
-    grid = np.linspace(AMBIENT[0], AMBIENT[1], n_samples)
+    grid = np.linspace(AMBIENT[0], AMBIENT[1], CONDITION_SAMPLES)
     details = {}
     for m in sys.maps:
         vals = np.asarray(m.eval(grid), dtype=float)
@@ -185,13 +191,13 @@ def check_conditions(sys, n_samples=64, holder_alpha=0.5, holder_cap=1e4):
         dx = np.abs(pairs[:, None] - pairs[None, :])
         dd = np.abs(d[:, None] - d[None, :])
         mask = dx > 1e-12
-        ratios = dd[mask] / (m.b * dx[mask] ** holder_alpha)
+        ratios = dd[mask] / (m.b * dx[mask] ** HOLDER_ALPHA)
         lmax = float(ratios.max()) if ratios.size else 0.0
         worst_l = max(worst_l, lmax)
-        if lmax > holder_cap:
+        if lmax > HOLDER_CAP:
             raise ConditionViolated("C6", m.tag,
                                     f"Hoelder surrogate constant {lmax:.3g} above cap")
-    details["C6"] = {"alpha": holder_alpha, "constant": worst_l}
+    details["C6"] = {"alpha": HOLDER_ALPHA, "constant": worst_l}
     return ConditionReport(True, details)
 
 
@@ -211,7 +217,7 @@ def _check_disjoint(maps):
 # --- Moran equations and pressure ---------------------------------------------------
 
 
-def _sum_root(ratios, tail=None, residual=1e-12, hi_cap=64.0):
+def _sum_root(ratios, tail=None, hi_cap=64.0):
     """Unique u >= 0 with sum ratios^u (+ tail(u)) = 1, by bisection."""
     ratios = np.asarray(ratios, dtype=float)
 
@@ -235,11 +241,11 @@ def _sum_root(ratios, tail=None, residual=1e-12, hi_cap=64.0):
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15 and abs(f(0.5 * (lo + hi))) < residual:
+        if hi - lo < 1e-15 and abs(f(0.5 * (lo + hi))) < MORAN_RESIDUAL:
             break
     root = 0.5 * (lo + hi)
-    if abs(f(root)) > residual:
-        raise ValueError(f"Moran bisection residual {abs(f(root)):.2e} above {residual:.0e}")
+    if abs(f(root)) > MORAN_RESIDUAL:
+        raise ValueError(f"Moran bisection residual {abs(f(root)):.2e} above {MORAN_RESIDUAL:.0e}")
     return float(root)
 
 
@@ -286,13 +292,13 @@ def pressure(sys, t):
     return total
 
 
-def pressure_root(sys, residual=1e-12):
+def pressure_root(sys):
     """The root of P(t) = 1 in (0, 1]; requires P(1) < 1."""
     p1 = pressure(sys, 1.0)
     if p1 >= 1.0:
         raise NoRootInUnitInterval(
             f"P(1) = {p1:.6f} >= 1; shrink the family (larger index cutoff)")
-    return _sum_root([m.c for m in sys.maps], tail=sys.tail, residual=residual)
+    return _sum_root([m.c for m in sys.maps], tail=sys.tail)
 
 
 def dimension_report(sys, schedule=None):
@@ -317,7 +323,7 @@ def _map_interval_batch(m, intervals):
     return np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=1)
 
 
-def attractor_iterate(sys, k, budget=10 ** 6):
+def attractor_iterate(sys, k, budget=INTERVAL_BUDGET):
     """Level-k interval cover: the union of depth-k word images of [-1, 1].
 
     Maps are strictly monotone, so interval images come from endpoint
@@ -345,14 +351,14 @@ class ScaffoldSet:
     truncated: bool = False
 
 
-def closure_scaffold(sys, q_coord, k, budget=10 ** 6):
+def closure_scaffold(sys, q_coord, k):
     """All psi-word images of q up to word length k, plus q itself."""
     pts = [np.array([float(q_coord)])]
     lengths = [np.array([0])]
     frontier = pts[0]
     truncated = False
     for depth in range(1, k + 1):
-        if frontier.size * len(sys.maps) > budget:
+        if frontier.size * len(sys.maps) > INTERVAL_BUDGET:
             truncated = True
             break
         frontier = np.concatenate([np.asarray(m.eval(frontier), dtype=float)
@@ -399,14 +405,13 @@ class EquivalenceReport:
     disagreements: np.ndarray
 
 
-def verify_forward_backward(pi_fn, sys, k, n_points=10000, collar=1e-8,
-                            seed=0, threshold=0.999):
+def verify_forward_backward(pi_fn, sys, k, n_points=10000, seed=0):
     """Membership in the level-(k+1) cover vs explicit forward iteration.
 
     ``pi_fn(points) -> (values, ok)`` must evaluate the first return map.
-    Points within ``collar`` of any cover endpoint (levels 1..k+1) are
+    Points within ``FB_COLLAR`` of any cover endpoint (levels 1..k+1) are
     excluded from the statistic.  Raises EquivalenceFailure below the
-    agreement threshold.
+    agreement ``FB_THRESHOLD``.
     """
     covers = [attractor_iterate(sys, j) for j in range(1, k + 2)]
     target = covers[-1]
@@ -424,7 +429,7 @@ def verify_forward_backward(pi_fn, sys, k, n_points=10000, collar=1e-8,
     near = np.zeros(pts.size, dtype=bool)
     for shift in (0, 1):
         j = np.clip(pos - shift, 0, ends.size - 1)
-        near |= np.abs(pts - ends[j]) <= collar
+        near |= np.abs(pts - ends[j]) <= FB_COLLAR
     used = pts[~near]
 
     predicted = target.contains(used)
@@ -447,9 +452,9 @@ def verify_forward_backward(pi_fn, sys, k, n_points=10000, collar=1e-8,
     rate = float(np.mean(agree)) if used.size else 1.0
     report = EquivalenceReport(rate, int(used.size), int(near.sum()), k,
                                used[~agree])
-    if rate < threshold:
+    if rate < FB_THRESHOLD:
         raise EquivalenceFailure(
-            f"agreement {rate:.5f} below {threshold}; first witness "
+            f"agreement {rate:.5f} below {FB_THRESHOLD}; first witness "
             f"{report.disagreements[:1]}")
     return report
 
@@ -556,11 +561,11 @@ def _affine_map(lo, hi, tag, mirrored=False):
     return ContractionMap(ev, (lo, hi), ratio, ratio, deriv=dv, inverse=inv, tag=tag)
 
 
-def make_geometric_model(a, lam, i_min, i_max, gap_fraction=0.5):
+def make_geometric_model(a, lam, i_min, i_max):
     """Two-sided affine family with ratios a*lam^-i and an exact tail.
 
     Left images accumulate at 0 from below, mirrored on the right;
-    consecutive images are separated by gap_fraction of the inner width.
+    consecutive images are separated by GAP_FRACTION of the inner width.
     """
     if lam <= 1:
         raise ParameterInfeasible("tail rate lam must exceed 1")
@@ -569,19 +574,18 @@ def make_geometric_model(a, lam, i_min, i_max, gap_fraction=0.5):
     if i_max < i_min:
         raise ParameterInfeasible("need i_max >= i_min")
     widths = {i: 2.0 * a * lam ** -i for i in range(i_min, i_max + 1)}
-    extent = gap_fraction * widths[i_max] + \
-        (1 + gap_fraction) * sum(widths.values())
+    extent = GAP_FRACTION * widths[i_max] + (1 + GAP_FRACTION) * sum(widths.values())
     if extent > 1.0:
         raise ParameterInfeasible(
             f"images span {extent:.3f} > 1 per side; reduce a or raise i_min")
     maps = []
-    offset = gap_fraction * widths[i_max]
+    offset = GAP_FRACTION * widths[i_max]
     for i in range(i_max, i_min - 1, -1):
         w = widths[i]
         lo, hi = -(offset + w), -offset
         maps.append(_affine_map(lo, hi, f"L{i}"))
         maps.append(_affine_map(-hi, -lo, f"R{i}", mirrored=True))
-        offset += w * (1 + gap_fraction)
+        offset += w * (1 + GAP_FRACTION)
     tail = TailModel(a=lam / a, lam=lam, i_start=i_max + 1)
     maps.sort(key=lambda m: m.image[0])
     return IfsSystem(maps, tail)

@@ -192,7 +192,6 @@ def cmd_dimension(cfg, system, out, args):
         res = _run_pipeline(cfg, system, cantor_depth=cfg.depth)
         doc = {
             "version": 1, "kind": "dimension",
-            "seed": cfg.seed,
             "system": {"X": cfg.x_src, "Y": cfg.y_src, "g": cfg.g_src,
                        "params": cfg.params},
             "certificate": _cert_dict(res.cert),
@@ -284,8 +283,6 @@ def build_parser():
         description="sliding-dynamics return maps and attractor dimension")
     ap.add_argument("--config", help="run configuration JSON")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="recorded in the dimension report; no command draws random numbers")
     ap.add_argument("--tol-event", type=float, default=None)
     ap.add_argument("--radius", type=float, default=None)
     ap.add_argument("--imax", type=int, default=None)
@@ -342,9 +339,9 @@ def main(argv=None):
             # one rebuild, so the overrides are validated like the file's values
             overrides = {name: value for name, value in (
                 ("radius", args.radius), ("i_max", args.imax), ("depth", args.depth),
-                ("seed", args.seed), ("n_scan", args.scan)) if value is not None}
+                ("n_scan", args.scan)) if value is not None}
             if args.tol_event is not None:
-                overrides["tolerances"] = cfg.tolerances.updated(event=args.tol_event)
+                overrides["tolerances"] = replace(cfg.tolerances, event=args.tol_event)
             cfg = replace(cfg, **overrides)
             system = cfg.build_system()
         os.makedirs(args.out, exist_ok=True)

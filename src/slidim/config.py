@@ -5,7 +5,7 @@ Defaults follow the package-wide policy: tight integration control
 event geometry delicate, and event localization down to 1e-12.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -17,6 +17,3 @@ class Tolerances:
     hyperbolic: float = 1e-8    # minimal |Re eigenvalue| for hyperbolicity
     rtol: float = 1e-10
     atol: float = 1e-12
-
-    def updated(self, **kw):
-        return replace(self, **kw)

@@ -14,8 +14,10 @@ binds tighter than '^', so ``-x^2`` parses as ``(-x)^2``.
 
 Every expression is compiled once, by one code generator, into a plain
 Python function over numpy ufuncs, so the same code evaluates floats and
-numpy batches.  A field becomes one kernel that evaluates each repeated
-subtree once (common-subexpression elimination) into one (..., 3) array.
+numpy batches.  A field, a gradient and the Newton step onto g = 0 are
+each one kernel (:func:`_compile_stages`) over the component rows of their
+variables, x, y, z or any others, that evaluates each repeated subtree once
+(common-subexpression elimination) into one (m, ...) array.
 Derivatives come from the parse tree itself: :func:`_diff` differentiates a
 tree symbolically into another tree of the same form (folding the constants
 0 and 1), which is compiled like any parsed expression.  Gradients, Lie
@@ -269,19 +271,12 @@ def _diff(node, var):
     return _mul(node, _add(_mul(db, ("call", "log", a)), _mul(b, _div(da, a))))
 
 
-def _compile(trees, params, field=False):
-    """One Python function evaluating ``trees`` with shared subtrees.  A field
-    kernel ``(u, **params)`` takes points of shape (..., 3) and writes tree k
-    to ``out[..., k]`` of one fresh array; otherwise ``(x, y, z, **params)``
-    returns the value of the single tree."""
+def _compile(trees, params):
+    """One Python function ``(x, y, z, **params)`` returning the value of the
+    single tree of ``trees``."""
     _, lines, values = _codegen(trees)
-    if field:
-        lines = ["x, y, z = u[..., 0], u[..., 1], u[..., 2]", "out = _empty(u.shape)",
-                 *lines, *(f"out[..., {k}] = {v}" for k, v in enumerate(values))]
-        values = ["out"]
-    args = ["u"] if field else ["x", "y", "z"]
-    source = "\n    ".join([f"def _f({', '.join(args + _params_args(params))}):", *lines,
-                            f"return {values[0]}"]) + "\n"
+    source = "\n    ".join([f"def _f({', '.join(['x', 'y', 'z', *_params_args(params)])}):",
+                            *lines, f"return {values[0]}"]) + "\n"
     return _exec(source)
 
 
@@ -296,26 +291,34 @@ def _exec(source):
     return scope["_f"]
 
 
-def _compile_stages(trees, varying, params):
-    """The stage kernel of a field, for one integration step.
+def _compile_stages(trees, variables, varying, params):
+    """The stage kernel of a field over ``variables``, for one integration step.
 
-    ``(x, y, z, **params)``, called with the components at the start of the
-    step, returns ``stage(v)``: the components ``varying`` of the field, as
-    one (m, N) array, at a stage state ``v`` (m, N) of those components.
-    The others have the constant 0 as their tree: they are constant along
-    the flow, so they keep their start values and are not part of ``v``;
-    every subtree that uses only them and parameters is evaluated once per
-    step, in the prelude.
+    Called with the component rows (m, N) at the start of the step, it
+    returns ``stage(v)``: the components ``varying`` of the field, as one
+    (k, N) array, at a stage state ``v`` (k, N) of those components.  The
+    others have the constant 0 as their tree: they are constant along the
+    flow, so they keep their start values and are not part of ``v``; every
+    subtree that uses only them and parameters is evaluated once per step,
+    in the prelude.
     """
-    fixed = set(VARIABLES) - {VARIABLES[k] for k in varying}
+    fixed = set(variables) - {variables[k] for k in varying}
     prelude, lines, values = _codegen([trees[k] for k in varying], fixed)
-    body = [f"{''.join(VARIABLES[k] + ', ' for k in varying)}= _v", *lines,
+    reads = [f"{name} = _u[{j}]" for j, name in enumerate(variables) if name in fixed]
+    body = [f"[{', '.join(variables[k] for k in varying)}] = _v", *lines,
             "_o = _empty(_v.shape)", *(f"_o[{i}] = {v}" for i, v in enumerate(values)),
             "return _o"]
-    source = "\n    ".join([f"def _f({', '.join(['x', 'y', 'z', *_params_args(params)])}):",
-                            *prelude, "def _stage(_v):",
+    source = "\n    ".join([f"def _f({', '.join(['_u', *_params_args(params)])}):",
+                            *reads, *prelude, "def _stage(_v):",
                             *("    " + line for line in body), "return _stage"]) + "\n"
     return _exec(source)
+
+
+def _as_variables(node, names):
+    """``node`` with the parameters ``names`` read as variables."""
+    if node[0] == "param":
+        return ("var", node[1]) if node[1] in names else node
+    return tuple(_as_variables(c, names) if isinstance(c, tuple) else c for c in node)
 
 
 class ScalarExpr:
@@ -329,14 +332,14 @@ class ScalarExpr:
         self.text = text
         self.params = dict(params or {})
         self.tree = _parse_tree(text, self.params) if tree is None else tree
-        self.fn = _compile([self.tree], self.params)
         self._derivatives = {}
 
-    def __call__(self, x, y, z, **params):
-        """Evaluate; keyword parameters (scalars, or arrays of one value per
-        point) override the bound values for this call only."""
-        if params:
-            return self.fn(x, y, z, **{"p_" + k: v for k, v in params.items()})
+    @cached_property
+    def fn(self):
+        """The compiled function of (x, y, z), built on first use."""
+        return _compile([self.tree], self.params)
+
+    def __call__(self, x, y, z):
         return self.fn(x, y, z)
 
     def diff(self, var):
@@ -393,7 +396,7 @@ def parse_field(source, params=None):
     if len(parts) != 3:
         raise ExpressionSyntaxError(
             f"a field needs exactly 3 components, got {len(parts)}", 0)
-    return VectorFieldExpr([ScalarExpr(p, params) for p in parts])
+    return VectorFieldExpr([ScalarExpr(p, params) for p in parts], VARIABLES)
 
 
 def _rows(value, like):
@@ -404,46 +407,49 @@ def _rows(value, like):
 
 
 class VectorFieldExpr:
-    """A differentiable R^3 -> R^3 field defined by parsed expressions."""
+    """A differentiable field defined by parsed expressions, one component
+    per variable of ``variables`` (x, y, z for a system's fields)."""
 
-    def __init__(self, components):
-        if len(components) != 3:
-            raise ValueError("need exactly 3 components")
+    def __init__(self, components, variables):
+        if len(components) != len(variables):
+            raise ValueError("need one component per variable")
         self.components = tuple(components)
+        self.variables = tuple(variables)
         self.params = dict(components[0].params)
-        self.kernel = _compile([c.tree for c in self.components], self.params, field=True)
         # the components that change along the flow; a field component
         # folded to the constant 0 keeps its start value
         self.varying = tuple(k for k, c in enumerate(self.components) if c.tree != ZERO)
 
-    def __call__(self, u, **params):
-        """Evaluate at points ``u`` of shape (..., 3); returns (..., 3).
-
-        Keyword parameters (scalars, or arrays of one value per point)
-        override the bound values for this call only.
-        """
-        u = np.asarray(u, dtype=float)
-        if params:
-            return self.kernel(u, **{"p_" + k: v for k, v in params.items()})
-        return self.kernel(u)
-
-    def stages(self, x, y, z, params=None):
-        """The stage function of one integration step that starts at the
-        components (x, y, z) (see ``_compile_stages``); ``params`` maps
-        parameter names to values (scalars, or arrays of one value per
-        row) that override the bound ones for this step."""
-        if params:
-            return self._stage_kernel(x, y, z, **{"p_" + k: v for k, v in params.items()})
-        return self._stage_kernel(x, y, z)
+    def __call__(self, u):
+        """Evaluate at points ``u`` of shape (..., m); returns (..., m), 0 on
+        the constant components: the stage kernel at the points themselves."""
+        ut = np.asarray(u, dtype=float).T
+        rows = list(self.varying)
+        out = np.zeros(ut.shape)
+        out[rows] = self.stages(ut)(ut[rows])
+        return out.T
 
     @cached_property
-    def _stage_kernel(self):
-        return _compile_stages([c.tree for c in self.components], self.varying, self.params)
+    def stages(self):
+        """The stage kernel of one integration step (``_compile_stages``):
+        called with the component rows at the start of the step."""
+        return _compile_stages([c.tree for c in self.components], self.variables,
+                               self.varying, self.params)
+
+    def with_constants(self, names):
+        """This field with the parameters ``names`` read as further state
+        components whose field is 0: each trajectory carries its own
+        constant values of them (the bench shooting flies (x, y, z, u1, u2))."""
+        params = {k: v for k, v in self.params.items() if k not in names}
+        components = [ScalarExpr(c.text, params, _as_variables(c.tree, names))
+                      for c in self.components]
+        components += [ScalarExpr("0", params, ZERO) for _ in names]
+        return VectorFieldExpr(components, self.variables + tuple(names))
 
     def lie(self, expr):
         """The Lie derivative sum_i F_i d(expr)/dx_i as a compiled expression."""
         tree = ZERO
-        for comp, var in zip(self.components, VARIABLES):
+        for comp, var in zip(self.components, self.variables):
             tree = _add(tree, _mul(comp.tree, expr.diff(var).tree))
         return ScalarExpr(f"L({expr.text})", {**self.params, **expr.params}, tree)
 
@@ -462,10 +468,6 @@ class SwitchingFunction:
         else:
             self.expr = ScalarExpr(text_or_expr, params)
 
-    @property
-    def params(self):
-        return self.expr.params
-
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         x = u[..., 0]
@@ -475,12 +477,12 @@ class SwitchingFunction:
         """Values (...,) and gradients (..., 3) at points ``u`` of shape (..., 3)."""
         u = np.asarray(u, dtype=float)
         x = u[..., 0]
-        return _rows(self.expr.fn(x, u[..., 1], u[..., 2]), x), self._gradient(u)
+        return _rows(self.expr.fn(x, u[..., 1], u[..., 2]), x), self._gradient(u.T).T
 
     @cached_property
     def _gradient(self):
-        return _compile([self.expr.diff(v).tree for v in VARIABLES], self.params,
-                        field=True)
+        trees = [self.expr.diff(v).tree for v in VARIABLES]
+        return _compile_stages(trees, VARIABLES, range(3), self.expr.params)(None)
 
     @cached_property
     def newton_step(self):
@@ -495,4 +497,4 @@ class SwitchingFunction:
             norm2 = _add(norm2, _mul(d, d))
         ratio = _div(self.expr.tree, norm2)
         trees = [_sub(("var", v), _mul(ratio, d)) for v, d in zip(VARIABLES, grad)]
-        return _compile_stages(trees, range(3), self.params)(None, None, None)
+        return _compile_stages(trees, VARIABLES, range(3), self.expr.params)(None)

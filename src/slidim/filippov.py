@@ -71,7 +71,7 @@ class FilippovSystem:
 
     @property
     def params(self):
-        return self.g.params or self.X.params
+        return self.g.expr.params or self.X.params
 
     @cached_property
     def xg(self):
@@ -97,14 +97,14 @@ class FilippovSystem:
         return VectorFieldExpr([
             ScalarExpr(f"Z~_{v}", {**xg.params, **yg.params},
                        _div(_sub(_mul(yg.tree, a.tree), _mul(xg.tree, b.tree)), den))
-            for v, a, b in zip(VARIABLES, self.X.components, self.Y.components)])
+            for v, a, b in zip(VARIABLES, self.X.components, self.Y.components)], VARIABLES)
 
     @cached_property
     def backward_sliding(self):
         """The negated sliding field, compiled as one kernel: the backward
         sliding flow."""
         return VectorFieldExpr([ScalarExpr(f"-{c.text}", c.params, _neg(c.tree))
-                                for c in self.sliding.components])
+                                for c in self.sliding.components], VARIABLES)
 
 
 def make_system(x_src, y_src, g_src, params=None, domain=None, tol=None):

@@ -13,9 +13,10 @@ The scheme is Dormand and Prince's eighth-order pair DOP853 (Hairer,
 Norsett & Wanner, *Solving Ordinary Differential Equations I*, 2nd ed.
 1993, section II.10).  The 8th-order solution is propagated, and the step
 size follows the combined norm of its 5th- and 3rd-order error estimates.
-One routine, :class:`Stepper`, takes every step, on the contiguous
-component arrays of the states and through the field's stage kernel
-(``VectorFieldExpr.stages``):
+One routine, :class:`Stepper`, takes every step through the field's stage
+kernel (``VectorFieldExpr.stages``), on the contiguous component arrays of
+states with one component per field component (the bench shooting's are
+(x, y, z, u1, u2)):
 
 * the stage sums run left to right in the tableau's order, term by term,
   for each row alone, so a row's result does not depend on the batch it
@@ -28,7 +29,7 @@ component arrays of the states and through the field's stage kernel
 * a component whose field folds to the constant 0 keeps its start value
   and is not integrated, the subtrees that use only such components and
   parameters are evaluated once per step, and the error norm runs over
-  the other components only;
+  the other components only: a per-row constant rides in the state;
 * an 8th-order step can be long enough to jump an event's sign change and
   its return within the same step (a sliding orbit that leaves past the
   fold and comes back).  So the events are also evaluated at the
@@ -36,13 +37,13 @@ component arrays of the states and through the field's stage kernel
   a step where one of them lies on the other side of both ends is
   rejected and retried up to that fraction.
 
-The states of the running rows stay one (3, n) component array from the
+The states of the running rows stay one (m, n) component array from the
 start of :func:`integrate_batch` to its end.  The step, the projection and
-the event functions get its (n, 3) transpose, whose columns are contiguous
+the event functions get its (n, m) transpose, whose columns are contiguous
 (they count rows as ``shape[0]``), and hand back points the same way; the
 error norm, the winding angle, the domain test, the state update and the
 compaction of the working set run on its rows.  No round builds a
-row-major (n, 3) array.
+row-major (n, m) array.
 """
 
 import numpy as np
@@ -135,9 +136,12 @@ class EventSpec:
 
 
 class BatchResult:
-    def __init__(self, n):
+    """The ends of a batch of trajectories from the start states ``u0`` (n, m)."""
+
+    def __init__(self, u0):
+        n = len(u0)
         self.t = np.zeros(n)
-        self.u = np.zeros((n, 3))
+        self.u = np.array(u0, dtype=float)
         self.status = np.full(n, RUNNING, dtype=int)
         self.event = np.full(n, -1, dtype=int)
         self.winding = np.zeros(n)
@@ -157,44 +161,44 @@ def _combine(terms, ks):
 class Stepper:
     """One DOP853 step of a field, for every row at once.
 
-    ``field`` has a stage kernel ``field.stages(x, y, z, params)`` and the
-    indices ``field.varying`` of its m components that change along the
-    flow (``expressions.VectorFieldExpr``).  ``step(u, h, k1, params)``
-    takes states ``u`` (N, 3), the transpose of a (3, N) component array as
-    ``integrate_batch`` passes them (any (N, 3) array works, more slowly),
-    sizes ``h`` (N,), the 1st stage ``k1`` (m, N) at ``u`` where it is known
-    (else None) and the per-row parameters (or None).  It returns
-    ``(u_new, k1, inner, err)``:
+    ``field`` has m components over the variables ``field.variables``, a
+    stage kernel ``field.stages(rows)`` and the indices ``field.varying`` of
+    its k components that change along the flow
+    (``expressions.VectorFieldExpr``).  ``step(u, h, k1)`` takes states
+    ``u`` (N, m), the transpose of an (m, N) component array as
+    ``integrate_batch`` passes them (any (N, m) array works, more slowly),
+    sizes ``h`` (N,) and the 1st stage ``k1`` (k, N) at ``u`` where it is
+    known (else None).  It returns ``(u_new, k1, inner, err)``:
 
-    * the new states (N, 3), the transpose of a fresh (3, N) array;
-    * the 1st stage (m, N);
-    * the states (N, 3) at the arguments of the stages ``_GUARD_STAGES``,
-      transposes of (3, N) arrays, for the event guard;
-    * ``(y0, y1, e5, e3)``: the m varying components at the start and the
+    * the new states (N, m), the transpose of a fresh (m, N) array;
+    * the 1st stage (k, N);
+    * the states (N, m) at the arguments of the stages ``_GUARD_STAGES``,
+      transposes of (m, N) arrays, for the event guard;
+    * ``(y0, y1, e5, e3)``: the k varying components at the start and the
       end of the step and their 5th- and 3rd-order error estimates, not
-      yet multiplied by h, each (m, N).  A constant component has error 0
+      yet multiplied by h, each (k, N).  A constant component has error 0
       and is left out.
     """
 
     def __init__(self, field):
         self.field = field
         self._rows = list(field.varying)
-        self._constant = [j for j in range(3) if j not in field.varying]
+        self._constant = [j for j in range(len(field.variables)) if j not in field.varying]
 
     def _state(self, ut, v):
-        """The (3, N) states whose varying components are ``v`` (m, N) and
+        """The (m, N) states whose varying components are ``v`` (k, N) and
         whose constant ones are those of ``ut``."""
         if not self._constant:
             return v
-        out = np.empty((3, v.shape[1]))
+        out = np.empty(ut.shape)
         out[self._rows] = v
         for j in self._constant:
             out[j] = ut[j]
         return out
 
-    def __call__(self, u, h, k1, params):
+    def __call__(self, u, h, k1):
         ut = u.T
-        stage = self.field.stages(ut[0], ut[1], ut[2], params)
+        stage = self.field.stages(ut)
         start = ut[self._rows]
         ks = [stage(start) if k1 is None else k1]
         inner = []
@@ -220,7 +224,7 @@ def _error_norm(err, h, rtol, atol):
 
         h * S5 / sqrt(3 (S5 + S3 / 100)),   S = sum over components of s^2,
 
-    over the 3 components of a state; a constant one adds 0.  NaN (a non-
+    over the components of a state; a constant one adds 0.  NaN (a non-
     finite field value) becomes inf."""
     y0, y1, e5, e3 = err
     sk = np.abs(y0)
@@ -248,7 +252,7 @@ def _error_norm(err, h, rtol, atol):
 
 def _angles(U, winding):
     """The angle of each point of the component rows ``U`` (3, N) about the
-    center, in the (e1, e2) frame."""
+    center, in the (e1, e2) frame (the frame of x, y, z)."""
     center, e1, e2 = winding
     d = U - center[:, None]
     return np.arctan2(e2 @ d, e1 @ d)
@@ -267,23 +271,24 @@ def _wrap(a):
 
 def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                     tol_event=1e-12, project=None, winding=None, domain=None,
-                    record=False, row_params=None):
+                    record=False):
     """Advance every row of ``u0`` until an event, t_max, or domain exit.
 
+    u0         : start states (N, m), m the field's width, or one state.
     step       : the field's :class:`Stepper` (or a callable of the same
-                 signature), called as ``step(u, h, k1, params)``; t does
-                 not appear (autonomous systems).
+                 signature), called as ``step(u, h, k1)``; t does not
+                 appear (autonomous systems).
     events     : sequence of EventSpec; first localized crossing terminates.
-    project    : optional (M, 3) -> (M, 3) applied after each step
+    project    : optional (M, m) -> (M, m) applied after each step
                  (manifold drift correction, ``filippov.manifold_project``);
                  like the event functions it also sees the end points of
                  rejected steps, which are dropped.  It gets and should
-                 return the transpose of a (3, M) array.
+                 return the transpose of an (m, M) array.
     winding    : optional (center, e1, e2) accumulating the rotation angle
                  of u around center in the (e1, e2) frame.
+    domain     : optional (lo, hi) bounds, (m,) each; a row leaving the
+                 box ends with DOMAIN_EXIT.
     record     : keep per-trajectory (t, u) samples (scalar use only).
-    row_params : optional {name: (N,) array} of per-trajectory parameter
-                 values, passed to ``step`` with rows aligned.
 
     The loop steps only the rows still running, in the component layout
     of the module docstring; the working set shrinks on the rounds where
@@ -294,17 +299,14 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
     wins, the lower event index on a tie; a landing counts as a crossing at
     the end of the step.
     """
-    u0 = np.array(u0, dtype=float)
-    if u0.ndim == 1:
-        u0 = u0[None, :]
+    u0 = np.atleast_2d(np.array(u0, dtype=float))
     n = u0.shape[0]
-    res = BatchResult(n)
-    res.u[:] = u0
+    res = BatchResult(u0)
     if record:
         res.samples = [[(0.0, u0[i].copy())] for i in range(n)]
 
     # the working set: one entry per running row, in row order; the states
-    # are the columns of U (3, n), the event values the columns of (n_ev, n)
+    # are the columns of U (m, n), the event values the columns of (n_ev, n)
     ids = np.arange(n)
     U = np.ascontiguousarray(u0.T)
     t = np.zeros(n)
@@ -314,7 +316,6 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
     steps = np.zeros(n, dtype=int)
     theta = _angles(U, winding) if winding is not None else np.zeros(n)
     turned = np.zeros(n)
-    params = row_params
     if domain is not None:
         lo, hi_box = (np.asarray(b, dtype=float)[:, None] for b in domain)
 
@@ -328,11 +329,11 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
         departed[j] = np.abs(ev_prev[j]) > tol_event if ev.require_departure else True
 
     # by row, the step over which a row that ends at an event crossed or
-    # landed on it: start state (3, n), size and angle, the event values at
+    # landed on it: start state (m, n), size and angle, the event values at
     # both ends, and which events it crossed or landed on (n_ev, n); and its
-    # first stage (m, n).  Its start time, end point, steps and winding go
+    # first stage (k, n).  Its start time, end point, steps and winding go
     # to res straight away.
-    bracket = (np.empty((3, n)), np.empty(n), np.empty(n), np.empty((n_ev, n)),
+    bracket = (np.empty(U.shape), np.empty(n), np.empty(n), np.empty((n_ev, n)),
                np.empty((n_ev, n)), np.empty((n_ev, n), dtype=bool),
                np.empty((n_ev, n), dtype=bool))
     bracket_k1 = None
@@ -341,7 +342,7 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
             if not ids.size:
                 break
             hs = np.minimum(h, t_max - t)
-            u_new, k_first, inner, err = step(U.T, hs, None, params)
+            u_new, k_first, inner, err = step(U.T, hs, None)
             errnorm = _error_norm(err, hs, rtol, atol)
             accept = errnorm <= 1.0
 
@@ -435,11 +436,10 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                 # np.compress returns C-contiguous rows; U[:, keep] would not
                 U, ev_prev, departed = (np.compress(keep, x, axis=1)
                                         for x in (U, ev_prev, departed))
-                params = _rows_of(params, keep)
 
         _write_out(res, np.full(ids.size, STEPS_EXHAUSTED), ids, t, U, steps, turned)
         _localize(res, bracket, bracket_k1, step, events, tol_event, project, winding,
-                  row_params, record)
+                  record)
     return res
 
 
@@ -454,7 +454,7 @@ def _write_out(res, stop, ids, t, U, steps, turned):
 
 
 def _localize(res, bracket, bracket_k1, step, events, tol_event, project, winding,
-              row_params, record):
+              record):
     """Localize the crossings of every row that ended at an event: one
     Illinois pass per event over all its crossings, then the earliest
     crossing of each row (a landing counts as the end of its step)."""
@@ -467,7 +467,7 @@ def _localize(res, bracket, bracket_k1, step, events, tol_event, project, windin
     u1 = res.u[ids]
     hit_event = np.full(m, -1, dtype=int)
     hit_frac = np.full(m, np.inf)
-    hit_u = np.empty((m, 3))
+    hit_u = np.empty((m, u1.shape[1]))
     for j, ev in enumerate(events):
         for kind, mask in (("cross", crossed[j]), ("land", landed[j])):
             if not mask.any():
@@ -475,7 +475,7 @@ def _localize(res, bracket, bracket_k1, step, events, tol_event, project, windin
             sub = np.nonzero(mask)[0]
             if kind == "cross":
                 probe = _step_probe(step, project, ev.fn, u0.take(sub, axis=1), h[sub],
-                                    k1.take(sub, axis=1), _rows_of(row_params, ids[sub]))
+                                    k1.take(sub, axis=1))
                 frac, u_land = illinois(probe, prev[j, sub], vals[j, sub], u1[sub],
                                         tol_event)
             else:
@@ -495,18 +495,12 @@ def _localize(res, bracket, bracket_k1, step, events, tol_event, project, windin
             res.samples[row].append((res.t[row], hit_u[i].copy()))
 
 
-def _rows_of(params, idx):
-    """The per-row parameters of the rows ``idx`` (None without any)."""
-    return None if params is None else {k: v[idx] for k, v in params.items()}
-
-
-def _step_probe(step, project, ev_fn, u0, h, k1, params):
+def _step_probe(step, project, ev_fn, u0, h, k1):
     """Illinois probe: event and state one (projected) step of x * h from
-    the component rows u0 (3, rows), with their first stage k1 (m, rows)."""
+    the component rows u0 (m, rows), with their first stage k1 (k, rows)."""
 
     def probe(live, x):
-        u1 = step(u0.take(live, axis=1).T, x * h[live], k1.take(live, axis=1),
-                  _rows_of(params, live))[0]
+        u1 = step(u0.take(live, axis=1).T, x * h[live], k1.take(live, axis=1))[0]
         u1 = project(u1) if project is not None else u1
         return ev_fn(u1), u1
 

@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import DegenerateFit, InsufficientData
 
+SAMPLE_POINT = 0.0          # the point whose word images make the sample
+BOX_WINDOW = (1e-6, 1e-2)   # the scales of the slope fit, as fractions of the extent
+BOX_MIN_POINTS = 1000       # smallest sample box counting accepts
+
 
 @dataclass
 class PointSample:
@@ -24,9 +28,9 @@ class PointSample:
         self.points = pts[keep]
 
 
-def sample_word_images(sys, depth, x0=0.0):
-    """All depth-``depth`` word images of x0 under the system's maps."""
-    pts = np.array([float(x0)])
+def sample_word_images(sys, depth):
+    """All depth-``depth`` word images of SAMPLE_POINT under the system's maps."""
+    pts = np.array([SAMPLE_POINT])
     for _ in range(depth):
         pts = np.concatenate([np.asarray(m.eval(pts), dtype=float) for m in sys.maps])
     return PointSample(pts)
@@ -41,25 +45,20 @@ class BoxCountFit:
     window: tuple
 
 
-def default_scales(lo=1e-6, hi=1e-1, n=51):
-    return np.geomspace(lo, hi, n)
-
-
-def box_counting(sample, scales=None, window=(1e-6, 1e-2), min_points=1000,
-                 r2_floor=0.99):
+def box_counting(sample, scales=None, r2_floor=0.99):
     """Least-squares slope of log N(eps) against log(1/eps).
 
-    Scales below the sample's own resolution (set by the generating cover
-    depth) are excluded from the fit window.  A degenerate single-point
-    sample reports slope 0 by convention.
+    ``scales`` defaults to 51 geometric scales from 1e-6 to 0.1.  Scales
+    below the sample's own resolution (set by the generating cover depth)
+    are excluded from the fit window.  A degenerate single-point sample
+    reports slope 0 by convention.
     """
     pts = sample.points
+    scales = np.geomspace(1e-6, 1e-1, 51) if scales is None else np.asarray(scales, dtype=float)
     if pts.size == 1:
-        sc = scales if scales is not None else default_scales()
-        return BoxCountFit(0.0, 1.0, sc, np.ones(sc.size, dtype=int), window)
-    if pts.size < min_points:
-        raise InsufficientData(f"need at least {min_points} points, got {pts.size}")
-    scales = np.asarray(scales, dtype=float) if scales is not None else default_scales()
+        return BoxCountFit(0.0, 1.0, scales, np.ones(scales.size, dtype=int), BOX_WINDOW)
+    if pts.size < BOX_MIN_POINTS:
+        raise InsufficientData(f"need at least {BOX_MIN_POINTS} points, got {pts.size}")
     span = np.log10(scales.max() / scales.min())
     if span < 3:
         raise InsufficientData(f"scales span {span:.2f} decades; need at least 3")
@@ -75,8 +74,8 @@ def box_counting(sample, scales=None, window=(1e-6, 1e-2), min_points=1000,
 
     gaps = np.diff(norm)
     resolution = gaps[gaps > 0].min()
-    lo = max(window[0], 4.0 * resolution)
-    hi = window[1]
+    lo = max(BOX_WINDOW[0], 4.0 * resolution)
+    hi = BOX_WINDOW[1]
     use = (scales >= lo) & (scales <= hi) & (counts > 1)
     if use.sum() < 4:
         raise DegenerateFit(

@@ -21,6 +21,10 @@ from .errors import RoundTripExceeded
 # each side: chains through the thinnest branches drop below float
 # resolution within a few levels.
 CERTIFIED_PER_SIDE = 2
+BOX_DEPTH = 5             # word length of the bench pipeline's box-counting sample
+ROUNDTRIP_BUDGET = 1e-9   # largest inverse-branch round trip |pi(psi(x)) - x|
+LAMBDA_REL = 0.10         # largest relative spread of the lambda estimates
+BAND = 0.03               # slack of the box slope around the Moran bracket
 
 
 @dataclass
@@ -55,8 +59,7 @@ def certify_cantor(sys, covers, depth):
     return scaffold, cifs.cantor_certify(covers[:depth], scaffold)
 
 
-def analyze_ifs(ifs, certified, *, cover_depth, cantor_depth, box_depth,
-                band=0.03, schedule=None):
+def analyze_ifs(ifs, certified, *, cover_depth, cantor_depth, box_depth, schedule=None):
     """Conditions and dimension report on ``ifs``; one cover tower, the
     scaffold and the Cantor certificate on ``certified``; then the
     box-counting cross-check against the first ``cover_depth`` levels.
@@ -72,7 +75,7 @@ def analyze_ifs(ifs, certified, *, cover_depth, cantor_depth, box_depth,
     sample = oracle.sample_word_images(ifs, box_depth)
     sum_c = float(sum(m.c for m in certified.maps))
     verdict = oracle.crosscheck(report, sample, covers[:cover_depth],
-                                band=band, decay_cap=sum_c + 1e-9)
+                                band=BAND, decay_cap=sum_c + 1e-9)
     return IfsAnalysis(ifs, report, covers, scaffold, cantor, verdict, sum_c)
 
 
@@ -98,9 +101,7 @@ def branch_ifs(branches, maps, lam, a_hat, i_tail_start):
 
 
 def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
-                           n_scan=3000, cover_depth=8, cantor_depth=6,
-                           box_depth=5, roundtrip_budget=1e-9, lambda_rel=0.10,
-                           band=0.03, schedule=None):
+                           n_scan=3000, cover_depth=8, cantor_depth=6, schedule=None):
     """Full analysis for one system; deterministic for fixed arguments."""
     timings = {}
     t0 = time.perf_counter()
@@ -115,7 +116,7 @@ def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
     lam_width = returnmap.branch_width_lambda(branches)
     lambdas = {"eigenvalue": cert.lambda_hat, "backward_decay": cert.lambda_decay,
                "branch_widths": lam_width}
-    returnmap.check_lambda_agreement(list(lambdas.values()), lambda_rel)
+    returnmap.check_lambda_agreement(list(lambdas.values()), LAMBDA_REL)
 
     i_min, a_hat = returnmap.select_u(branches, cert.lambda_hat)
     selected = [b for b in branches if b.index >= i_min]
@@ -124,16 +125,16 @@ def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
     inv_maps = returnmap.branch_contractions(selected)
     resid = returnmap.validate_inverse_maps(returnmap.precise(system), fold,
                                             cert, selected, inv_maps)
-    if resid.max() > roundtrip_budget:
+    if resid.max() > ROUNDTRIP_BUDGET:
         raise RoundTripExceeded(
-            f"inverse-branch round trip {resid.max():.2e} above {roundtrip_budget:.0e}")
+            f"inverse-branch round trip {resid.max():.2e} above {ROUNDTRIP_BUDGET:.0e}")
     timings["inverses"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     ifs = branch_ifs(selected, inv_maps, cert.lambda_hat, a_hat, i_max + 1)
     analysis = analyze_ifs(ifs, _subsystem(ifs), cover_depth=cover_depth,
-                           cantor_depth=cantor_depth, box_depth=box_depth,
-                           band=band, schedule=schedule)
+                           cantor_depth=cantor_depth, box_depth=BOX_DEPTH,
+                           schedule=schedule)
     timings["analysis"] = time.perf_counter() - t0
     return DimensionPipelineResult(
         **vars(analysis), cert=cert, fold=fold, branches=branches, i_min=i_min,
@@ -153,16 +154,13 @@ def return_map_fn(system, fold, cert):
     return pi
 
 
-def forward_backward_check(system, result, k=3, n_points=10000, collar=1e-8,
-                           seed=0, threshold=0.999):
+def forward_backward_check(system, result, k=3, n_points=10000):
     """Criterion-style equivalence check on the pipeline's branch system."""
     pi = return_map_fn(system, result.fold, result.cert)
-    return cifs.verify_forward_backward(pi, result.ifs, k, n_points=n_points,
-                                        collar=collar, seed=seed,
-                                        threshold=threshold)
+    return cifs.verify_forward_backward(pi, result.ifs, k, n_points=n_points)
 
 
-def run_fixture_pipeline(ifs, *, cover_depth=12, box_depth=12, band=0.03):
+def run_fixture_pipeline(ifs, *, cover_depth=12, box_depth=12):
     """The same analysis for an analytic system: every map is certified."""
     return analyze_ifs(ifs, ifs, cover_depth=cover_depth, cantor_depth=cover_depth,
-                       box_depth=box_depth, band=band)
+                       box_depth=box_depth)

@@ -22,7 +22,7 @@ Everything expensive is evaluated in batches: each orbit is an X-flight
 (``filippov.fly``) followed by a sliding flow (``filippov.slide``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -47,6 +47,8 @@ NEWTON_STEPS = 20     # Newton steps of BranchInverseMap.solve
 FOLD_MAX_ITER = 40    # Newton steps of project_to_fold
 FOLD_N_PER_SIDE = 64  # fold-segment nodes on each side of q
 N_DECAY_TURNS = 8     # focus turns of the backward sliding decay estimate
+# integration control of precise(): rtol, atol and the event tolerance
+PRECISE_TOL = {"rtol": 1e-13, "atol": 1e-18, "event": 1e-14}
 
 
 def project_to_fold(sys, seed):
@@ -355,8 +357,8 @@ def noise_floor_imax(lam, r, residual, tol_event):
     return int(np.floor(np.log(r / (10 * floor)) / np.log(lam)))
 
 
-def precise(sys, rtol=1e-13, atol=1e-18, event=1e-14):
-    """Copy of the system with tightened integration control.
+def precise(sys):
+    """Copy of the system with the tightened integration control PRECISE_TOL.
 
     The branch sweep and round-trip validation need the orbit accuracy
     (in particular, the flight-landing slop set by the event tolerance is
@@ -365,8 +367,7 @@ def precise(sys, rtol=1e-13, atol=1e-18, event=1e-14):
     1e-12 / atol 1e-17 left the default pipeline's round trip at 5.1e-10,
     half its 1e-9 budget; 1e-13 / 1e-18 gives 1.0e-10.
     """
-    from dataclasses import replace
-    return replace(sys, tol=sys.tol.updated(rtol=rtol, atol=atol, event=event))
+    return replace(sys, tol=replace(sys.tol, **PRECISE_TOL))
 
 
 def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):

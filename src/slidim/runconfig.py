@@ -6,7 +6,7 @@ validated with a path-qualified diagnostic.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class RunConfig:
     n_scan: int = 3000
     schedule: list = None
     tolerances: Tolerances = field(default_factory=Tolerances)
-    seed: int = 0
     domain: tuple = None
 
     def __post_init__(self):
@@ -73,6 +72,12 @@ def _need(doc, key, path):
     return doc[key]
 
 
+def _typed(value, path, types=(int, float), what="a number"):
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path} must be {what}")
+    return value
+
+
 def _point(value, path):
     try:
         arr = np.asarray(value, dtype=float)
@@ -95,39 +100,31 @@ def load_config(path):
 
 
 def parse_config(doc):
-    if doc.get("version") != SCHEMA_VERSION:
+    if _typed(doc, "document", dict, "an object").get("version") != SCHEMA_VERSION:
         raise ConfigError(f"version must be {SCHEMA_VERSION}")
-    system = _need(doc, "system", "document")
-    conn = _need(doc, "connection", "document")
-    analysis = doc.get("analysis", {})
-    tols = doc.get("tolerances", {})
-    params = system.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("system.params must be an object")
-    for k, v in params.items():
-        if not isinstance(v, (int, float)):
-            raise ConfigError(f"system.params.{k} must be a number")
-    tol = Tolerances().updated(**{
-        name: float(tols[name]) for name in _TOLERANCE_FIELDS if name in tols})
-    kwargs = {}
-    if "r" in analysis:
-        kwargs["radius"] = float(analysis["r"])
-    if "i_max" in analysis:
-        kwargs["i_max"] = int(analysis["i_max"])
-    if "depth" in analysis:
-        kwargs["depth"] = int(analysis["depth"])
+    system, conn = (_typed(_need(doc, key, "document"), key, dict, "an object")
+                    for key in ("system", "connection"))
+    analysis, tols = (_typed(doc.get(key, {}), key, dict, "an object")
+                      for key in ("analysis", "tolerances"))
+    params = {k: float(_typed(v, f"system.params.{k}")) for k, v in
+              _typed(system.get("params", {}), "system.params", dict, "an object").items()}
+    tol = replace(Tolerances(), **{name: float(_typed(tols[name], f"tolerances.{name}"))
+                                   for name in _TOLERANCE_FIELDS if name in tols})
+    kwargs = {name: kind(_typed(analysis[key], f"analysis.{key}"))
+              for key, name, kind in (("r", "radius", float), ("i_max", "i_max", int),
+                                      ("depth", "depth", int), ("n_scan", "n_scan", int))
+              if key in analysis}
     if "schedule" in analysis:
-        kwargs["schedule"] = [int(v) for v in analysis["schedule"]]
-    if "n_scan" in analysis:
-        kwargs["n_scan"] = int(analysis["n_scan"])
+        schedule = _typed(analysis["schedule"], "analysis.schedule", list, "a list")
+        kwargs["schedule"] = [int(_typed(v, f"analysis.schedule[{i}]"))
+                              for i, v in enumerate(schedule)]
     return RunConfig(
         x_src=_need(system, "X", "system"),
         y_src=_need(system, "Y", "system"),
         g_src=_need(system, "g", "system"),
-        params={k: float(v) for k, v in params.items()},
+        params=params,
         p_seed=_point(_need(conn, "p_seed", "connection"), "connection.p_seed"),
         q_seed=_point(_need(conn, "q_seed", "connection"), "connection.q_seed"),
         tolerances=tol,
-        seed=int(doc.get("seed", 0)),
         **kwargs,
     )

@@ -145,6 +145,34 @@ def test_config_errors_exit_one(tmp_path):
     assert "analysis.r" in r.stderr
 
 
+@pytest.mark.parametrize("override, path", [
+    ({"system": 5}, "system"),
+    ({"connection": [0, 0, 0]}, "connection"),
+    ({"analysis": [1]}, "analysis"),
+    ({"tolerances": "tight"}, "tolerances"),
+    ({"analysis": {"i_max": "three"}}, "analysis.i_max"),
+    ({"analysis": {"schedule": [2, "four"]}}, "analysis.schedule[1]"),
+    ({"tolerances": {"rtol": "tight"}}, "tolerances.rtol"),
+    ({"system": {**ESCAPE_CONFIG["system"], "params": {"a": True}}}, "system.params.a"),
+])
+def test_config_sections_and_values_are_checked(tmp_path, override, path):
+    # a section that is not an object, or a value that is not a number, is
+    # a one-line config error naming its field path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**ESCAPE_CONFIG, **override}))
+    r = run_cli("--config", str(cfg), "--out", str(tmp_path), "classify")
+    assert r.returncode == 1
+    assert r.stderr.startswith("config error:") and path in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_config_seed_key_is_ignored():
+    # no command draws random numbers; an old config's seed loads like any
+    # other unknown key
+    cfg = parse_config({**ESCAPE_CONFIG, "seed": 7})
+    assert not hasattr(cfg, "seed")
+
+
 def test_config_tolerances_reach_the_run(tmp_path):
     doc = {**ESCAPE_CONFIG,
            "tolerances": {"event": 1e-13, "rtol": 1e-9, "atol": 1e-11}}

@@ -61,11 +61,15 @@ def test_scientific_numbers():
 
 
 def test_field_takes_per_row_parameters():
+    # a and b as 4th and 5th state components: each point carries its own
+    # values, and their field is 0
     f = parse_field("a*x, y, b*z", {"a": 1.0, "b": 2.0})
-    pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    out = f(pts, a=np.array([10.0, 20.0]))
-    assert np.array_equal(out, [[10, 2, 6], [80, 5, 12]])
-    assert np.array_equal(f(pts), [[1, 2, 6], [4, 5, 12]])
+    wide = f.with_constants(("a", "b"))
+    assert wide.variables == ("x", "y", "z", "a", "b") and wide.params == {}
+    pts = np.array([[1.0, 2.0, 3.0, 10.0, 2.0], [4.0, 5.0, 6.0, 20.0, 2.0]])
+    assert np.array_equal(wide(pts), [[10, 2, 6, 0, 0], [80, 5, 12, 0, 0]])
+    assert np.array_equal(wide(pts[1]), [80, 5, 12, 0, 0])
+    assert np.array_equal(f(pts[:, :3]), [[1, 2, 6], [4, 5, 12]])
 
 
 def test_field_needs_three_components():
@@ -131,19 +135,16 @@ def _field_and_components(k):
 def test_field_kernel_equals_per_component_evaluation(k):
     field, comps = _field_and_components(k)
 
-    def each(u, **params):
-        return np.stack([c(u[..., 0], u[..., 1], u[..., 2], **params) for c in comps],
-                        axis=-1)
+    def each(u):
+        return np.stack([c(u[..., 0], u[..., 1], u[..., 2]) for c in comps], axis=-1)
 
     pts = np.random.default_rng(k).uniform(-0.8, 0.8, size=(7, 3))
     assert np.array_equal(field(pts[0]), each(pts[0]))
     assert np.array_equal(field(pts), each(pts))
-    rows = {"a": np.linspace(0.5, 1.1, 7), "b": np.linspace(1.2, 1.8, 7)}
-    assert np.array_equal(field(pts, **rows), each(pts, **rows))
 
 
 def test_bench_field_kernel_evaluates_shared_subtrees_once():
-    source = parse_field(BENCH_X, {"al": 0.4, "be": 1.0, "u1": 0.0, "u2": 0.0}).kernel.source
+    source = parse_field(BENCH_X, {"al": 0.4, "be": 1.0, "u1": 0.0, "u2": 0.0}).stages.source
     assert source.count("_tanh(") == source.count("_tanh((50.0 * z))") == 1
     assert source.count("_exp(") == source.count("(z * _exp((-z)))") == 1
 
@@ -156,25 +157,33 @@ def test_stage_kernel_skips_constant_components_and_hoists_their_subtrees():
                       params={"al": 0.4, "be": 1.0, "u1": 0.3, "u2": -0.2})
     sliding = sys.sliding
     assert sliding.varying == (0, 1)
-    prelude, stage_source = sliding._stage_kernel.source.split("def _stage(_v):")
+    prelude, stage_source = sliding.stages.source.split("def _stage(_v):")
     for call in ("_tanh(", "_exp("):
         assert prelude.count(call) == 1 and call not in stage_source
     rng = np.random.default_rng(3)
     u = np.column_stack([rng.uniform(-0.5, 0.5, (20, 2)), rng.uniform(-1e-3, 1e-3, 20)])
     v = u[:, :2] + rng.uniform(-0.01, 0.01, (20, 2))   # a stage state of (x, y)
-    stage = sliding.stages(u[:, 0], u[:, 1], u[:, 2])
+    stage = sliding.stages(u.T)
     want = sliding(np.column_stack([v, u[:, 2]]))
     assert np.array_equal(stage(v.T).T, want[:, :2])
 
 
 def test_stage_kernel_takes_parameters_row_by_row():
-    field = parse_field(BENCH_X, {"al": 0.4, "be": 1.0, "u1": 0.0, "u2": 0.0})
+    # the bench shooting's field over (x, y, z, u1, u2): u1 and u2 are read
+    # once per step from each row's start state, and a row's stages are
+    # the bits of the field with that row's (u1, u2) bound as parameters
+    params = {"al": 0.4, "be": 1.0}
+    field = parse_field(BENCH_X, {**params, "u1": 0.0, "u2": 0.0}).with_constants(("u1", "u2"))
     assert field.varying == (0, 1, 2)
     rng = np.random.default_rng(5)
-    u = rng.uniform(-0.5, 0.5, (9, 3))
-    rows = {"u1": rng.uniform(-99, -98, 9), "u2": rng.uniform(-9, -8, 9)}
-    stage = field.stages(u[:, 0], u[:, 1], u[:, 2], rows)
-    assert np.array_equal(stage(u.T).T, field(u, **rows))
+    u = np.column_stack([rng.uniform(-0.5, 0.5, (9, 3)), rng.uniform(-99, -98, 9),
+                         rng.uniform(-9, -8, 9)])
+    v = u[:, :3] + rng.uniform(-0.01, 0.01, (9, 3))    # a stage state of (x, y, z)
+    got = field.stages(u.T)(v.T).T
+    assert np.array_equal(got, field(np.column_stack([v, u[:, 3:]]))[:, :3])
+    for k in range(9):
+        bound = parse_field(BENCH_X, {**params, "u1": u[k, 3], "u2": u[k, 4]})
+        assert np.array_equal(got[k], bound(v[k]))
 
 
 def test_gradient_of_constant_independent_component():

@@ -1,10 +1,11 @@
 """Layering: every flow of the package is assembled in one place.
 
 An orbit is an X-flight to M (``filippov.fly``) and a sliding flow on M
-(``filippov.slide``).  Only those two helpers and the bench's per-row
-shooting (``bench._landings``, whose field takes the shooting parameters
-row by row) may call the integrator, so a change to how flows are built
-(events, projection, winding frame, tolerances, domain) is made once.
+(``filippov.slide``).  Only those two helpers and the bench's shooting
+(``bench._landings``, which flies the states (x, y, z, u1, u2) of its own
+field and domain, the controls constant components) may call the
+integrator, so a change to how flows are built (events, projection,
+winding frame, tolerances, domain) is made once.
 Likewise only event localization (``odeint._localize``) calls the Illinois
 solver: branch boundaries come from the inverse-branch series, not from a
 second root solve on the return map.
@@ -12,10 +13,14 @@ second root solve on the return map.
 The package has no linter, so an import left behind by a deletion is
 caught here: every name a module imports must be used in it.  Likewise
 every public top-level function must have a caller outside the tests,
-unless it is an oracle or a fixture the tests check the package against.
+unless it is an oracle or a fixture the tests check the package against,
+and each of its keyword options (parameters with a default) must be passed
+by some caller outside the tests, unless it is a seam the tests need: an
+option that no caller sets is a module constant.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +37,18 @@ UNUSED_IMPORTS_ALLOWED = {"returnmap.manifold_project"}
 TEST_ONLY_ALLOWED = {
     "filippov.lie_derivative": "oracle of the sliding kernel's Lie derivatives",
     "cifs.equal_ratio_system": "analytic fixture with a closed-form Moran root",
+}
+
+# keyword options of public functions that only the tests pass, each with its reason
+OPTION_TEST_ONLY_ALLOWED = {
+    "cifs.attractor_iterate(budget)": "a small budget truncates a cover tower",
+    "cifs.cantor_certify(q_coord)": "a scaffold of a marked point other than 0",
+    "cli.main(argv)": "the tests run the front end in-process",
+    "expressions.parse_expr(params)": "parametrized expressions in the parser tests",
+    "oracle.box_counting(scales)": "a scale grid too narrow to fit",
+    "oracle.box_counting(r2_floor)": "the fit of a sample whose R^2 is below the floor",
+    "returnmap.enumerate_branches(n_samples)": "short sweeps on a synthetic return map",
+    "returnmap.select_u(a_hat)": "the index cutoff at a given tail constant",
 }
 
 
@@ -88,7 +105,7 @@ def test_flows_pass_the_steppers_of_compiled_fields(monkeypatch):
 
     def record(step, u0, *args, **kwargs):
         seen.append((step, kwargs.get("project")))
-        return odeint.BatchResult(len(u0))
+        return odeint.BatchResult(u0)
 
     monkeypatch.setattr(odeint, "integrate_batch", record)
     sys = filippov.make_system(bench.BENCH_X, bench.BENCH_Y, bench.BENCH_G,
@@ -97,10 +114,12 @@ def test_flows_pass_the_steppers_of_compiled_fields(monkeypatch):
     filippov.fly(sys, sys.X, u0, 1.0)
     filippov.slide(sys, u0, 1.0)
     filippov.slide(sys, u0, 1.0, sign=-1.0)
-    bench._landings(sys.X, np.zeros((1, 2)), sys.tol)
+    shooting = bench._shooting_field(0.4, 1.0)
+    bench._landings(shooting, np.zeros((1, 2)), sys.tol)
     steps = [step for step, _ in seen]
     assert all(isinstance(step, odeint.Stepper) for step in steps)
-    assert [step.field for step in steps] == [sys.X, sys.sliding, sys.backward_sliding, sys.X]
+    assert [step.field for step in steps] == [sys.X, sys.sliding, sys.backward_sliding,
+                                              shooting]
     assert all(isinstance(step.field, expressions.VectorFieldExpr) for step in steps)
     projections = [project for _, project in seen]
     assert projections[0] is None and projections[3] is None
@@ -110,28 +129,32 @@ def test_flows_pass_the_steppers_of_compiled_fields(monkeypatch):
 
 
 def test_flow_callables_get_contiguous_coordinate_columns(monkeypatch):
-    # the integrator keeps its states as one (3, n) component array: the
+    # the integrator keeps its states as one (m, n) component array: the
     # step, the projection and the events of every flow (the Illinois
-    # probes included) get its (n, 3) transpose, whose columns are contiguous
+    # probes included) get its (n, m) transpose, whose columns are
+    # contiguous; m is the flow's own width, 5 for the bench shooting
     from slidim import bench, filippov, odeint
 
     integrate_batch = odeint.integrate_batch
     layouts = []
 
-    def checked(fn):
+    def checked(fn, m):
         def call(u, *rest):
-            layouts.append(u.ndim == 2 and u.shape[1] == 3
-                           and all(u[:, j].flags.c_contiguous for j in range(3)))
+            layouts.append(u.ndim == 2 and u.shape[1] == m
+                           and all(u[:, j].flags.c_contiguous for j in range(m)))
             return fn(u, *rest)
         return call
 
     def record(step, u0, t_max, events=(), project=None, **kwargs):
-        events = [odeint.EventSpec(checked(ev.fn), ev.direction, ev.require_departure)
+        m = len(step.field.variables)
+        widths.add(m)
+        events = [odeint.EventSpec(checked(ev.fn, m), ev.direction, ev.require_departure)
                   for ev in events]
-        return integrate_batch(checked(step), u0, t_max, events,
-                               project=None if project is None else checked(project),
+        return integrate_batch(checked(step, m), u0, t_max, events,
+                               project=None if project is None else checked(project, m),
                                **kwargs)
 
+    widths = set()
     monkeypatch.setattr(odeint, "integrate_batch", record)
     sys = filippov.make_system(bench.BENCH_X, bench.BENCH_Y, bench.BENCH_G,
                                domain=bench.BENCH_DOMAIN,
@@ -144,8 +167,9 @@ def test_flow_callables_get_contiguous_coordinate_columns(monkeypatch):
                            center=np.zeros(3))
     assert (exits.status == odeint.EVENT).all()
     filippov.slide(sys, sliding, 1.0, sign=-1.0)
-    bench._landings(sys.X, np.zeros((3, 2)), sys.tol)
+    bench._landings(bench._shooting_field(0.4, 1.0), np.zeros((3, 2)), sys.tol)
     assert len(layouts) > 100 and all(layouts)
+    assert widths == {3, 5}
 
 
 def test_the_step_has_one_tableau_and_no_tensor_contraction():
@@ -212,3 +236,70 @@ def test_every_public_function_has_a_caller_outside_the_tests():
                        for key, names in by_def.items() if (path, key) != (home, name)):
                 test_only.add(f"{home.stem}.{name}")
     assert test_only == set(TEST_ONLY_ALLOWED), test_only
+
+
+class _Enclosed(ast.NodeVisitor):
+    """Every call, with its innermost enclosing function (None at the top)."""
+
+    def __init__(self):
+        self.stack = [None]
+        self.calls = []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        self.calls.append((node, self.stack[-1]))
+        self.generic_visit(node)
+
+
+def _passed_arguments():
+    """By callee name, the keywords and positions that some call in src/,
+    perfbench/ or demos/ passes; a keyword that reaches the callee through a
+    ``**kwargs`` parameter of the calling function counts too."""
+    paths = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+             + sorted((ROOT / "demos").glob("*.py")))
+    calls = []
+    for path in paths:
+        visitor = _Enclosed()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        calls.extend(visitor.calls)
+
+    def callee(call):
+        fn = call.func
+        return fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+
+    passed = defaultdict(set)
+    for call, _ in calls:
+        if not any(isinstance(a, ast.Starred) for a in call.args):
+            passed[callee(call)].update(range(len(call.args)))
+        passed[callee(call)].update(k.arg for k in call.keywords if k.arg is not None)
+    for call, outer in calls:
+        spread = {k.value.id for k in call.keywords
+                  if k.arg is None and isinstance(k.value, ast.Name)}
+        if outer is not None and outer.args.kwarg is not None and outer.args.kwarg.arg in spread:
+            passed[callee(call)].update(n for n in passed[outer.name] if isinstance(n, str))
+    return passed
+
+
+def test_every_keyword_option_is_passed_outside_the_tests():
+    passed = _passed_arguments()
+    unpassed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(top, ast.FunctionDef) or top.name.startswith("_"):
+                continue
+            args = top.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            options = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            options += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                        if d is not None]
+            for i, name in options:
+                if not passed[top.name] & {i, name}:
+                    unpassed.add(f"{path.stem}.{top.name}({name})")
+    assert unpassed == set(OPTION_TEST_ONLY_ALLOWED), unpassed

@@ -94,17 +94,18 @@ def test_a_step_evaluates_the_field_12_times_and_a_probe_11():
     evaluations, steps = [], []
 
     class Counted:
+        variables = field.variables
         varying = field.varying
 
-        def stages(self, x, y, z, params=None):
-            stage = field.stages(x, y, z, params)
+        def stages(self, rows):
+            stage = field.stages(rows)
             return lambda *v: evaluations.append(1) or stage(*v)
 
     stepper = Stepper(Counted())
 
-    def step(u, h, k1, params):
+    def step(u, h, k1):
         steps.append(k1 is None)
-        return stepper(u, h, k1, params)
+        return stepper(u, h, k1)
 
     u0 = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.2]])
     free = integrate_batch(step, u0, 3.0, record=True)
@@ -155,7 +156,7 @@ def test_measured_global_order_is_eight():
         u = np.array([[1.0, 0.0, 0.0]])
         h = np.full(1, 4.0 / n)
         for _ in range(n):
-            u = harmonic(u, h, None, None)[0]
+            u = harmonic(u, h, None)[0]
         return np.abs(u[0, :2] - [np.cos(4.0), -np.sin(4.0)]).max()
 
     errors = [error(n) for n in (4, 8, 16)]
@@ -164,11 +165,16 @@ def test_measured_global_order_is_eight():
 
 
 def test_row_args_carry_per_trajectory_constants():
-    f = Stepper(parse_field("0, 0, -a", {"a": 0.0}))
+    # the parameter a becomes a 4th state component whose field is 0: each
+    # row carries its own a, which is not integrated and keeps its bits
+    field = parse_field("0, 0, -a", {"a": 0.0}).with_constants(("a",))
+    assert field.variables == ("x", "y", "z", "a") and field.varying == (2,)
     ev = EventSpec(lambda u: u[:, 2])
-    res = integrate_batch(f, np.tile([0.0, 0.0, 1.0], (3, 1)), 10.0, [ev],
-                          row_params={"a": np.array([1.0, 2.0, 4.0])})
+    a = np.array([1.0, 2.0, 4.0])
+    res = integrate_batch(Stepper(field), np.column_stack([np.tile([0.0, 0.0, 1.0], (3, 1)), a]),
+                          10.0, [ev])
     assert np.allclose(res.t, [1.0, 0.5, 0.25], atol=1e-10)
+    assert np.array_equal(res.u[:, 3], a)
 
 
 def test_event_direction_filter():
@@ -209,17 +215,19 @@ def test_nonlinear_event_located_in_few_probes():
 
 
 def test_row_args_follow_rows_still_refining(monkeypatch):
-    # x' = a0, y' = x, z' = -a1 - a2 x - a3 y from (0, 0, 1): z is a
-    # polynomial in t, so z = 0 has a closed-form time per row.  All four
-    # crossings are localized together; the linear row converges on the
-    # first probe, the others need more, so later probes carry a subset.
+    # x' = a0, y' = x, z' = -a1 - a2 x - a3 y from (0, 0, 1), the a's
+    # constant state components: z is a polynomial in t, so z = 0 has a
+    # closed-form time per row.  All four crossings are localized together;
+    # the linear row converges on the first probe, the others need more, so
+    # later probes carry a subset.
     names = ("a0", "a1", "a2", "a3")
-    stepper = Stepper(parse_field("a0, x, -a1 - a2*x - a3*y", dict.fromkeys(names, 0.0)))
+    field = parse_field("a0, x, -a1 - a2*x - a3*y", dict.fromkeys(names, 0.0))
+    stepper = Stepper(field.with_constants(names))
 
-    def f(u, h, k1, params):
-        seen_args.append(np.column_stack([params[k] for k in names]))
+    def f(u, h, k1):
+        seen_args.append(u[:, 3:].copy())
         seen_k1.append(k1)
-        return stepper(u, h, k1, params)
+        return stepper(u, h, k1)
 
     args = np.array([[0.0, 1.0, 0.0, 0.0],     # z = 1 - t
                      [1.0, 0.0, 2.0, 0.0],     # z = 1 - t^2
@@ -239,9 +247,8 @@ def test_row_args_follow_rows_still_refining(monkeypatch):
     illinois = odeint.illinois
     monkeypatch.setattr(odeint, "illinois", marked)
     tol = 1e-12
-    res = integrate_batch(f, np.tile([0.0, 0.0, 1.0], (4, 1)), 10.0,
-                          [EventSpec(z_event)], tol_event=tol,
-                          row_params=dict(zip(names, args.T)))
+    res = integrate_batch(f, np.column_stack([np.tile([0.0, 0.0, 1.0], (4, 1)), args]),
+                          10.0, [EventSpec(z_event)], tol_event=tol)
     assert np.all(res.status == odeint.EVENT)
     assert np.allclose(res.t, t_exact, rtol=0, atol=1e-12)
     assert np.all(np.abs(res.u[:, 2]) <= 1e-12)
@@ -251,7 +258,7 @@ def test_row_args_follow_rows_still_refining(monkeypatch):
     # kept with its bracket
     assert len(seen_args) - first_rhs == len(probes)
     assert all(k1 is not None for k1 in seen_k1[first_rhs:])
-    # each probe's step carries the args of exactly the rows whose
+    # each probe's step carries the constants of exactly the rows whose
     # previous probes stayed above tol, in row order
     live = np.arange(4)
     for k, z in enumerate(probes):
@@ -327,13 +334,17 @@ def test_step_fail_keeps_the_last_accepted_state():
     assert res.t[1] == pytest.approx(0.2, abs=1e-12)
 
 
-# constant velocity per row: the error estimate is rounding alone, so
-# every step grows by the factor 5 up to H_MAX whatever the batch
-_drift = Stepper(parse_field("a, b, c", {"a": 0.0, "b": 0.0, "c": 0.0}))
+# constant velocity per row, carried as the state components (a, b, c):
+# the error estimate is rounding alone, so every step grows by the factor 5
+# up to H_MAX whatever the batch
+_drift = Stepper(parse_field("a, b, c", dict.fromkeys("abc", 0.0))
+                 .with_constants(("a", "b", "c")))
 
 
-def _velocities(vel):
-    return dict(zip("abc", np.asarray(vel, dtype=float).T))
+def _starts(vel):
+    """States from (1, 0, 1) at the velocities ``vel`` (one row each)."""
+    vel = np.asarray(vel, dtype=float)
+    return np.column_stack([np.tile([1.0, 0.0, 1.0], (len(vel), 1)), vel])
 
 
 # from (1, 0, 1): x - 0.2 y^2 crosses 0 downward; z - 0.5 clipped at 0
@@ -350,11 +361,11 @@ def test_batched_localization_matches_single_rows():
                     [-1.0, 0.0, -0.5],      # x crosses at 1, z passes 0.5 there
                     [-0.1, 0.1, -2.0],      # z lands on the step past 0.25
                     [-0.2, 0.0, 0.0]])      # x would cross at 5 > t_max
-    starts = np.tile([1.0, 0.0, 1.0], (len(vel), 1))
-    frame = (np.array([0.0, -0.5, 0.0]), np.eye(3)[0], np.eye(3)[1])
+    starts = _starts(vel)
+    # the winding frame spans (x, y) of the 6-component states
+    frame = (np.array([0.0, -0.5, 0.0, 0.0, 0.0, 0.0]), np.eye(6)[0], np.eye(6)[1])
     kw = dict(winding=frame, record=True)
-    batch = integrate_batch(_drift, starts, 4.0, _DRIFT_EVENTS, row_params=_velocities(vel),
-                            **kw)
+    batch = integrate_batch(_drift, starts, 4.0, _DRIFT_EVENTS, **kw)
     assert list(batch.event) == [0, 0, 1, 0, 1, -1]
     assert batch.status[-1] == odeint.TIMEOUT
     assert len(set(batch.steps)) == len(vel)     # each row ends in its own round
@@ -364,8 +375,7 @@ def test_batched_localization_matches_single_rows():
     assert batch.t[4] == pytest.approx(0.328, abs=1e-3)
     assert np.all(batch.winding[:5] > 0.0)
     for k in range(len(vel)):
-        one = integrate_batch(_drift, starts[k:k + 1], 4.0, _DRIFT_EVENTS,
-                              row_params=_velocities(vel[k:k + 1]), **kw)
+        one = integrate_batch(_drift, starts[k:k + 1], 4.0, _DRIFT_EVENTS, **kw)
         assert one.status[0] == batch.status[k]
         assert one.event[0] == batch.event[k]
         assert one.steps[0] == batch.steps[k]
@@ -395,8 +405,7 @@ def test_one_illinois_pass_per_event(monkeypatch):
     vel = np.column_stack([-1.0 / rng.uniform(0.5, 10.0, 50), rng.uniform(0.0, 1.0, 50),
                            -1.0 / rng.uniform(0.5, 10.0, 50)])
     events = [_DRIFT_EVENTS[0], EventSpec(lambda u: u[:, 2])]
-    res = integrate_batch(_drift, np.tile([1.0, 0.0, 1.0], (50, 1)), 20.0, events,
-                          row_params=_velocities(vel))
+    res = integrate_batch(_drift, _starts(vel), 20.0, events)
     assert np.all(res.status == odeint.EVENT)
     assert len(set(res.steps)) > 10
     assert len(calls) == 2 and sum(calls) >= res.t.size

@@ -25,7 +25,8 @@ def test_bench_shooting_returns_the_root_of_the_landing_map(bench):
     v = np.array([bench.u1, bench.u2])
     d = 1e-6
     probes = np.array([v, v + [d, 0], v - [d, 0], v + [0, d], v - [0, d]])
-    land, ok, _ = bench_module._landings(bench.system.X, probes, bench.system.tol)
+    field = bench_module._shooting_field(bench.alpha, bench.beta)
+    land, ok, _ = bench_module._landings(field, probes, bench.system.tol)
     assert ok.all()
     jac = np.column_stack([(land[1] - land[2]) / (2 * d), (land[3] - land[4]) / (2 * d)])
     step = np.linalg.solve(jac, -land[0])
