@@ -123,11 +123,13 @@ def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
 
     t0 = time.perf_counter()
     inv_maps = returnmap.branch_contractions(selected)
-    resid = returnmap.validate_inverse_maps(returnmap.precise(system), fold,
-                                            cert, selected, inv_maps)
-    if resid.max() > ROUNDTRIP_BUDGET:
+    resid = returnmap.validate_inverse_maps(selected)
+    worst = int(np.argmax(resid))
+    if resid[worst] > ROUNDTRIP_BUDGET:
+        b = selected[worst]
         raise RoundTripExceeded(
-            f"inverse-branch round trip {resid.max():.2e} above {ROUNDTRIP_BUDGET:.0e}")
+            f"{b.side}{b.index}: inverse-branch round trip {resid[worst]:.2e} "
+            f"above {ROUNDTRIP_BUDGET:.0e}")
     timings["inverses"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -16,7 +16,8 @@ p, and whose X-flight from q lands on p in finite time, the machinery here
   contraction map on [-1, 1] fitted to one precise sweep of the branch.
   The branch carries it (``Branch.psi``), so the branch boundaries
   psi_J(-+1), the derivative bounds and the IFS map all come from that
-  one fit.
+  one fit; held-out nodes in the same sweep give its round trip
+  (``Branch.roundtrip``).
 
 Everything expensive is evaluated in batches: each orbit is an X-flight
 (``filippov.fly``) followed by a sliding flow (``filippov.slide``).
@@ -42,7 +43,7 @@ SPARE_TURNS = 5       # sliding time budget: (deepest index + SPARE_TURNS) focus
 SAFETY = 1.05         # widening of the sampled derivative extremes
 MIN_PAIRS = 8         # scan points a branch needs for its first inverse series
 END_MISS = 1e-3       # largest |pi(psi_0(x_j)) - x_j| at the sweep nodes x_j
-N_CHECK = 24          # round-trip check nodes per inverse branch
+N_CHECK = 24          # held-out round-trip nodes per branch in the precise sweep
 NEWTON_STEPS = 20     # Newton steps of BranchInverseMap.solve
 FOLD_MAX_ITER = 40    # Newton steps of project_to_fold
 FOLD_N_PER_SIDE = 64  # fold-segment nodes on each side of q
@@ -346,6 +347,7 @@ class Branch:
     deriv_hi: float           # sampled, not certified: max |psi'| over the grid * SAFETY
     raw_turns: float          # median winding of the scan run
     psi: "BranchInverseMap"   # the inverse branch, fitted to the precise sweep
+    roundtrip: float          # max |pi(w) - psi.solve(w)| over the held-out w; inf: no exit
 
     @property
     def width(self):
@@ -360,12 +362,14 @@ def noise_floor_imax(lam, r, residual, tol_event):
 def precise(sys):
     """Copy of the system with the tightened integration control PRECISE_TOL.
 
-    The branch sweep and round-trip validation need the orbit accuracy
-    (in particular, the flight-landing slop set by the event tolerance is
-    amplified by the spiral on deep branches), while bulk scans do not; the
-    pipeline keeps the defaults everywhere else.  With DOP853 steps, rtol
-    1e-12 / atol 1e-17 left the default pipeline's round trip at 5.1e-10,
-    half its 1e-9 budget; 1e-13 / 1e-18 gives 1.0e-10.
+    The branch sweep, which also holds the round-trip nodes, needs the
+    orbit accuracy (in particular, the flight-landing slop set by the event
+    tolerance is amplified by the spiral on deep branches), while bulk
+    scans do not; the pipeline keeps the defaults everywhere else.  With
+    DOP853 steps the default pipeline's round trip is 1.7e-10 at
+    1e-13 / 1e-18 and 2.0e-10 at rtol 1e-12 / atol 1e-17; checked at
+    psi(y_k) in a batch of its own instead, it was 1.0e-10 and 5.1e-10,
+    half its 1e-9 budget.
     """
     return replace(sys, tol=replace(sys.tol, **PRECISE_TOL))
 
@@ -378,13 +382,17 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):
     outermost components), and a sweep that misses a node raises, so every
     branch returned maps onto the whole section.  A first series psi_0,
     fitted to a run's scan pairs (pi(w), w), places ``n_samples`` nodes
-    w_j = psi_0(x_j) at the Chebyshev extrema x_j of [-1, 1].  One precise sweep evaluates the
-    nodes of every branch together; its pairs fix the branch's series psi
+    w_j = psi_0(x_j) at the Chebyshev extrema x_j of [-1, 1], and ``N_CHECK``
+    held-out nodes psi_0(y_k) at the Chebyshev points y_k of the first kind.
+    One precise sweep evaluates the nodes of every branch together; the
+    pairs at the x_j alone fix the branch's series psi
     (:class:`BranchInverseMap`), whose ends psi(-+1) are the branch
-    boundaries.  The sweep must land within ``END_MISS`` of every x_j: at
-    a distance d past [-1, 1] a Chebyshev term of degree n grows to
-    cosh(n sqrt(2 d)), about 2 for the default n = 32, so the ends psi(-+1)
-    keep the accuracy of the fit.  |pi'| = 1 / |psi'| at the preimages of
+    boundaries.  The held-out pairs give the branch's round trip
+    max_k |pi(w_k) - psi.solve(w_k)| (``Branch.roundtrip``), infinite where
+    a held-out node has no exit.  The sweep must land within ``END_MISS``
+    of every x_j: at a distance d past [-1, 1] a Chebyshev term of degree n
+    grows to cosh(n sqrt(2 d)), about 2 for the default n = 32, so the ends
+    psi(-+1) keep the accuracy of the fit.  |pi'| = 1 / |psi'| at the preimages of
     an interior Chebyshev grid of the branch gives the derivative bounds.
     Each branch keeps its series as ``Branch.psi``.
     """
@@ -443,16 +451,20 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):
             f"no branch inside the scan window [{ws[0]:.6g}, {ws[-1]:.6g}]: "
             "every run of in-section points touches its ends")
 
-    # one precise sweep of the nodes psi_0(x_j) of every branch; an end node
-    # may exit just beyond the section, where its exit coordinate serves
+    # one precise sweep of every branch: the nodes psi_0(x_j), which fix psi
+    # (an end node may exit just beyond the section, where its exit
+    # coordinate serves), then the held-out nodes psi_0(y_k), which check it
     nodes = np.cos(np.pi * np.arange(n_samples) / (n_samples - 1))
-    allw = np.concatenate([psi0(nodes) for *_, psi0 in runs])
+    held_out = np.cos(np.pi * (np.arange(N_CHECK) + 0.5) / N_CHECK)
+    allw = np.concatenate([psi0(np.concatenate([nodes, held_out])) for *_, psi0 in runs])
     coord, _, _ = first_return_batch(precise(sys), fold, allw, cert.p, t_slide_max)
     # interior Chebyshev-extrema grid of the branch, where |pi'| is estimated
     grid = np.cos(np.pi * np.arange(1, n_samples + 1) / (n_samples + 1))[::-1]
     branches = []
-    for (side, index, turn, _), w, x in zip(runs, np.split(allw, len(runs)),
-                                            np.split(coord, len(runs))):
+    for (side, index, turn, _), w_all, x_all in zip(runs, np.split(allw, len(runs)),
+                                                    np.split(coord, len(runs))):
+        w, w_check = np.split(w_all, [n_samples])
+        x, x_check = np.split(x_all, [n_samples])
         if not np.isfinite(x).all():
             raise BranchResolutionExceeded(
                 f"{side}{index}: {np.count_nonzero(~np.isfinite(x))} sweep nodes "
@@ -465,9 +477,11 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):
         psi = BranchInverseMap(x, w)
         lo, hi = sorted(psi(np.array([-1.0, 1.0])))
         dpsi = psi.deriv(psi.solve(0.5 * (lo + hi) + 0.5 * (hi - lo) * grid))
+        # a held-out node with no exit (NaN) counts as an infinite residual
+        resid = np.nan_to_num(np.abs(x_check - psi.solve(w_check)), nan=np.inf)
         branches.append(Branch(side, index, (float(lo), float(hi)),
                                float(dpsi.min() / SAFETY), float(dpsi.max() * SAFETY),
-                               turn, psi))
+                               turn, psi, float(resid.max())))
     branches.sort(key=lambda br: br.interval[0])
     return branches
 
@@ -578,11 +592,7 @@ def branch_contractions(branches):
     return [b.psi for b in branches]
 
 
-def validate_inverse_maps(sys, fold, cert, branches, maps):
-    """Worst round-trip |pi(psi_J(x)) - x| per branch, in one batch."""
-    t_slide_max = (max(b.index for b in branches) + SPARE_TURNS) * cert.flight_time_scale
-    grid = np.cos(np.pi * (np.arange(N_CHECK) + 0.5) / N_CHECK)
-    allw = np.concatenate([m(grid) for m in maps])
-    coord, _, _ = first_return_batch(sys, fold, allw, cert.p, t_slide_max)
-    resid = np.abs(coord.reshape(len(maps), -1) - grid[None, :])
-    return resid.max(axis=1)
+def validate_inverse_maps(branches):
+    """Worst held-out round trip |pi(w) - psi.solve(w)| per branch, as the
+    branch sweep measured it; integrates nothing."""
+    return np.array([b.roundtrip for b in branches])

@@ -42,6 +42,11 @@ class RunConfig:
             raise ConfigError("analysis.i_max must be >= 1")
         if self.depth < 1:
             raise ConfigError("analysis.depth must be >= 1")
+        if self.n_scan < 2:
+            raise ConfigError("analysis.n_scan must be >= 2")
+        for i, size in enumerate(self.schedule or ()):
+            if size < 1:
+                raise ConfigError(f"analysis.schedule[{i}] must be >= 1")
         for name in _TOLERANCE_FIELDS:
             if getattr(self.tolerances, name) <= 0:
                 raise ConfigError(f"tolerances.{name} must be positive")
@@ -110,13 +115,13 @@ def parse_config(doc):
               _typed(system.get("params", {}), "system.params", dict, "an object").items()}
     tol = replace(Tolerances(), **{name: float(_typed(tols[name], f"tolerances.{name}"))
                                    for name in _TOLERANCE_FIELDS if name in tols})
-    kwargs = {name: kind(_typed(analysis[key], f"analysis.{key}"))
-              for key, name, kind in (("r", "radius", float), ("i_max", "i_max", int),
-                                      ("depth", "depth", int), ("n_scan", "n_scan", int))
-              if key in analysis}
+    kwargs = {key: _typed(analysis[key], f"analysis.{key}", int, "an integer")
+              for key in ("i_max", "depth", "n_scan") if key in analysis}
+    if "r" in analysis:
+        kwargs["radius"] = float(_typed(analysis["r"], "analysis.r"))
     if "schedule" in analysis:
         schedule = _typed(analysis["schedule"], "analysis.schedule", list, "a list")
-        kwargs["schedule"] = [int(_typed(v, f"analysis.schedule[{i}]"))
+        kwargs["schedule"] = [_typed(v, f"analysis.schedule[{i}]", int, "an integer")
                               for i, v in enumerate(schedule)]
     return RunConfig(
         x_src=_need(system, "X", "system"),

@@ -154,15 +154,28 @@ def test_config_errors_exit_one(tmp_path):
     ({"analysis": {"schedule": [2, "four"]}}, "analysis.schedule[1]"),
     ({"tolerances": {"rtol": "tight"}}, "tolerances.rtol"),
     ({"system": {**ESCAPE_CONFIG["system"], "params": {"a": True}}}, "system.params.a"),
+    ({"analysis": {"i_max": 2.7}}, "analysis.i_max"),
+    ({"analysis": {"schedule": [2, 4.5]}}, "analysis.schedule[1]"),
+    # a prefix of no maps has no Moran root
+    ({"analysis": {"schedule": [1, 0]}}, "analysis.schedule[1]"),
 ])
 def test_config_sections_and_values_are_checked(tmp_path, override, path):
-    # a section that is not an object, or a value that is not a number, is
-    # a one-line config error naming its field path
+    # a section that is not an object, or a value of the wrong type (a
+    # count that is not an integer) or out of range, is a one-line config
+    # error naming its field path
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**ESCAPE_CONFIG, **override}))
     r = run_cli("--config", str(cfg), "--out", str(tmp_path), "classify")
     assert r.returncode == 1
     assert r.stderr.startswith("config error:") and path in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_scan_of_fewer_than_two_points_is_a_config_error(tmp_path):
+    # an empty scan has no window to name; the front end says which option
+    r = run_cli("--out", str(tmp_path), "--scan", "0", "return-map")
+    assert r.returncode == 1
+    assert r.stderr.startswith("config error:") and "analysis.n_scan" in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -18,7 +18,10 @@ refrozen with a change of tableau, after ``python tests/test_golden.py``
 has printed every field's move against its budget.  No tolerance is a
 free choice; each one follows from a budget the pipeline itself states:
 
-* round trip: the pipeline's ``roundtrip_budget``, 1e-9 (absolute);
+* round trip: the pipeline's ``roundtrip_budget``, 1e-9 (absolute).  The
+  round trip is max |pi(w_k) - psi.solve(w_k)| over each branch's 24
+  held-out nodes w_k = psi_0(y_k), which ride in the precise branch sweep
+  without entering the fit;
 * branch boundaries: 1e-9 of the branch width W, the golden solver's own
   budget.  It stopped once its bracket was narrower than 1e-9 of a scan
   bracket (a fraction of the branch), or where ||exit_s| - 1| <= 1e-10,

@@ -8,7 +8,9 @@ integrator, so a change to how flows are built (events, projection,
 winding frame, tolerances, domain) is made once.
 Likewise only event localization (``odeint._localize``) calls the Illinois
 solver: branch boundaries come from the inverse-branch series, not from a
-second root solve on the return map.
+second root solve on the return map.  And only the branch enumeration
+integrates at the tightened tolerances (``returnmap.precise``): its one
+precise sweep also holds the held-out round-trip nodes.
 
 The package has no linter, so an import left behind by a deletion is
 caught here: every name a module imports must be used in it.  Likewise
@@ -185,6 +187,11 @@ def test_the_step_has_one_tableau_and_no_tensor_contraction():
 def test_illinois_is_called_only_by_event_localization():
     callers = _callers("illinois")
     assert callers == ["odeint._localize"], callers
+
+
+def test_precise_is_called_only_by_the_branch_enumeration():
+    callers = _callers("precise")
+    assert callers == ["returnmap.enumerate_branches"], callers
 
 
 def _unused_imports(path):

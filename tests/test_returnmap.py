@@ -311,7 +311,8 @@ def _dummy_branches(lam, a_hat, i_max):
         c = 1.0 / (a_hat * lam ** (i - 1))
         c = min(c, 0.94)
         width = 0.05 * lam ** -(i - 1)
-        out.append(Branch("R", i, (pos, pos + width), 0.8 * c, c, float(i), psi=None))
+        out.append(Branch("R", i, (pos, pos + width), 0.8 * c, c, float(i), psi=None,
+                          roundtrip=0.0))
         pos = pos - 2 * width
     return out
 
