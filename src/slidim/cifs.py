@@ -344,11 +344,19 @@ def attractor_iterate(sys, k, budget=INTERVAL_BUDGET):
 
 @dataclass
 class ScaffoldSet:
-    """Preimage-tree points of the marked point q with word lengths."""
+    """Preimage-tree points of the marked point q with word lengths, kept
+    sorted by point (stably, so equal points keep their order)."""
 
     points: np.ndarray
     word_lengths: np.ndarray
     truncated: bool = False
+
+    def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=float)
+        self.word_lengths = np.asarray(self.word_lengths)
+        if np.any(self.points[1:] < self.points[:-1]):
+            order = np.argsort(self.points, kind="stable")
+            self.points, self.word_lengths = self.points[order], self.word_lengths[order]
 
 
 def closure_scaffold(sys, q_coord, k):
@@ -484,6 +492,12 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
     disconnectedness surrogate); (iv) each cover level j holds every scaffold
     point of word length >= j (one check per level), and the marked point
     is approximated by cover midpoints down to the truncation resolution.
+
+    Clauses (ii) and (iv) count points in intervals by the rule of
+    ``CoverSet.contains`` (a point belongs to the last interval whose lower
+    end is <= it, if it is also <= that interval's upper end), by sorted
+    search (``_interval_counts``): children by their midpoints, the scaffold
+    by its sorted points.
     """
     covers = sorted(covers, key=lambda c: c.level)
     levels = [c.level for c in covers]
@@ -513,7 +527,7 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
             min_gap = min(min_gap, float(gaps.min()))
     clause_iii = {"passed": bool(min_gap > 0), "min_gap": min_gap}
 
-    ok = all(c.contains(scaffold.points[scaffold.word_lengths >= c.level]).all()
+    ok = all(_all_contained(c, scaffold.points[scaffold.word_lengths >= c.level])
              for c in covers)
     mids = 0.5 * (covers[-1].intervals[:, 0] + covers[-1].intervals[:, 1])
     d_q = float(np.min(np.abs(mids - q_coord)))
@@ -531,10 +545,29 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
 def _children_counts(parents, children):
     """Children per parent by midpoint containment (scale-free)."""
     mids = 0.5 * (children[:, 0] + children[:, 1])
-    idx = np.searchsorted(parents[:, 0], mids, side="right") - 1
-    idx = np.clip(idx, 0, len(parents) - 1)
-    inside = (mids >= parents[idx, 0]) & (mids <= parents[idx, 1])
-    return np.bincount(idx[inside], minlength=len(parents))
+    if np.any(mids[1:] < mids[:-1]):   # only a child nested in its neighbour
+        mids.sort()
+    return _interval_counts(parents, mids)
+
+
+def _interval_counts(intervals, points):
+    """Sorted ``points`` in each interval by the rule of ``CoverSet.contains``:
+    the last interval whose lower end is <= the point holds it if the point
+    is also <= its upper end.  Interval i holds the points of [lo_i, hi_i]
+    below lo_(i+1), so two searches per interval count it."""
+    start = np.searchsorted(points, intervals[:, 0], side="left")
+    stop = np.searchsorted(points, intervals[:, 1], side="right")
+    np.minimum(stop[:-1], start[1:], out=stop[:-1])
+    return stop - start
+
+
+def _all_contained(cover, points):
+    """Whether the cover holds every sorted point: searches of the interval
+    ends into the points, or ``cover.contains`` (the points searched into
+    the intervals) where there are more intervals than points."""
+    if len(cover.intervals) <= points.size:
+        return int(_interval_counts(cover.intervals, points).sum()) == points.size
+    return bool(cover.contains(points).all())
 
 
 # --- analytic fixtures -------------------------------------------------------------------

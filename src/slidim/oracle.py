@@ -68,9 +68,14 @@ def box_counting(sample, scales=None, r2_floor=0.99):
     # sample extent
     width = pts.max() - pts.min()
     norm = (pts - pts.min()) / width
-    # relies on PointSample points being sorted and deduplicated (floor stays sorted)
-    counts = np.array([np.count_nonzero(np.diff(np.floor(norm / eps))) + 1
-                       for eps in scales])
+    # relies on PointSample points being sorted and deduplicated (floor stays
+    # sorted, so the boxes are the runs of equal floors); one buffer serves
+    # every scale
+    boxes = np.empty_like(norm)
+    counts = np.empty(scales.size, dtype=int)
+    for k, eps in enumerate(scales):
+        np.floor(np.divide(norm, eps, out=boxes), out=boxes)
+        counts[k] = np.count_nonzero(boxes[1:] != boxes[:-1]) + 1
 
     gaps = np.diff(norm)
     resolution = gaps[gaps > 0].min()

@@ -332,6 +332,25 @@ def test_cantor_clause_iv_matches_per_point_loop():
     cases = [scaffold] + [
         _moved(scaffold, i, scaffold.points[i] + rng.uniform(-0.02, 0.02))
         for i in rng.choice(scaffold.points.size, 20, replace=False)]
+    # word length 5 is checked against every level, the deepest included
+    deep = cifs.closure_scaffold(sys_, 0.0, 5)
+    i = int(np.flatnonzero(deep.word_lengths == 5)[7])
+    top = covers[-1].intervals
+    gaps = 0.5 * (top[1:, 0] + top[:-1, 1])
+    only_deepest = gaps[covers[-2].contains(gaps)][0]
+    designed = {  # moved point -> whether clause (iv) still holds
+        top[5, 0]: True, top[5, 1]: True, top[-1, 1]: True,
+        top[0, 0] - 1e-9: False, top[-1, 1] + 1e-9: False, only_deepest: False}
+    cases += [deep] + [_moved(deep, i, x) for x in designed]
+    # unsorted hand-built sets; a subset makes the deep levels hold more
+    # intervals than points
+    perm = rng.permutation(deep.points.size)
+    sub = perm[:150]
+    cases += [cifs.ScaffoldSet(deep.points[perm], deep.word_lengths[perm]),
+              cifs.ScaffoldSet(deep.points[sub], deep.word_lengths[sub])]
+    cases += [cifs.ScaffoldSet(np.append(deep.points[sub], x),
+                               np.append(deep.word_lengths[sub], 5))
+              for x in (only_deepest, top[0, 0] - 1e-9, top[-1, 1] + 1e-9)]
     verdicts = []
     for sc in cases:
         clause = cifs.cantor_certify(covers, sc).clauses["iv"]
@@ -340,6 +359,53 @@ def test_cantor_clause_iv_matches_per_point_loop():
         assert clause["passed"] == want
         verdicts.append(want)
     assert verdicts[0] and not all(verdicts)
+    assert verdicts[21:] == [True] + list(designed.values()) + [True, True] + [False] * 3
+
+
+def _children_counts_reference(parents, children):
+    """The per-midpoint rule: the last parent whose lower end is <= the
+    midpoint holds it if the midpoint is also <= that parent's upper end."""
+    mids = 0.5 * (children[:, 0] + children[:, 1])
+    idx = np.searchsorted(parents[:, 0], mids, side="right") - 1
+    idx = np.clip(idx, 0, len(parents) - 1)
+    inside = (mids >= parents[idx, 0]) & (mids <= parents[idx, 1])
+    return np.bincount(idx[inside], minlength=len(parents))
+
+
+def _parent_family(rng, n):
+    """Sorted intervals whose neighbours are apart, touch, overlap by up to
+    1e-12, or (one thin interval) nest in the one before."""
+    lo, out = rng.uniform(-1.0, 0.0), []
+    for _ in range(n):
+        hi = lo + rng.choice([rng.uniform(1e-3, 0.1), 1e-9])
+        out.append((lo, hi))
+        kind = rng.integers(4)
+        if kind == 3 and hi - lo > 1e-11:
+            out.append((hi - 8e-13, hi - 3e-13))
+        lo = hi + (rng.uniform(1e-6, 0.05), 0.0, -rng.uniform(0, 1e-12), 0.0)[kind]
+    return np.array(out)
+
+
+def test_children_counts_match_the_per_midpoint_rule():
+    rng = np.random.default_rng(19)
+    for trial in range(300):
+        parents = _parent_family(rng, int(rng.integers(1, 12)))
+        assert np.array_equal(cifs.CoverSet(parents, 1).intervals, parents)
+        ends = parents.ravel()
+        span = (parents[0, 0] - 0.05, parents[-1, 1] + 0.05)
+        lo = rng.uniform(*span, int(rng.integers(0, 60)))
+        children = np.concatenate([
+            np.stack([lo, lo + rng.choice([0.0, 1e-13, 1e-4, 0.02], lo.size)], axis=1),
+            # zero-width children: midpoints exactly on parent ends
+            np.repeat(rng.choice(ends, 5)[:, None], 2, axis=1),
+            # beyond the first and the last parent
+            [[span[0] - 0.1, span[0]], [span[1], span[1] + 0.1]]])
+        children = children[np.argsort(children[:, 0])]
+        if trial % 3 == 0 and len(children) > 2:   # a thin child nested in its neighbour
+            hi = children[1, 1]
+            children = np.insert(children, 2, [[hi - 1e-13, hi - 5e-14]], axis=0)
+        want = _children_counts_reference(parents, children)
+        assert cifs._children_counts(parents, children).tolist() == want.tolist()
 
 
 def test_cantor_clause_iv_checks_each_level_once(monkeypatch):

@@ -38,11 +38,20 @@ def test_counts_nonincreasing_in_scale():
     assert np.all(np.diff(counts.astype(int)) <= 0)
 
 
+def _box_boundaries(eps):
+    """Multiples of one default grid scale on [0, 1], with both ends, so the
+    normalized points are the multiples themselves and floor(x / eps) sits at
+    its ties."""
+    return np.append(np.arange(int(1.0 / eps) + 1) * eps, 1.0).clip(0.0, 1.0)
+
+
 @pytest.mark.parametrize("make", [
     lambda: oracle.sample_word_images(cifs.make_geometric_model(1.0, 4.0, 2, 5), 6),
     lambda: oracle.sample_word_images(cifs.middle_thirds(), 12),
     lambda: oracle.PointSample(np.random.default_rng(0).uniform(-1, 1, 200000)),
-], ids=["fixture-8-maps-depth-6", "middle-thirds-depth-12", "uniform-200000"])
+    lambda: oracle.PointSample(_box_boundaries(np.geomspace(1e-6, 1e-1, 51)[20])),
+], ids=["fixture-8-maps-depth-6", "middle-thirds-depth-12", "uniform-200000",
+        "on-box-boundaries"])
 def test_counts_equal_distinct_boxes(make):
     sample = make()
     fit = oracle.box_counting(sample, r2_floor=0.0)
