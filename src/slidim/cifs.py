@@ -527,8 +527,8 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
             min_gap = min(min_gap, float(gaps.min()))
     clause_iii = {"passed": bool(min_gap > 0), "min_gap": min_gap}
 
-    ok = all(_all_contained(c, scaffold.points[scaffold.word_lengths >= c.level])
-             for c in covers)
+    in_level = ((c, scaffold.points[scaffold.word_lengths >= c.level]) for c in covers)
+    ok = all(_interval_counts(c.intervals, pts).sum() == pts.size for c, pts in in_level)
     mids = 0.5 * (covers[-1].intervals[:, 0] + covers[-1].intervals[:, 1])
     d_q = float(np.min(np.abs(mids - q_coord)))
     lvl1 = covers[0].intervals
@@ -559,15 +559,6 @@ def _interval_counts(intervals, points):
     stop = np.searchsorted(points, intervals[:, 1], side="right")
     np.minimum(stop[:-1], start[1:], out=stop[:-1])
     return stop - start
-
-
-def _all_contained(cover, points):
-    """Whether the cover holds every sorted point: searches of the interval
-    ends into the points, or ``cover.contains`` (the points searched into
-    the intervals) where there are more intervals than points."""
-    if len(cover.intervals) <= points.size:
-        return int(_interval_counts(cover.intervals, points).sum()) == points.size
-    return bool(cover.contains(points).all())
 
 
 # --- analytic fixtures -------------------------------------------------------------------

@@ -69,8 +69,7 @@ def box_counting(sample, scales=None, r2_floor=0.99):
     width = pts.max() - pts.min()
     norm = (pts - pts.min()) / width
     # relies on PointSample points being sorted and deduplicated (floor stays
-    # sorted, so the boxes are the runs of equal floors); one buffer serves
-    # every scale
+    # sorted, so the boxes are the runs of equal floors)
     boxes = np.empty_like(norm)
     counts = np.empty(scales.size, dtype=int)
     for k, eps in enumerate(scales):

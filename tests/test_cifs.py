@@ -342,15 +342,9 @@ def test_cantor_clause_iv_matches_per_point_loop():
         top[5, 0]: True, top[5, 1]: True, top[-1, 1]: True,
         top[0, 0] - 1e-9: False, top[-1, 1] + 1e-9: False, only_deepest: False}
     cases += [deep] + [_moved(deep, i, x) for x in designed]
-    # unsorted hand-built sets; a subset makes the deep levels hold more
-    # intervals than points
+    # an unsorted hand-built set
     perm = rng.permutation(deep.points.size)
-    sub = perm[:150]
-    cases += [cifs.ScaffoldSet(deep.points[perm], deep.word_lengths[perm]),
-              cifs.ScaffoldSet(deep.points[sub], deep.word_lengths[sub])]
-    cases += [cifs.ScaffoldSet(np.append(deep.points[sub], x),
-                               np.append(deep.word_lengths[sub], 5))
-              for x in (only_deepest, top[0, 0] - 1e-9, top[-1, 1] + 1e-9)]
+    cases += [cifs.ScaffoldSet(deep.points[perm], deep.word_lengths[perm])]
     verdicts = []
     for sc in cases:
         clause = cifs.cantor_certify(covers, sc).clauses["iv"]
@@ -359,7 +353,7 @@ def test_cantor_clause_iv_matches_per_point_loop():
         assert clause["passed"] == want
         verdicts.append(want)
     assert verdicts[0] and not all(verdicts)
-    assert verdicts[21:] == [True] + list(designed.values()) + [True, True] + [False] * 3
+    assert verdicts[21:] == [True] + list(designed.values()) + [True]
 
 
 def _children_counts_reference(parents, children):
@@ -412,16 +406,23 @@ def test_cantor_clause_iv_checks_each_level_once(monkeypatch):
     sys_ = cifs.make_geometric_model(1.0, 4.0, 2, 5)
     covers = [cifs.attractor_iterate(sys_, k) for k in range(1, 7)]
     scaffold = cifs.closure_scaffold(sys_, 0.0, 6)
-    calls = []
-    contains = cifs.CoverSet.contains
+    calls, searches = [], []
+    contains, interval_counts = cifs.CoverSet.contains, cifs._interval_counts
 
     def counted(self, points):
         calls.append(self.level)
         return contains(self, points)
 
+    def counted_search(intervals, points):
+        searches.append(len(intervals))
+        return interval_counts(intervals, points)
+
     monkeypatch.setattr(cifs.CoverSet, "contains", counted)
+    monkeypatch.setattr(cifs, "_interval_counts", counted_search)
     assert cifs.cantor_certify(covers, scaffold).passed
     assert len(calls) <= len(covers)
+    # one search per level for clause (iv), one per parent level for (ii)
+    assert len(searches) <= 2 * len(covers) - 1
 
 
 # --- fixtures ---------------------------------------------------------------------------------

@@ -6,8 +6,18 @@ pair at depth 12, the Moran bracket, the four Cantor clause dicts, and the
 box-counting counts, slope and R^2 of ``run_fixture_pipeline``.  No
 integration runs, so every number is a deterministic function of the code:
 a change that reorders floating-point work in the covers, the scaffold, the
-certificate or the box counts shows here as a changed digit.  After a
-deliberate change of the numbers, rewrite the file with
+certificate or the box counts shows here as a changed digit.
+
+The box counts and the clause dicts are what a reordering refactor would
+change, and they should match on any host.  The slope and R^2
+(``np.polyfit``, a LAPACK least-squares solve through the BLAS) and the Moran
+roots (a bisection over numpy's vectorised powers) are exact only on the
+BLAS build and CPU kernels that wrote the file (numpy 2.4 with OpenBLAS
+0.3.31 on x86_64 with AVX-512): on another host, a failure in those fields
+alone can be a difference of the numerical libraries rather than a
+regression of this code.
+
+After a deliberate change of the numbers, rewrite the file with
 ``PYTHONPATH=src python tests/test_golden_fixture.py``.
 """
 
