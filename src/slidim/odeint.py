@@ -33,9 +33,16 @@ states with one component per field component (the bench shooting's are
 * an 8th-order step can be long enough to jump an event's sign change and
   its return within the same step (a sliding orbit that leaves past the
   fold and comes back).  So the events are also evaluated at the
-  arguments of stages 6 and 9 (fractions 1/3 and 0.651 of the step), and
-  a step where one of them lies on the other side of both ends is
-  rejected and retried up to that fraction.
+  arguments of stages 6 and 9 (fractions 1/3 and 0.651 of the step).
+  Each row's next step is capped by its events (:func:`_event_cap`): the
+  quadratic through an event's values at 0, 1/3 and 1 of the accepted
+  step predicts its next zero and the length of the excursion past it,
+  and the step stays below half the larger of the two.  A grazing exit,
+  whose excursion is short, is then met by steps shorter than the
+  excursion, and a transversal crossing or a distant event leaves the
+  step to the tolerance.  As a backstop, a step where one of the interior
+  samples lies on the other side of both ends is rejected and retried
+  up to that fraction.
 
 The states of the running rows stay one (m, n) component array from the
 start of :func:`integrate_batch` to its end.  The step, the projection and
@@ -111,10 +118,9 @@ STEP_FAIL = 4
 STEPS_EXHAUSTED = 5
 
 H0 = 1e-4              # first trial step of every row
-# largest step.  It is also the events' safety cap: the guard samples a
-# step at 1/3 and 0.651 of its length, so an excursion of an event to its
-# other side that lasts longer than 0.349 * H_MAX holds a sample
-H_MAX = 0.25
+# largest step, a sanity cap: the winding angle (_wrap) needs every step to
+# turn less than pi about the center (a bench step turns at most 0.5 rad)
+H_MAX = 1.0
 MAX_ROUNDS = 300000    # step attempts before STEPS_EXHAUSTED
 ILLINOIS_MAX_PROBES = 80
 ILLINOIS_WIDTH = 1e-16  # narrowest Illinois bracket on the fraction scale [0, 1]
@@ -269,6 +275,28 @@ def _wrap(a):
     return x
 
 
+def _event_cap(f0, f3, f1):
+    """The next step's cap, as a fraction of the step just taken, from
+    each event's values ``f0``, ``f3`` and ``f1`` at the fractions 0, 1/3
+    and 1 of it (Shampine & Thompson, "Event location for ordinary
+    differential equations", Comput. Math. Appl. 39 (2000)).
+
+    The quadratic through the three values, f1 + d1 y + d2 y^2 at the
+    fraction 1 + y, has its roots a distance tau apart; where the later
+    one lies ahead (y > 0) the cap is half the larger of the earlier
+    root and tau, else it is inf.  So a grazing excursion past zero,
+    short tau, is met by steps shorter than it, whose ends see its sign
+    change, and a transversal crossing (tau long, inf for a straight
+    approach) or no predicted zero leaves the step to the tolerance."""
+    d2 = 1.5 * (f1 - f3) - 3.0 * (f3 - f0)     # the divided difference f[0, 1/3, 1]
+    d1 = 1.5 * (f1 - f3) + (2.0 / 3.0) * d2     # the slope at the end
+    tau = np.sqrt(d1 * d1 - 4.0 * d2 * f1) / np.abs(d2)
+    mid = -0.5 * d1 / d2                        # the vertex
+    cap = 0.5 * np.fmax(mid - 0.5 * tau, tau)
+    cap[~(mid + 0.5 * tau > 0.0)] = np.inf
+    return cap
+
+
 def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                     tol_event=1e-12, project=None, winding=None, domain=None,
                     record=False):
@@ -364,11 +392,14 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                 # the guard: a departed event whose value at an interior
                 # sample lies beyond tol_event on the other side of both
                 # ends crossed twice or more; the step is retried up to
-                # the fraction of the first such sample
-                inside = np.empty_like(ev_prev)
+                # the fraction of the first such sample.  The values at the
+                # first sample (fraction 1/3) also feed the step cap
+                samples = []
                 for i, state in zip(_GUARD_STAGES, inner):
+                    inside = np.empty_like(ev_prev)
                     for j, ev in enumerate(events):
                         inside[j] = ev.fn(state)
+                    samples.append(inside)
                     jumped = np.abs(inside) > tol_event
                     jumped &= inside * ev_prev < 0.0
                     jumped &= inside * vals < 0.0
@@ -406,6 +437,12 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                         bracket_k1 = np.empty((len(k_first), n))
                     bracket_k1[:, r] = k_first[:, hit]
                 departed |= accept & (size > tol_event)
+                # an accepted row's next step stays below what each departed
+                # event predicts of its next crossing
+                cap = np.where(departed, _event_cap(ev_prev, samples[0], vals), np.inf)
+                cap = cap.min(axis=0)
+                cap *= hs
+                np.minimum(h, cap, out=h, where=accept)
                 np.copyto(ev_prev, vals, where=accept)
 
             # every accepted row moves on; the hit rows end below, their

@@ -313,16 +313,22 @@ def first_return_batch(sys, fold, ws, center, t_slide_max=2000.0):
     manifold return, or the orbit exits the sliding region elsewhere or
     never leaves the focus within the time budget).  The chart's center
     w = 0 is q, whose flight is the connection: it lands on the focus and
-    stays, so pi is not defined there and its row is NaN without a
-    sliding flow (numerically the flight lands within the connection
-    residual of the focus, and the orbit would leave after a number of
-    turns set by that residual's rounding).  Beyond the segment
+    stays, so pi is not defined there.  Numerically every flight that
+    lands within 10 ``tol.event`` of ``center`` (the floor of
+    ``noise_floor_imax``) is that case: the landing is located only to
+    about ``tol.event``, and the orbit would leave after a number of turns
+    set by its rounding; such a row is NaN without a sliding flow.  On
+    the bench at default tolerances that is |w| below about 3e-11, q's
+    own flight landing 1.1e-13 from the focus (6.1e-12 at ``precise``
+    tolerances, above their floor: the connection is shot at the default
+    ones, so q gets a return there).  Beyond the segment
     ``coord`` is the chart's linear extension, which still places branch
     ends; ``ok = |coord| <= 1`` marks the returns to the section.
     """
     ws = np.asarray(ws, dtype=float)
     flight = fly(sys, sys.X, fold.point_at(ws), FLIGHT_T_MAX)
-    landed = np.nonzero((flight.status == odeint.EVENT) & (ws != 0.0))[0]
+    off_focus = np.linalg.norm(flight.u - center, axis=1) > 10 * sys.tol.event
+    landed = np.nonzero((flight.status == odeint.EVENT) & off_focus)[0]
     coord = np.full(ws.size, np.nan)
     turns = np.full(ws.size, np.nan)
     if landed.size:

@@ -329,11 +329,12 @@ def test_slide_reports_the_first_fold_exit_of_the_bench_spiral(bench):
     # exit rho cos(theta) < 1 (it rises toward the exit, and one turn
     # earlier rho is 12 times smaller), so the first crossing is at y*
     # after Delta / 2 pi turns.  Beyond the fold the spiral comes back
-    # across x = 1 within 0.26 time units at y* = 0.25 and 0.09 at 0.35
-    # (it touches x = 1 at y = 0.4), so a step that spans the excursion
-    # sees no sign change at its ends.
+    # across x = 1 within 0.26 time units at y* = 0.25, 0.09 at 0.35 and
+    # 0.049 at 0.372 (it touches x = 1 at y = 0.4), so a step that spans
+    # the excursion sees no sign change at its ends.  Two input ranges:
+    # y* in [0.2, 0.35] and, nearer the tangency, [0.35, 0.39].
     rng = np.random.default_rng(1)
-    y_exit = np.linspace(0.2, 0.35, 400)
+    y_exit = np.concatenate([np.linspace(0.2, 0.35, 400), np.linspace(0.35, 0.39, 400)])
     delta = 2 * np.pi * rng.uniform(0.3, 2.0, y_exit.size)
     theta0 = np.arctan(y_exit) - delta
     rho0 = np.hypot(1.0, y_exit) * np.exp(-0.4 * delta)

@@ -198,7 +198,8 @@ def test_records_monotone_times():
 
 def test_nonlinear_event_located_in_few_probes():
     # x = cos t crosses 0 downward at t = pi/2; every evaluation after the
-    # one at the end of the crossing step is a localization probe
+    # one at the end of the crossing step is a localization probe.  At rtol
+    # 1e-12 the orbit's own error lies well below the bound on t
     values = []
 
     def x_event(u):
@@ -206,7 +207,7 @@ def test_nonlinear_event_located_in_few_probes():
         return u[:, 0]
 
     res = integrate_batch(harmonic, np.array([[1.0, 0.0, 0.0]]), 10.0,
-                          [EventSpec(x_event)])
+                          [EventSpec(x_event)], rtol=1e-12)
     assert res.status[0] == odeint.EVENT
     assert abs(res.u[0, 0]) <= 1e-12
     assert res.t[0] == pytest.approx(np.pi / 2, abs=1e-11)
@@ -336,7 +337,8 @@ def test_step_fail_keeps_the_last_accepted_state():
 
 # constant velocity per row, carried as the state components (a, b, c):
 # the error estimate is rounding alone, so every step grows by the factor 5
-# up to H_MAX whatever the batch
+# up to H_MAX whatever the batch; no event of _DRIFT_EVENTS predicts a
+# zero close enough to cap a step
 _drift = Stepper(parse_field("a, b, c", dict.fromkeys("abc", 0.0))
                  .with_constants(("a", "b", "c")))
 
@@ -354,11 +356,14 @@ _DRIFT_EVENTS = [EventSpec(lambda u: u[:, 0] - 0.2 * u[:, 1] ** 2, direction=-1)
 
 
 def test_batched_localization_matches_single_rows():
-    # the steps end at t = 0.078, 0.328, 0.578, 0.828, 1.078, ... (+0.25)
+    # the steps end at t = 1e-4, 6e-4, 0.0031, 0.0156, 0.0781, 0.3906, then
+    # 1.3906, 2.3906, ... (+H_MAX)
+    ends = np.cumsum(odeint.H0 * 5.0 ** np.arange(6))
+    ends = np.concatenate([ends, ends[-1] + odeint.H_MAX * np.arange(1, 4)])
     vel = np.array([[-0.8, 0.5, -0.1],      # x crosses at 1.165
-                    [-0.5, 0.2, -0.1],      # x crosses at 1.97
-                    [-0.2, 0.3, -1.0],      # z lands on the step past 0.5
-                    [-1.0, 0.0, -0.5],      # x crosses at 1, z passes 0.5 there
+                    [-0.3, 0.2, -0.1],      # x crosses at 3.08
+                    [-0.2, 0.3, -10.0],     # z lands on the step past 0.05
+                    [-0.5, 0.0, -0.25],     # x crosses at 2, z passes 0.5 there
                     [-0.1, 0.1, -2.0],      # z lands on the step past 0.25
                     [-0.2, 0.0, 0.0]])      # x would cross at 5 > t_max
     starts = _starts(vel)
@@ -370,9 +375,9 @@ def test_batched_localization_matches_single_rows():
     assert batch.status[-1] == odeint.TIMEOUT
     assert len(set(batch.steps)) == len(vel)     # each row ends in its own round
     assert batch.t[0] == pytest.approx((-0.8 + np.sqrt(0.84)) / 0.1, abs=1e-12)
-    assert batch.t[3] == pytest.approx(1.0, abs=1e-12)
-    assert batch.t[2] == pytest.approx(0.578, abs=1e-3)
-    assert batch.t[4] == pytest.approx(0.328, abs=1e-3)
+    assert batch.t[3] == pytest.approx(2.0, abs=1e-12)
+    assert batch.t[2] == pytest.approx(ends[4], abs=1e-3)
+    assert batch.t[4] == pytest.approx(ends[5], abs=1e-3)
     assert np.all(batch.winding[:5] > 0.0)
     for k in range(len(vel)):
         one = integrate_batch(_drift, starts[k:k + 1], 4.0, _DRIFT_EVENTS, **kw)
@@ -402,13 +407,28 @@ def test_one_illinois_pass_per_event(monkeypatch):
 
     monkeypatch.setattr(odeint, "illinois", counted)
     rng = np.random.default_rng(7)
-    vel = np.column_stack([-1.0 / rng.uniform(0.5, 10.0, 50), rng.uniform(0.0, 1.0, 50),
-                           -1.0 / rng.uniform(0.5, 10.0, 50)])
+    vel = np.column_stack([-1.0 / rng.uniform(0.5, 19.0, 50), rng.uniform(0.0, 0.1, 50),
+                           -1.0 / rng.uniform(0.5, 19.0, 50)])
     events = [_DRIFT_EVENTS[0], EventSpec(lambda u: u[:, 2])]
     res = integrate_batch(_drift, _starts(vel), 20.0, events)
     assert np.all(res.status == odeint.EVENT)
     assert len(set(res.steps)) > 10
     assert len(calls) == 2 and sum(calls) >= res.t.size
+
+
+def test_event_cap_is_half_the_predicted_crossing_or_excursion():
+    # values at the fractions 0, 1/3, 1 of a step of quadratics in the
+    # fraction x: zeros 0.5 and 0.7 past the end (cap max(0.5, 0.2) / 2),
+    # 0.1 and 0.7 past it (max(0.1, 0.6) / 2), one behind and one 0.2 past
+    # it (the excursion 1.0 / 2); a straight approach, no zero, zeros behind
+    quadratics = [lambda x: (x - 1.5) * (x - 1.7), lambda x: (x - 1.1) * (x - 1.7),
+                  lambda x: (x - 0.2) * (x - 1.2), lambda x: 6.0 - 3.0 * x,
+                  lambda x: (x - 1.5) ** 2 + 0.01, lambda x: -x * (x - 0.5)]
+    f0, f3, f1 = (np.array([q(x) for q in quadratics]) for x in (0.0, 1 / 3, 1.0))
+    with np.errstate(all="ignore"):
+        cap = odeint._event_cap(f0, f3, f1)
+    assert cap[:3] == pytest.approx([0.25, 0.3, 0.5], rel=1e-12)
+    assert np.all(cap[3:] == np.inf)
 
 
 def test_wrap_is_the_remainder_of_an_angle_difference():

@@ -183,6 +183,18 @@ def test_first_return_at_center_misses(bench, bench_pipeline):
     assert not ok[0]
 
 
+def test_first_return_needs_a_landing_above_the_noise_floor(bench, bench_pipeline):
+    # flights from w = +-1e-11 and +-1e-12 land 2.8e-12 and 3.0e-13 from the
+    # focus, below 10 tol.event = 1e-11, where the landing's rounding would
+    # set the exit: no return.  w = 1e-9 lands 2.8e-10 from it and returns
+    w = np.array([1e-9, 1e-11, -1e-11, 1e-12, -1e-12])
+    coord, turns, ok = first_return_batch(bench.system, bench_pipeline.fold, w,
+                                          bench_pipeline.cert.p)
+    assert np.isfinite(coord[0]) and np.isfinite(turns[0])
+    assert np.isnan(coord[1:]).all() and np.isnan(turns[1:]).all()
+    assert not ok[1:].any()
+
+
 def test_first_return_counts_the_fold_exits_event_zero(bench, bench_pipeline, monkeypatch):
     # the bench's Yg is the constant 1, so Xg = 0 is the only fold event:
     # every sliding orbit that ends at an event leaves through the fold, and
