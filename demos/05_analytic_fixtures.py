@@ -8,7 +8,7 @@ Everything here is exact arithmetic, no integration.
 
 import numpy as np
 
-from slidim import (attractor_iterate, cantor_certify, closure_scaffold,
+from slidim import (cantor_certify, closure_scaffold, cover_tower,
                     dimension_report, make_geometric_model, middle_thirds,
                     moran_bounds, pressure, pressure_root, word_intervals)
 
@@ -17,7 +17,7 @@ s, t = moran_bounds(mt)
 print(f"middle thirds: Moran bounds ({s:.12f}, {t:.12f}), "
       f"exact ln2/ln3 = {np.log(2) / np.log(3):.12f}")
 
-covers = [attractor_iterate(mt, k) for k in range(1, 13)]
+covers = cover_tower(mt, 12)
 print("cover lengths:", " ".join(f"{c.total_length:.4f}" for c in covers[:6]), "...")
 print("two-route word intervals agree:",
       np.abs(word_intervals(mt, 4) - covers[3].intervals).max() == 0.0)

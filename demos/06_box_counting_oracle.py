@@ -7,7 +7,7 @@ bounds; the cross-check requires it to land inside the Moran bracket.
 
 import numpy as np
 
-from slidim import (attractor_iterate, box_counting, crosscheck,
+from slidim import (box_counting, cover_tower, crosscheck,
                     dimension_report, make_geometric_model, middle_thirds,
                     sample_word_images)
 from slidim.cifs import DimensionReport
@@ -20,7 +20,7 @@ for name, sys_ in (("middle thirds", middle_thirds()),
     print(f"{name}: {sample.points.size} points, slope {fit.slope:.4f} "
           f"(R^2 {fit.r_squared:.4f}), bracket [{rep.moran_lower:.4f}, "
           f"{rep.moran_upper:.4f}]")
-    covers = [attractor_iterate(sys_, k) for k in range(1, 13)]
+    covers = cover_tower(sys_, 12)
     verdict = crosscheck(rep, sample, covers,
                          decay_cap=sum(m.c for m in sys_.maps) + 1e-9)
     print("  verdict:", "PASS" if verdict.passed else "FAIL",
@@ -28,6 +28,6 @@ for name, sys_ in (("middle thirds", middle_thirds()),
 
 print("\nnegative control: corrupted bounds must fail")
 sample = sample_word_images(middle_thirds(), 12)
-covers = [attractor_iterate(middle_thirds(), k) for k in range(1, 9)]
+covers = cover_tower(middle_thirds(), 8)
 bad = crosscheck(DimensionReport(0.1, 0.2), sample, covers)
 print("  corrupted verdict:", "PASS" if bad.passed else "FAIL")

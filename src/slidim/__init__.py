@@ -10,10 +10,10 @@ from .bench import BenchConnection, make_bench
 from .cifs import (CantorCertificate, ContractionMap, CoverSet,
                    DimensionReport, IfsSystem, ScaffoldSet, TailModel,
                    attractor_iterate, cantor_certify, check_conditions,
-                   closure_scaffold, dimension_report, dimension_sup,
-                   equal_ratio_system, make_geometric_model, middle_thirds,
-                   moran_bounds, piecewise_expanding, pressure, pressure_root,
-                   verify_forward_backward, word_intervals)
+                   closure_scaffold, cover_tower, dimension_report,
+                   dimension_sup, equal_ratio_system, make_geometric_model,
+                   middle_thirds, moran_bounds, piecewise_expanding, pressure,
+                   pressure_root, verify_forward_backward, word_intervals)
 from .config import Tolerances
 from .expressions import (ScalarExpr, SwitchingFunction, VectorFieldExpr,
                           parse_expr, parse_field)

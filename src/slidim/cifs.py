@@ -10,6 +10,9 @@ for countable families), interval covers of the attractor, preimage-tree
 scaffolds of a marked point, and a Cantor-structure certificate at finite
 resolution.
 
+An ``IfsSystem`` keeps its maps in image order, and each cover level is
+built once, from the one before, in sorted order without a sort.
+
 Countable families are represented as a finite prefix plus an analytic
 tail descriptor: every tail quantity used here is a geometric series, so
 truncation error is exact rather than estimated.
@@ -79,34 +82,33 @@ class TailModel:
 
 @dataclass
 class IfsSystem:
-    """Ordered finite family of contractions, optionally with a tail model."""
+    """Finite family of contractions, optionally with a tail model; ``maps``
+    is kept in image order (by lower image end), which the covers rely on."""
 
     maps: list
     tail: TailModel = None
 
     def __post_init__(self):
+        self.maps = sorted(self.maps, key=lambda m: m.image[0])
         _check_disjoint(self.maps)
 
     @property
     def uniform_contraction(self):
         return max(m.c for m in self.maps)
 
-    def sorted_by_size(self):
-        return sorted(self.maps, key=lambda m: (-m.b, m.image[0]))
-
 
 @dataclass
 class CoverSet:
-    """Finite union of disjoint closed intervals: one cover level."""
+    """Finite union of disjoint closed intervals: one cover level, given
+    sorted by lower end (checked here, not sorted)."""
 
     intervals: np.ndarray         # (M, 2) sorted by lower endpoint
     level: int
-    truncated: bool = False
 
     def __post_init__(self):
-        iv = np.asarray(self.intervals, dtype=float).reshape(-1, 2)
-        order = np.argsort(iv[:, 0])
-        self.intervals = iv[order]
+        self.intervals = np.asarray(self.intervals, dtype=float).reshape(-1, 2)
+        if np.any(self.intervals[1:, 0] < self.intervals[:-1, 0]):
+            raise ValueError(f"cover level {self.level}: lower ends not in order")
         gaps = self.intervals[1:, 0] - self.intervals[:-1, 1]
         if gaps.size and gaps.min() < -1e-12:
             raise ValueError(f"cover level {self.level}: intervals overlap by {-gaps.min():.3e}")
@@ -174,8 +176,7 @@ def check_conditions(sys):
         raise ConditionViolated("C2", worst, "no uniform contraction constant below 1")
     details["C2"] = {"s": worst}
 
-    _check_disjoint(sys.maps)
-    details["C3"] = {"min_gap": _min_gap(sys)}
+    details["C3"] = {"min_gap": _check_disjoint(sys.maps)}
 
     missing = [m.tag for m in sys.maps if m.deriv is None]
     if missing:
@@ -201,17 +202,14 @@ def check_conditions(sys):
     return ConditionReport(True, details)
 
 
-def _min_gap(sys):
-    ivs = sorted(m.image for m in sys.maps)
-    gaps = [b[0] - a[1] for a, b in zip(ivs, ivs[1:])]
-    return float(min(gaps)) if gaps else np.inf
-
-
 def _check_disjoint(maps):
-    ivs = sorted(((m.image, m.tag) for m in maps), key=lambda p: p[0][0])
-    for (ia, ta), (ib, tb) in zip(ivs, ivs[1:]):
-        if ia[1] > ib[0] + 1e-14:
-            raise ConditionViolated("C3", (ta, tb), "image interiors overlap")
+    """Smallest gap between neighbouring images of maps in image order; an
+    overlap violates C3."""
+    for a, b in zip(maps, maps[1:]):
+        if a.image[1] > b.image[0] + 1e-14:
+            raise ConditionViolated("C3", (a.tag, b.tag), "image interiors overlap")
+    gaps = [b.image[0] - a.image[1] for a, b in zip(maps, maps[1:])]
+    return float(min(gaps)) if gaps else np.inf
 
 
 # --- Moran equations and pressure ---------------------------------------------------
@@ -266,7 +264,7 @@ def dimension_sup(sys, schedule=None):
     Prefixes take the strongest maps first; the resulting curve converges
     to the countable system's dimension from below.
     """
-    maps = sys.sorted_by_size()
+    maps = sorted(sys.maps, key=lambda m: -m.b)   # stable: ties stay in image order
     if schedule is None:
         schedule = list(range(1, len(maps) + 1))
     out = []
@@ -318,28 +316,35 @@ def dimension_report(sys, schedule=None):
 
 
 def _map_interval_batch(m, intervals):
+    """Images of sorted intervals under the strictly monotone map ``m``, from
+    endpoint evaluation, sorted: a decreasing map's block is reversed."""
     lo = np.asarray(m.eval(intervals[:, 0]), dtype=float)
     hi = np.asarray(m.eval(intervals[:, 1]), dtype=float)
-    return np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=1)
+    block = np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=1)
+    return block[::-1] if block[0, 0] > block[-1, 0] else block
 
 
-def attractor_iterate(sys, k, budget=INTERVAL_BUDGET):
-    """Level-k interval cover: the union of depth-k word images of [-1, 1].
+def attractor_iterate(sys, cover):
+    """The cover level after ``cover``: its images map by map in image order,
+    disjoint sorted blocks, so the level comes out sorted."""
+    blocks = [_map_interval_batch(m, cover.intervals) for m in sys.maps]
+    return CoverSet(np.concatenate(blocks), cover.level + 1)
 
-    Maps are strictly monotone, so interval images come from endpoint
-    evaluation.  When the interval count would exceed the budget, the
-    deepest completed level is returned flagged as truncated.
-    """
-    if k < 1:
-        raise ValueError("cover level must be >= 1")
-    cover = np.array(sorted(m.image for m in sys.maps), dtype=float)
-    level = 1
-    while level < k:
-        if cover.shape[0] * len(sys.maps) > budget:
-            return CoverSet(cover, level, truncated=True)
-        cover = np.concatenate([_map_interval_batch(m, cover) for m in sys.maps])
-        level += 1
-    return CoverSet(cover, level)
+
+def cover_tower(sys, depth, budget=INTERVAL_BUDGET):
+    """Cover levels 1..depth, level 1 the declared images and each next one
+    ``attractor_iterate`` of the last.  Raises InsufficientData, naming the
+    last level built, when the next would hold more than ``budget`` intervals."""
+    if depth < 1:
+        raise ValueError("cover depth must be >= 1")
+    tower = [CoverSet([m.image for m in sys.maps], 1)]
+    while len(tower) < depth:
+        if len(tower[-1].intervals) * len(sys.maps) > budget:
+            raise InsufficientData(
+                f"cover tower stopped at level {len(tower)} of {depth}: the next "
+                f"level would exceed the interval budget {budget}")
+        tower.append(attractor_iterate(sys, tower[-1]))
+    return tower
 
 
 @dataclass
@@ -421,7 +426,7 @@ def verify_forward_backward(pi_fn, sys, k, n_points=10000, seed=0):
     excluded from the statistic.  Raises EquivalenceFailure below the
     agreement ``FB_THRESHOLD``.
     """
-    covers = [attractor_iterate(sys, j) for j in range(1, k + 2)]
+    covers = cover_tower(sys, k + 1)
     target = covers[-1]
     rng = np.random.default_rng(seed)
     half = n_points // 2
@@ -486,6 +491,8 @@ class CantorCertificate:
 def cantor_certify(covers, scaffold, q_coord=0.0):
     """Four finite-resolution clauses for the Cantor structure of the closure.
 
+    ``covers`` is a tower from level 1 down, as ``cover_tower`` returns it.
+
     (i) cover lengths decay geometrically toward zero; (ii) every interval
     contains at least two disjoint children (perfectness surrogate);
     (iii) neighboring intervals are separated by positive gaps (total
@@ -499,12 +506,8 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
     search (``_interval_counts``): children by their midpoints, the scaffold
     by its sorted points.
     """
-    covers = sorted(covers, key=lambda c: c.level)
-    levels = [c.level for c in covers]
-    if len(levels) < 2:
-        raise InsufficientData(f"need at least two cover levels, got {len(levels)}")
-    if len(set(levels)) != len(levels):
-        raise InsufficientData("duplicate cover levels (tower truncated by its interval budget)")
+    if len(covers) < 2:
+        raise InsufficientData(f"need at least two cover levels, got {len(covers)}")
     depth = covers[-1].level
     lengths = np.array([c.total_length for c in covers])
     ratios = lengths[1:] / lengths[:-1]
@@ -611,7 +614,6 @@ def make_geometric_model(a, lam, i_min, i_max):
         maps.append(_affine_map(-hi, -lo, f"R{i}", mirrored=True))
         offset += w * (1 + GAP_FRACTION)
     tail = TailModel(a=lam / a, lam=lam, i_start=i_max + 1)
-    maps.sort(key=lambda m: m.image[0])
     return IfsSystem(maps, tail)
 
 
@@ -645,10 +647,8 @@ def piecewise_expanding(sys):
     for m in sys.maps:
         if m.inverse is None:
             raise ValueError(f"map {m.tag!r} has no exact inverse")
-    intervals = np.array([m.image for m in sys.maps])
-    order = np.argsort(intervals[:, 0])
-    maps = [sys.maps[i] for i in order]
-    intervals = intervals[order]
+    maps = sys.maps
+    intervals = np.array([m.image for m in maps])
 
     def pi(points):
         points = np.asarray(points, dtype=float)

@@ -226,7 +226,7 @@ def cmd_attractor(cfg, system, out, args):
     if args.model:
         depth = 12 if args.depth is None else args.depth
         ifs = _fixture_system(args)
-        covers = [cifs.attractor_iterate(ifs, j) for j in range(1, depth + 1)]
+        covers = cifs.cover_tower(ifs, depth)
         scaffold, cantor = pipeline.certify_cantor(ifs, covers, depth)
     else:
         # the dimension run, checks included, at cover and certificate depth
@@ -238,7 +238,7 @@ def cmd_attractor(cfg, system, out, args):
     _write_csv(os.path.join(out, "scaffold.csv"), ["coordinate", "word_length"],
                list(zip(scaffold.points, scaffold.word_lengths)))
     doc = _cantor_dict(cantor)
-    doc["truncated"] = bool(any(c.truncated for c in covers) or scaffold.truncated)
+    doc["truncated"] = bool(scaffold.truncated)
     _write_json(os.path.join(out, "certificate.json"), doc)
     return 0
 

@@ -156,8 +156,8 @@ class DegenerateFit(SlidimError):
 
 
 class InsufficientData(SlidimError, ValueError):
-    """Too few points or scale decades for a fit, or too few distinct cover
-    levels for the Cantor certificate (a tower cut short by its budget)."""
+    """Too few points or scale decades for a fit, too few cover levels for
+    the Cantor certificate, or a cover tower cut short by its budget."""
 
 
 # --- front end ----------------------------------------------------------------

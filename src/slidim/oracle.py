@@ -115,14 +115,15 @@ class Verdict:
 def crosscheck(report, sample, covers, band=0.03, decay_cap=None):
     """Box slope inside the Moran bracket (+- band) and geometric decay.
 
-    ``decay_cap`` defaults to just above the system's sum of contraction
-    bounds when provided, else to 1.
+    ``covers`` are cover levels from the shallowest down.  ``decay_cap``
+    defaults to just above the system's sum of contraction bounds when
+    provided, else to 1.
     """
     fit = box_counting(sample)
     lo = report.moran_lower - band
     hi = report.moran_upper + band
     slope_ok = lo <= fit.slope <= hi
-    lengths = [cover_length(c) for c in sorted(covers, key=lambda c: c.level)]
+    lengths = [cover_length(c) for c in covers]
     ratios = np.array(lengths[1:]) / np.array(lengths[:-1])
     cap = decay_cap if decay_cap is not None else 1.0
     decay_ok = bool(np.all(ratios <= cap)) and lengths[-1] < lengths[0]

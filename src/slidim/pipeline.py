@@ -69,8 +69,7 @@ def analyze_ifs(ifs, certified, *, cover_depth, cantor_depth, box_depth, schedul
     """
     cifs.check_conditions(ifs)
     report = cifs.dimension_report(ifs, schedule=schedule)
-    covers = [cifs.attractor_iterate(certified, j)
-              for j in range(1, max(cover_depth, cantor_depth) + 1)]
+    covers = cifs.cover_tower(certified, max(cover_depth, cantor_depth))
     scaffold, cantor = certify_cantor(certified, covers, cantor_depth)
     sample = oracle.sample_word_images(ifs, box_depth)
     sum_c = float(sum(m.c for m in certified.maps))
@@ -86,7 +85,7 @@ def _subsystem(ifs):
         side_maps = [m for m in ifs.maps if m.tag.startswith(side)]
         side_maps.sort(key=lambda m: -(m.image[1] - m.image[0]))
         chosen.extend(side_maps[:CERTIFIED_PER_SIDE])
-    return cifs.IfsSystem(sorted(chosen, key=lambda m: m.image[0]))
+    return cifs.IfsSystem(chosen)
 
 
 def branch_ifs(branches, maps, lam, a_hat, i_tail_start):
@@ -97,7 +96,7 @@ def branch_ifs(branches, maps, lam, a_hat, i_tail_start):
             eval=m, image=br.interval, b=br.deriv_lo, c=br.deriv_hi,
             deriv=m.deriv, tag=f"{br.side}{br.index}"))
     tail = cifs.TailModel(a=a_hat, lam=lam, i_start=i_tail_start)
-    return cifs.IfsSystem(sorted(cms, key=lambda m: m.image[0]), tail)
+    return cifs.IfsSystem(cms, tail)
 
 
 def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,

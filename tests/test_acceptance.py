@@ -72,7 +72,7 @@ def test_criterion_4_cantor_certificates(bench_pipeline):
     assert bench_pipeline.cantor.depth == 6
 
     for fixture in (cifs.middle_thirds(), cifs.make_geometric_model(1.0, 4.0, 1, 1)):
-        covers = [cifs.attractor_iterate(fixture, k) for k in range(1, 13)]
+        covers = cifs.cover_tower(fixture, 12)
         scaffold = cifs.closure_scaffold(fixture, 0.0, 8)
         cert = cifs.cantor_certify(covers, scaffold)
         assert cert.passed and cert.depth == 12
@@ -137,7 +137,7 @@ def test_criterion_8_oracle_concordance():
             ("geometric", cifs.make_geometric_model(1.0, 4.0, 1, 1), 12)):
         report = cifs.dimension_report(fixture)
         sample = oracle.sample_word_images(fixture, depth)
-        covers = [cifs.attractor_iterate(fixture, k) for k in range(1, depth + 1)]
+        covers = cifs.cover_tower(fixture, depth)
         verdict = oracle.crosscheck(report, sample, covers,
                                     decay_cap=sum(m.c for m in fixture.maps) + 1e-9)
         assert verdict.passed, name
@@ -145,7 +145,7 @@ def test_criterion_8_oracle_concordance():
 
     corrupted = cifs.DimensionReport(0.1, 0.2)
     sample = oracle.sample_word_images(cifs.middle_thirds(), 12)
-    covers = [cifs.attractor_iterate(cifs.middle_thirds(), k) for k in range(1, 9)]
+    covers = cifs.cover_tower(cifs.middle_thirds(), 8)
     assert not oracle.crosscheck(corrupted, sample, covers).passed
     _line(8, "box slopes inside Moran brackets +-0.03 on both fixtures; "
              "corrupted bounds FAIL")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from slidim import cifs
+from slidim import cifs, pipeline
 from slidim.errors import (CertificateFailure, ConditionViolated,
                            DegenerateSystem, EquivalenceFailure,
-                           NoRootInUnitInterval, ParameterInfeasible,
-                           TailDiverges)
+                           InsufficientData, NoRootInUnitInterval,
+                           ParameterInfeasible, TailDiverges)
 
 LN2_LN3 = np.log(2) / np.log(3)
 LN3_LN4 = np.log(3) / np.log(4)
@@ -131,20 +131,19 @@ def test_geometric_tail_matches_series():
 
 def test_middle_thirds_cover_arithmetic():
     mt = cifs.middle_thirds()
-    c1 = cifs.attractor_iterate(mt, 1)
+    tower = cifs.cover_tower(mt, 8)
+    c1, c2 = tower[:2]
     assert np.allclose(c1.intervals, [[-1, -1 / 3], [1 / 3, 1]])
-    c2 = cifs.attractor_iterate(mt, 2)
     widths = c2.intervals[:, 1] - c2.intervals[:, 0]
     assert len(widths) == 4 and np.allclose(widths, 2 / 9)
-    for k in range(1, 9):
-        cov = cifs.attractor_iterate(mt, k)
+    assert [cov.level for cov in tower] == list(range(1, 9))
+    for k, cov in enumerate(tower, start=1):
         assert cov.total_length == pytest.approx((2 / 3) ** k * 2, rel=1e-12)
 
 
 def test_cover_nesting():
     sys_ = cifs.make_geometric_model(0.5, 3.0, 1, 3)
-    parent = cifs.attractor_iterate(sys_, 3)
-    child = cifs.attractor_iterate(sys_, 4)
+    parent, child = cifs.cover_tower(sys_, 4)[2:]
     mids = 0.5 * (child.intervals[:, 0] + child.intervals[:, 1])
     idx = np.searchsorted(parent.intervals[:, 0], mids, side="right") - 1
     assert np.all(mids <= parent.intervals[idx, 1])
@@ -153,8 +152,7 @@ def test_cover_nesting():
 
 def test_cover_self_similarity_recursion():
     mt = cifs.middle_thirds()
-    lvl3 = cifs.attractor_iterate(mt, 3)
-    lvl2 = cifs.attractor_iterate(mt, 2)
+    lvl2, lvl3 = cifs.cover_tower(mt, 3)[1:]
     rebuilt = np.concatenate([cifs._map_interval_batch(m, lvl2.intervals)
                               for m in mt.maps])
     rebuilt = rebuilt[np.argsort(rebuilt[:, 0])]
@@ -162,17 +160,45 @@ def test_cover_self_similarity_recursion():
 
 
 def test_word_route_matches_recursion():
-    for sys_ in (cifs.middle_thirds(), cifs.make_geometric_model(0.5, 3.0, 1, 2)):
-        for k in (1, 2, 3, 4):
+    geo = cifs.make_geometric_model(0.5, 3.0, 1, 2)
+    # passed in reverse image order; the R maps are decreasing
+    reversed_geo = cifs.IfsSystem(geo.maps[::-1], geo.tail)
+    assert [m.tag for m in reversed_geo.maps] == [m.tag for m in geo.maps]
+    lows = [m.image[0] for m in reversed_geo.maps]
+    assert lows == sorted(lows)
+    assert any(m.eval(-1.0) > m.eval(1.0) for m in reversed_geo.maps)
+    for sys_ in (cifs.middle_thirds(), geo, reversed_geo):
+        for k, cover in enumerate(cifs.cover_tower(sys_, 4), start=1):
             a = cifs.word_intervals(sys_, k)
-            b = cifs.attractor_iterate(sys_, k).intervals
-            assert np.abs(a - b).max() < 1e-14
+            assert np.abs(a - cover.intervals).max() < 1e-14
 
 
 def test_cover_budget_overflow_flag():
     sys_ = cifs.equal_ratio_system(10, 0.05)
-    cov = cifs.attractor_iterate(sys_, 9, budget=10 ** 4)
-    assert cov.truncated and cov.level < 9
+    with pytest.raises(InsufficientData, match="stopped at level 4 of 9"):
+        cifs.cover_tower(sys_, 9, budget=10 ** 4)
+
+
+def test_cover_set_rejects_unsorted_lower_ends():
+    with pytest.raises(ValueError, match="lower ends not in order"):
+        cifs.CoverSet([[0.2, 0.3], [-0.5, -0.4]], 2)
+
+
+def test_fixture_pipeline_builds_each_level_once(monkeypatch):
+    calls = []
+    batch = cifs._map_interval_batch
+
+    def counted(m, intervals):
+        calls.append(len(intervals))
+        return batch(m, intervals)
+
+    monkeypatch.setattr(cifs, "_map_interval_batch", counted)
+    ifs = cifs.make_geometric_model(1.0, 4.0, 2, 5)
+    res = pipeline.run_fixture_pipeline(ifs, cover_depth=6, box_depth=6)
+    assert len(ifs.maps) == 8 and len(res.covers) == 6
+    # levels 2..6, one batch per map and level
+    assert len(calls) == 5 * 8
+    assert sum(calls) == 8 * sum(len(c.intervals) for c in res.covers[:-1])
 
 
 def test_scaffold_levels():
@@ -187,10 +213,10 @@ def test_scaffold_levels():
 def test_scaffold_points_inside_ancestor_covers():
     sys_ = cifs.make_geometric_model(1.0, 4.0, 1, 2)
     scaffold = cifs.closure_scaffold(sys_, 0.0, 5)
-    covers = {k: cifs.attractor_iterate(sys_, k) for k in range(1, 6)}
+    covers = cifs.cover_tower(sys_, 5)
     for pt, wl in zip(scaffold.points, scaffold.word_lengths):
-        for j in range(1, int(wl) + 1):
-            assert covers[j].contains(np.array([pt]))[0]
+        for cover in covers[:wl]:
+            assert cover.contains(np.array([pt]))[0]
 
 
 # --- conditions ----------------------------------------------------------------------
@@ -238,14 +264,14 @@ def test_word_image_point_survives_k_steps():
         x = float(m.eval(np.array([x]))[0])
     pt = np.array([x])
     for _ in range(3):
-        assert cifs.attractor_iterate(mt, 1).contains(pt)[0]
+        assert cifs.cover_tower(mt, 1)[0].contains(pt)[0]
         pt, ok = pi(pt)
         assert ok.all()
 
 
 def test_gap_point_fails_immediately():
     mt = cifs.middle_thirds()
-    assert not cifs.attractor_iterate(mt, 1).contains(np.array([0.0]))[0]
+    assert not cifs.cover_tower(mt, 1)[0].contains(np.array([0.0]))[0]
 
 
 def test_piecewise_expanding_needs_exact_inverses():
@@ -253,6 +279,14 @@ def test_piecewise_expanding_needs_exact_inverses():
     bare = cifs.ContractionMap(m.eval, m.image, m.b, m.c, deriv=m.deriv, tag="L")
     with pytest.raises(ValueError, match="'L' has no exact inverse"):
         cifs.piecewise_expanding(cifs.IfsSystem([bare, cifs.middle_thirds().maps[1]]))
+
+
+def test_equivalence_on_a_tower_cut_short():
+    # level 7 of ten maps would hold 10^7 intervals, above the budget
+    sys_ = cifs.equal_ratio_system(10, 0.05)
+    pi = cifs.piecewise_expanding(sys_)
+    with pytest.raises(InsufficientData, match="stopped at level 6 of 7"):
+        cifs.verify_forward_backward(pi, sys_, 6, n_points=2000)
 
 
 def test_equivalence_failure_on_wrong_map():
@@ -267,7 +301,7 @@ def test_equivalence_failure_on_wrong_map():
 
 def test_cantor_middle_thirds_passes():
     mt = cifs.middle_thirds()
-    covers = [cifs.attractor_iterate(mt, k) for k in range(1, 13)]
+    covers = cifs.cover_tower(mt, 12)
     cert = cifs.cantor_certify(covers, cifs.closure_scaffold(mt, 0.0, 8))
     assert cert.passed and cert.depth == 12
     assert cert.clauses["i"]["max_ratio"] == pytest.approx(2 / 3, rel=1e-12)
@@ -278,7 +312,7 @@ def test_cantor_middle_thirds_passes():
 
 def test_cantor_single_map_fails_perfectness():
     solo = cifs.IfsSystem([cifs._affine_map(-0.9, -0.2, "m")])
-    covers = [cifs.attractor_iterate(solo, k) for k in range(1, 5)]
+    covers = cifs.cover_tower(solo, 4)
     cert = cifs.cantor_certify(covers, cifs.closure_scaffold(solo, -0.5, 3),
                                q_coord=-0.5)
     assert not cert.clauses["ii"]["passed"]
@@ -288,7 +322,7 @@ def test_cantor_single_map_fails_perfectness():
 
 def test_cantor_geometric_decay_factor():
     sys_ = cifs.make_geometric_model(1.0, 4.0, 1, 2)
-    covers = [cifs.attractor_iterate(sys_, k) for k in range(1, 10)]
+    covers = cifs.cover_tower(sys_, 9)
     cert = cifs.cantor_certify(covers, cifs.closure_scaffold(sys_, 0.0, 8))
     assert cert.passed
     sum_c = sum(m.c for m in sys_.maps)
@@ -313,7 +347,7 @@ def _scaffold_in_covers_loop(covers, scaffold):
 
 def test_cantor_scaffold_point_in_a_gap_fails_clause_iv():
     mt = cifs.middle_thirds()
-    covers = [cifs.attractor_iterate(mt, k) for k in range(1, 7)]
+    covers = cifs.cover_tower(mt, 6)
     scaffold = cifs.closure_scaffold(mt, 0.0, 4)
     # -2/3 lies in level 1 and in the middle gap (-7/9, -5/9) of level 2
     for wl, passes in ((1, True), (2, False), (4, False)):
@@ -326,7 +360,7 @@ def test_cantor_scaffold_point_in_a_gap_fails_clause_iv():
 
 def test_cantor_clause_iv_matches_per_point_loop():
     sys_ = cifs.make_geometric_model(1.0, 4.0, 1, 2)
-    covers = [cifs.attractor_iterate(sys_, k) for k in range(1, 6)]
+    covers = cifs.cover_tower(sys_, 5)
     scaffold = cifs.closure_scaffold(sys_, 0.0, 4)
     rng = np.random.default_rng(3)
     cases = [scaffold] + [
@@ -404,7 +438,7 @@ def test_children_counts_match_the_per_midpoint_rule():
 
 def test_cantor_clause_iv_checks_each_level_once(monkeypatch):
     sys_ = cifs.make_geometric_model(1.0, 4.0, 2, 5)
-    covers = [cifs.attractor_iterate(sys_, k) for k in range(1, 7)]
+    covers = cifs.cover_tower(sys_, 6)
     scaffold = cifs.closure_scaffold(sys_, 0.0, 6)
     calls, searches = [], []
     contains, interval_counts = cifs.CoverSet.contains, cifs._interval_counts

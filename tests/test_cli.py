@@ -254,7 +254,7 @@ def test_attractor_system_path_writes_the_pipeline_result(tmp_path, monkeypatch,
     (("--depth", "5", "dimension", "--model", "middle-thirds"),
      "need at least 1000 points, got 32"),
     (("--depth", "12", "attractor", "--model", "geometric", "--imax-model", "3"),
-     "duplicate cover levels"),
+     "cover tower stopped at level"),
     (("--depth", "1", "attractor", "--model", "middle-thirds"),
      "need at least two cover levels, got 1"),
 ])

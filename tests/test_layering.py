@@ -43,7 +43,7 @@ TEST_ONLY_ALLOWED = {
 
 # keyword options of public functions that only the tests pass, each with its reason
 OPTION_TEST_ONLY_ALLOWED = {
-    "cifs.attractor_iterate(budget)": "a small budget truncates a cover tower",
+    "cifs.cover_tower(budget)": "a small budget cuts a cover tower short",
     "cifs.cantor_certify(q_coord)": "a scaffold of a marked point other than 0",
     "cli.main(argv)": "the tests run the front end in-process",
     "expressions.parse_expr(params)": "parametrized expressions in the parser tests",

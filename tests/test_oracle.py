@@ -79,10 +79,11 @@ def test_degenerate_fit_detected():
 
 def test_cover_length_values():
     mt = cifs.middle_thirds()
+    tower = cifs.cover_tower(mt, 8)
     for k in (1, 3, 5):
-        cov = cifs.attractor_iterate(mt, k)
+        cov = tower[k - 1]
         assert oracle.cover_length(cov) == pytest.approx((2 / 3) ** k * 2, rel=1e-12)
-    lengths = [oracle.cover_length(cifs.attractor_iterate(mt, k)) for k in range(1, 9)]
+    lengths = [oracle.cover_length(c) for c in tower]
     assert all(b < a for a, b in zip(lengths, lengths[1:]))
 
 
@@ -90,7 +91,7 @@ def test_crosscheck_pass_and_negative_control():
     mt = cifs.middle_thirds()
     report = cifs.dimension_report(mt)
     sample = oracle.sample_word_images(mt, 12)
-    covers = [cifs.attractor_iterate(mt, k) for k in range(1, 9)]
+    covers = cifs.cover_tower(mt, 8)
     verdict = oracle.crosscheck(report, sample, covers,
                                 decay_cap=2 / 3 + 1e-9)
     assert verdict.passed
@@ -104,7 +105,7 @@ def test_crosscheck_geometric_fixture():
     sys_ = cifs.make_geometric_model(1.0, 4.0, 1, 1)
     report = cifs.dimension_report(sys_)
     sample = oracle.sample_word_images(sys_, 12)
-    covers = [cifs.attractor_iterate(sys_, k) for k in range(1, 13)]
+    covers = cifs.cover_tower(sys_, 12)
     verdict = oracle.crosscheck(report, sample, covers,
                                 decay_cap=sum(m.c for m in sys_.maps) + 1e-9)
     assert verdict.passed

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from slidim import expressions, filippov, returnmap
+from slidim import cifs, expressions, filippov, pipeline, returnmap
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,6 +45,17 @@ def test_instrument_wraps_and_restores_every_traced_name():
              filippov.manifold_project, returnmap.manifold_project,
              returnmap.build_fold_segment)
     assert after == before
+
+
+def test_traced_covers_stage_sees_each_level_built():
+    tracing = _load_tracing()
+    ifs = cifs.make_geometric_model(1.0, 4.0, 2, 3)
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        res = pipeline.run_fixture_pipeline(ifs, cover_depth=4, box_depth=6)
+    # level 1 is the declared images; each deeper level is one step
+    assert tracer.calls["cifs.attractor_iterate"] == len(res.covers) - 1 == 3
+    assert tracer.count["cifs.attractor_iterate.intervals"] == \
+        sum(len(c.intervals) for c in res.covers[1:])
 
 
 def test_micro_benchmarks_run_on_the_bench_field():
