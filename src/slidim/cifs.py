@@ -374,14 +374,15 @@ def closure_scaffold(sys, q_coord, k):
         if frontier.size * len(sys.maps) > INTERVAL_BUDGET:
             truncated = True
             break
-        frontier = np.concatenate([np.asarray(m.eval(frontier), dtype=float)
-                                   for m in sys.maps])
+        # map by map in image order, a decreasing map's block reversed: sorted
+        frontier = np.concatenate([x[::-1] if x[0] > x[-1] else x for x in (
+            np.asarray(m.eval(frontier), dtype=float) for m in sys.maps)])
         pts.append(frontier)
         lengths.append(np.full(frontier.size, depth))
     points = np.concatenate(pts)
     word_lengths = np.concatenate(lengths)
     del pts, lengths, frontier
-    # concatenated by word length: a stable sort keeps the shortest word first
+    # sorted runs by word length: a stable sort keeps the shortest word first
     order = np.argsort(points, kind="stable")
     points, word_lengths = points[order], word_lengths[order]
     keep = np.ones(points.size, dtype=bool)

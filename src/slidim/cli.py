@@ -150,6 +150,13 @@ def _cert_dict(cert):
     }
 
 
+def _fixture_depth(args):
+    depth = 12 if args.depth is None else args.depth
+    if depth < 1:
+        raise ConfigError("--depth must be >= 1")
+    return depth
+
+
 def _fixture_system(args):
     if args.model == "middle-thirds":
         return cifs.middle_thirds()
@@ -183,7 +190,7 @@ def _run_pipeline(cfg, system, **depths):
 
 def cmd_dimension(cfg, system, out, args):
     if args.model:
-        depth = 12 if args.depth is None else args.depth
+        depth = _fixture_depth(args)
         res = pipeline.run_fixture_pipeline(_fixture_system(args),
                                             cover_depth=depth, box_depth=depth)
         doc = {"version": 1, "kind": "dimension-fixture", "model": args.model,
@@ -224,7 +231,7 @@ def cmd_dimension(cfg, system, out, args):
 
 def cmd_attractor(cfg, system, out, args):
     if args.model:
-        depth = 12 if args.depth is None else args.depth
+        depth = _fixture_depth(args)
         ifs = _fixture_system(args)
         covers = cifs.cover_tower(ifs, depth)
         scaffold, cantor = pipeline.certify_cantor(ifs, covers, depth)

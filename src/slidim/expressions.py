@@ -117,6 +117,8 @@ class _Parser:
     def parse_atom(self):
         kind, val, off = self.next()
         if kind == "num":
+            if not np.isfinite(float(val)):
+                raise ExpressionSyntaxError(f"number {val} overflows a float", off)
             return ("num", float(val))
         if kind == "ident":
             if val in FUNCTIONS:

@@ -32,17 +32,14 @@ states with one component per field component (the bench shooting's are
   the other components only: a per-row constant rides in the state;
 * an 8th-order step can be long enough to jump an event's sign change and
   its return within the same step (a sliding orbit that leaves past the
-  fold and comes back).  So the events are also evaluated at the
-  arguments of stages 6 and 9 (fractions 1/3 and 0.651 of the step).
-  Each row's next step is capped by its events (:func:`_event_cap`): the
-  quadratic through an event's values at 0, 1/3 and 1 of the accepted
-  step predicts its next zero and the length of the excursion past it,
-  and the step stays below half the larger of the two.  A grazing exit,
-  whose excursion is short, is then met by steps shorter than the
-  excursion, and a transversal crossing or a distant event leaves the
-  step to the tolerance.  As a backstop, a step where one of the interior
-  samples lies on the other side of both ends is rejected and retried
-  up to that fraction.
+  fold and comes back).  So the events are also evaluated at the argument
+  of stage 6 (fraction 1/3 of the step), and each row's next step is
+  capped by its events (:func:`_event_cap`): the quadratic through an
+  event's values at 0, 1/3 and 1 of the accepted step predicts its next
+  zero and the length of the excursion past it, and the step stays below
+  half the larger of the two.  A grazing exit, whose excursion is short,
+  is then met by steps shorter than the excursion, and a transversal
+  crossing or a distant event leaves the step to the tolerance.
 
 The states of the running rows stay one (m, n) component array from the
 start of :func:`integrate_batch` to its end.  The step, the projection and
@@ -106,8 +103,7 @@ _E5 = ((0, 0.1312004499419488073250102996e-1), (5, -0.12251564463762044407205697
 # estimate is sum b_i k_i minus their sum
 _BHH = ((0, 0.244094488188976377952755905512), (8, 0.733846688281611857341361741547),
         (11, 0.220588235294117647058823529412e-1))
-# the stages whose arguments are the interior samples of the event guard
-_GUARD_STAGES = (5, 8)
+_SAMPLE_STAGE = 5     # the step cap's event sample: stage 6's argument, at 1/3
 
 # terminal status codes
 RUNNING = 0
@@ -178,8 +174,8 @@ class Stepper:
 
     * the new states (N, m), the transpose of a fresh (m, N) array;
     * the 1st stage (k, N);
-    * the states (N, m) at the arguments of the stages ``_GUARD_STAGES``,
-      transposes of (m, N) arrays, for the event guard;
+    * the states (N, m) at the argument of stage 6 (fraction 1/3 of the
+      step), the transpose of an (m, N) array, for the step cap;
     * ``(y0, y1, e5, e3)``: the k varying components at the start and the
       end of the step and their 5th- and 3rd-order error estimates, not
       yet multiplied by h, each (k, N).  A constant component has error 0
@@ -207,13 +203,12 @@ class Stepper:
         stage = self.field.stages(ut)
         start = ut[self._rows]
         ks = [stage(start) if k1 is None else k1]
-        inner = []
         for i, terms in enumerate(_A[1:], 1):
             acc = _combine(terms, ks)
             acc *= h
             acc += start
-            if i in _GUARD_STAGES:
-                inner.append(self._state(ut, acc).T)
+            if i == _SAMPLE_STAGE:
+                inner = self._state(ut, acc).T
             ks.append(stage(acc))
         end = _combine(_B, ks)
         e3 = end - _combine(_BHH, ks)
@@ -385,34 +380,16 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
 
             ua = u_new if project is None else project(u_new)
             Ua = ua.T
-            if n_ev:
-                vals = np.empty_like(ev_prev)
-                for j, ev in enumerate(events):
-                    vals[j] = ev.fn(ua)
-                # the guard: a departed event whose value at an interior
-                # sample lies beyond tol_event on the other side of both
-                # ends crossed twice or more; the step is retried up to
-                # the fraction of the first such sample.  The values at the
-                # first sample (fraction 1/3) also feed the step cap
-                samples = []
-                for i, state in zip(_GUARD_STAGES, inner):
-                    inside = np.empty_like(ev_prev)
-                    for j, ev in enumerate(events):
-                        inside[j] = ev.fn(state)
-                    samples.append(inside)
-                    jumped = np.abs(inside) > tol_event
-                    jumped &= inside * ev_prev < 0.0
-                    jumped &= inside * vals < 0.0
-                    jumped &= departed
-                    jumped = jumped.any(axis=0)
-                    jumped &= accept
-                    accept &= ~jumped
-                    np.minimum(h, _C[i] * hs, out=h, where=jumped)
             # a rejected row fails once its step size underflows
             stop = np.where(~accept & (h < 1e-14 * np.maximum(1.0, t)), STEP_FAIL, RUNNING)
 
             hit = None
             if n_ev:
+                # the values at the end, and at fraction 1/3 for the step cap
+                vals, inside = np.empty_like(ev_prev), np.empty_like(ev_prev)
+                for j, ev in enumerate(events):
+                    vals[j] = ev.fn(ua)
+                    inside[j] = ev.fn(inner)
                 # a departed event crossed (changed sign, in its direction)
                 # or landed (|value| <= tol_event) over an accepted step
                 sign_change = ev_prev * vals < 0.0
@@ -439,7 +416,7 @@ def integrate_batch(step, u0, t_max, events=(), *, rtol=1e-10, atol=1e-12,
                 departed |= accept & (size > tol_event)
                 # an accepted row's next step stays below what each departed
                 # event predicts of its next crossing
-                cap = np.where(departed, _event_cap(ev_prev, samples[0], vals), np.inf)
+                cap = np.where(departed, _event_cap(ev_prev, inside, vals), np.inf)
                 cap = cap.min(axis=0)
                 cap *= hs
                 np.minimum(h, cap, out=h, where=accept)

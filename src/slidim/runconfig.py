@@ -6,6 +6,7 @@ validated with a path-qualified diagnostic.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,16 +81,21 @@ def _need(doc, key, path):
 def _typed(value, path, types=(int, float), what="a number"):
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{path} must be {what}")
+    # an exact comparison: false for NaN, +-inf and integers beyond the float range
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number")
     return value
 
 
 def _point(value, path):
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path} must be a 3-vector of numbers") from exc
     if arr.shape != (3,):
         raise ConfigError(f"{path} must have exactly 3 components")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{path} must have finite components")
     return arr
 
 

@@ -158,6 +158,20 @@ def test_config_errors_exit_one(tmp_path):
     ({"analysis": {"schedule": [2, 4.5]}}, "analysis.schedule[1]"),
     # a prefix of no maps has no Moran root
     ({"analysis": {"schedule": [1, 0]}}, "analysis.schedule[1]"),
+    # a number that is not finite, or that overflows a float, would compile
+    # into the kernels as a bare name (nan, inf) or pass the range checks
+    ({"system": {**ESCAPE_CONFIG["system"], "params": {"a": float("nan")}}},
+     "system.params.a"),
+    ({"system": {**ESCAPE_CONFIG["system"], "params": {"a": -float("inf")}}},
+     "system.params.a"),
+    ({"system": {**ESCAPE_CONFIG["system"], "params": {"a": 10 ** 400}}},
+     "system.params.a"),
+    ({"tolerances": {"event": float("inf")}}, "tolerances.event"),
+    ({"analysis": {"r": float("nan")}}, "analysis.r"),
+    ({"connection": {"p_seed": [0, float("nan"), 0], "q_seed": [1, 0, 0]}},
+     "connection.p_seed"),
+    ({"system": {**ESCAPE_CONFIG["system"], "X": "1e400*x - y, x + 0.4*y, x - 1"}},
+     "system: number 1e400 overflows"),
 ])
 def test_config_sections_and_values_are_checked(tmp_path, override, path):
     # a section that is not an object, or a value of the wrong type (a
@@ -168,15 +182,22 @@ def test_config_sections_and_values_are_checked(tmp_path, override, path):
     r = run_cli("--config", str(cfg), "--out", str(tmp_path), "classify")
     assert r.returncode == 1
     assert r.stderr.startswith("config error:") and path in r.stderr
-    assert "Traceback" not in r.stderr
+    assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1
 
 
-def test_scan_of_fewer_than_two_points_is_a_config_error(tmp_path):
-    # an empty scan has no window to name; the front end says which option
-    r = run_cli("--out", str(tmp_path), "--scan", "0", "return-map")
+@pytest.mark.parametrize("args, option", [
+    # an empty scan has no window to name
+    (("--scan", "0", "return-map"), "analysis.n_scan"),
+    # a fixture run has no run configuration to check its depth
+    (("--depth", "0", "dimension", "--model", "middle-thirds"), "--depth"),
+    (("--depth", "0", "attractor", "--model", "middle-thirds"), "--depth"),
+], ids=["scan", "depth-dimension", "depth-attractor"])
+def test_an_option_out_of_range_is_a_one_line_config_error(tmp_path, args, option):
+    # the front end says which option
+    r = run_cli("--out", str(tmp_path), *args)
     assert r.returncode == 1
-    assert r.stderr.startswith("config error:") and "analysis.n_scan" in r.stderr
-    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("config error:") and option in r.stderr
+    assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1
 
 
 def test_config_seed_key_is_ignored():

@@ -16,10 +16,15 @@ def test_parse_power_and_builtin():
     assert parse_expr("x^2 + sin(0)")(2.0, 0.0, 0.0) == 4.0
 
 
-def test_unbalanced_paren_offset():
+@pytest.mark.parametrize("text, offset", [
+    ("x*(", 3),
+    # a literal beyond the float range would compile to the bare name inf
+    ("2*1e400*x", 2),
+], ids=["unbalanced-paren", "overflowing-literal"])
+def test_a_syntax_error_names_its_offset(text, offset):
     with pytest.raises(ExpressionSyntaxError) as err:
-        parse_expr("x*(")
-    assert err.value.offset == 3
+        parse_expr(text)
+    assert err.value.offset == offset
 
 
 def test_unknown_identifier():

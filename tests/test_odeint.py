@@ -89,7 +89,9 @@ def test_same_shape_runs_are_bit_identical():
 def test_a_step_evaluates_the_field_12_times_and_a_probe_11():
     # DOP853's 13th stage is not computed, with or without a projection
     # (the identity projection must give the same bits); every
-    # localization probe reuses the 1st stage of its bracketing step
+    # localization probe reuses the 1st stage of its bracketing step.  A
+    # step evaluates each event at its end and at fraction 1/3 (for the
+    # step cap), a probe at its end, and the start state once
     field = parse_field("y, -x, 0.1*x*y")
     evaluations, steps = [], []
 
@@ -118,10 +120,13 @@ def test_a_step_evaluates_the_field_12_times_and_a_probe_11():
     assert [t for t, _ in free.samples[1]] == [t for t, _ in projected.samples[1]]
     evaluations.clear()
     steps.clear()
-    res = integrate_batch(step, u0, 10.0, [EventSpec(lambda u: u[:, 0])])
+    events = []
+    res = integrate_batch(step, u0, 10.0,
+                          [EventSpec(lambda u: events.append(1) or u[:, 0])])
     assert np.all(res.status == odeint.EVENT)
     probes = steps.count(False)
     assert probes > 0 and len(evaluations) == 12 * steps.count(True) + 11 * probes
+    assert len(events) == 1 + 2 * steps.count(True) + probes
 
 
 def _tableau():
