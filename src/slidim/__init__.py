@@ -16,7 +16,7 @@ from .cifs import (CantorCertificate, ContractionMap, CoverSet,
                    pressure_root, verify_forward_backward, word_intervals)
 from .config import Tolerances
 from .expressions import (ScalarExpr, SwitchingFunction, VectorFieldExpr,
-                          parse_expr, parse_field)
+                          parse_field)
 from .filippov import (FilippovSystem, Mode, Region, TerminalEvent,
                        TrajectorySegment, classify_region, classify_tangency,
                        filippov_trajectory, find_pseudo_equilibrium,

@@ -12,17 +12,18 @@ with ``func`` one of sin, cos, exp, log, sqrt, tanh and ``ident`` one of
 x, y, z or a declared parameter.  Note that per this grammar unary minus
 binds tighter than '^', so ``-x^2`` parses as ``(-x)^2``.
 
-Every expression is compiled once, by one code generator, into a plain
-Python function over numpy ufuncs, so the same code evaluates floats and
-numpy batches.  A field, a gradient and the Newton step onto g = 0 are
-each one kernel (:func:`_compile_stages`) over the component rows of their
-variables, x, y, z or any others, that evaluates each repeated subtree once
-(common-subexpression elimination) into one (m, ...) array.
-Derivatives come from the parse tree itself: :func:`_diff` differentiates a
-tree symbolically into another tree of the same form (folding the constants
-0 and 1), which is compiled like any parsed expression.  Gradients, Lie
-derivatives Fg = sum_i F_i dg/dx_i, second Lie derivatives F(Fg) and the
-Newton step onto g = 0 are all built this way, once per expression.
+Every evaluation is one kernel (:func:`_compile_stages`), generated once by
+one code generator into a plain Python function over numpy ufuncs: it maps
+the component rows of its variables, x, y, z or any others, to one (k, ...)
+array of its k output trees, evaluating each repeated subtree once
+(common-subexpression elimination).  A field is one kernel; a
+:class:`SwitchingFunction` (g, Xg, ...) evaluates a scalar at points
+(..., 3) by one kernel each for its value, its value with its gradient and
+its Newton step onto its zero set.  Derivatives come from the parse tree
+itself: :func:`_diff` differentiates a tree symbolically into another tree
+of the same form (folding the constants 0 and 1).  Gradients, Lie
+derivatives Fg = sum_i F_i dg/dx_i and second Lie derivatives F(Fg) are
+all built this way, once per expression.
 """
 
 import re
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ExpressionSyntaxError, UnknownIdentifier
+from .errors import ExpressionSyntaxError, NonFinite, UnknownIdentifier
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 VARIABLES = ("x", "y", "z")
@@ -59,6 +60,8 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent over the grammar above, one method per rule."""
+
     def __init__(self, text, params):
         self.text = text
         self.tokens = _tokenize(text)
@@ -79,42 +82,42 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {op!r}", off)
         return self.next()
 
-    def parse_expr(self):
-        node = self.parse_term()
+    def expr(self):
+        node = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                node = ("bin", val, node, self.parse_term())
+                node = ("bin", val, node, self.term())
             else:
                 return node
 
-    def parse_term(self):
-        node = self.parse_factor()
+    def term(self):
+        node = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
-                node = ("bin", val, node, self.parse_factor())
+                node = ("bin", val, node, self.factor())
             else:
                 return node
 
-    def parse_factor(self):
-        node = self.parse_unary()
+    def factor(self):
+        node = self.unary()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            node = ("bin", "^", node, self.parse_factor())
+            node = ("bin", "^", node, self.factor())
         return node
 
-    def parse_unary(self):
+    def unary(self):
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return ("neg", self.parse_atom())
-        return self.parse_atom()
+            return ("neg", self.atom())
+        return self.atom()
 
-    def parse_atom(self):
+    def atom(self):
         kind, val, off = self.next()
         if kind == "num":
             if not np.isfinite(float(val)):
@@ -123,7 +126,7 @@ class _Parser:
         if kind == "ident":
             if val in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.parse_expr()
+                arg = self.expr()
                 self.expect_op(")")
                 return ("call", val, arg)
             if val in VARIABLES:
@@ -132,20 +135,20 @@ class _Parser:
                 return ("param", val)
             raise UnknownIdentifier(val, off)
         if kind == "op" and val == "(":
-            node = self.parse_expr()
+            node = self.expr()
             self.expect_op(")")
             return node
         raise ExpressionSyntaxError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
 
 
-def _codegen(trees, fixed=None):
+def _codegen(trees, fixed):
     """Prelude statements, statements and value expressions for ``trees``: a
     subtree used more than once across them (trees are tuples, so equal
     subtrees hash alike) is assigned to a temporary on first use.
 
-    With ``fixed``, a set of variable names, every subtree that uses no
-    other variable (parameters are fixed too) goes to the prelude instead,
-    assigned to a temporary of its own; without it the prelude is empty.
+    Every subtree that uses no variable outside ``fixed``, a set of variable
+    names (parameters are fixed too), goes to the prelude instead, assigned
+    to a temporary of its own.
     """
     uses = Counter()
 
@@ -168,7 +171,7 @@ def _codegen(trees, fixed=None):
             return repr(node[1])
         if kind in ("var", "param"):
             return node[1] if kind == "var" else "p_" + node[1]
-        hoist = into is lines and fixed is not None and _variables(node) <= fixed
+        hoist = into is lines and _variables(node) <= fixed
         if hoist:
             into = prelude
         if kind == "neg":
@@ -273,15 +276,6 @@ def _diff(node, var):
     return _mul(node, _add(_mul(db, ("call", "log", a)), _mul(b, _div(da, a))))
 
 
-def _compile(trees, params):
-    """One Python function ``(x, y, z, **params)`` returning the value of the
-    single tree of ``trees``."""
-    _, lines, values = _codegen(trees)
-    source = "\n    ".join([f"def _f({', '.join(['x', 'y', 'z', *_params_args(params)])}):",
-                            *lines, f"return {values[0]}"]) + "\n"
-    return _exec(source)
-
-
 def _params_args(params):
     return ["*", *(f"p_{k}={float(v)!r}" for k, v in params.items())] if params else []
 
@@ -294,22 +288,23 @@ def _exec(source):
 
 
 def _compile_stages(trees, variables, varying, params):
-    """The stage kernel of a field over ``variables``, for one integration step.
+    """The kernel of the output ``trees`` over ``variables``.
 
-    Called with the component rows (m, N) at the start of the step, it
-    returns ``stage(v)``: the components ``varying`` of the field, as one
-    (k, N) array, at a stage state ``v`` (k, N) of those components.  The
-    others have the constant 0 as their tree: they are constant along the
-    flow, so they keep their start values and are not part of ``v``; every
-    subtree that uses only them and parameters is evaluated once per step,
-    in the prelude.
+    Called with the component rows (m, N) of a start state, it returns
+    ``stage(v)``: the k outputs, as one fresh (k, N) array, at a state
+    ``v`` of the components ``varying`` of the variables, those that change
+    along the flow (for an integration step, ``v`` is a stage state).  The
+    others keep their start values and are not part of ``v``; every subtree
+    that uses only them and parameters is evaluated once per start state,
+    in the prelude.  With every component varying no start values are
+    read, and the kernel is built with ``None``.
     """
     fixed = set(variables) - {variables[k] for k in varying}
-    prelude, lines, values = _codegen([trees[k] for k in varying], fixed)
+    prelude, lines, values = _codegen(trees, fixed)
     reads = [f"{name} = _u[{j}]" for j, name in enumerate(variables) if name in fixed]
     body = [f"[{', '.join(variables[k] for k in varying)}] = _v", *lines,
-            "_o = _empty(_v.shape)", *(f"_o[{i}] = {v}" for i, v in enumerate(values)),
-            "return _o"]
+            f"_o = _empty(({len(values)}, *_v.shape[1:]))",
+            *(f"_o[{i}] = {v}" for i, v in enumerate(values)), "return _o"]
     source = "\n    ".join([f"def _f({', '.join(['_u', *_params_args(params)])}):",
                             *reads, *prelude, "def _stage(_v):",
                             *("    " + line for line in body), "return _stage"]) + "\n"
@@ -324,38 +319,72 @@ def _as_variables(node, names):
 
 
 class ScalarExpr:
-    """One parsed scalar expression over (x, y, z) and named parameters.
-
-    ``tree`` builds the expression from an already parsed (or derived) tree
-    instead of parsing ``text``.
-    """
+    """One scalar expression over (x, y, z) and named parameters, the record
+    (text, params, tree) that fields are built from: parsed from ``text``,
+    or given an already parsed (or derived) ``tree``."""
 
     def __init__(self, text, params=None, tree=None):
         self.text = text
         self.params = dict(params or {})
+        for name, value in self.params.items():
+            if not np.isfinite(value):
+                raise NonFinite(f"parameter {name} = {value} is not finite")
         self.tree = _parse_tree(text, self.params) if tree is None else tree
         self._derivatives = {}
 
-    @cached_property
-    def fn(self):
-        """The compiled function of (x, y, z), built on first use."""
-        return _compile([self.tree], self.params)
-
-    def __call__(self, x, y, z):
-        return self.fn(x, y, z)
-
     def diff(self, var):
-        """The compiled partial derivative along ``var``, built once."""
+        """The partial derivative along ``var``, of this type, built once."""
         d = self._derivatives.get(var)
         if d is None:
-            d = ScalarExpr(f"d({self.text})/d{var}", self.params, _diff(self.tree, var))
+            d = type(self)(f"d({self.text})/d{var}", self.params, _diff(self.tree, var))
             self._derivatives[var] = d
         return d
 
 
+class SwitchingFunction(ScalarExpr):
+    """A scalar of the state evaluated at points (..., 3): the switching
+    function g and its Lie derivatives such as Xg.
+
+    Each evaluation is one compiled kernel, built on first use.  Values
+    come back with the row shape of the points, also where the expression
+    folded to a constant.
+    """
+
+    def __call__(self, u):
+        return self._value(np.asarray(u, dtype=float).T)[0].T
+
+    def value_and_gradient(self, u):
+        """Values (...,) and gradients (..., 3) at points ``u`` of shape (..., 3)."""
+        out = self._value_and_gradient(np.asarray(u, dtype=float).T)
+        return out[0].T, out[1:].T
+
+    @cached_property
+    def _value(self):
+        return _compile_stages([self.tree], VARIABLES, range(3), self.params)(None)
+
+    @cached_property
+    def _value_and_gradient(self):
+        trees = [self.tree, *(self.diff(v).tree for v in VARIABLES)]
+        return _compile_stages(trees, VARIABLES, range(3), self.params)(None)
+
+    @cached_property
+    def newton_step(self):
+        """One Newton step toward g = 0 along grad g, compiled once: it maps
+        points v (3, ...) to x_i - g / sum_j (dg/dx_j)^2 * dg/dx_i as one
+        fresh (3, ...) array, with the constants 0 and 1 folded (for g = z
+        it is (x, y, 0))."""
+        grad = [self.diff(v).tree for v in VARIABLES]
+        norm2 = ZERO
+        for d in grad:
+            norm2 = _add(norm2, _mul(d, d))
+        ratio = _div(self.tree, norm2)
+        trees = [_sub(("var", v), _mul(ratio, d)) for v, d in zip(VARIABLES, grad)]
+        return _compile_stages(trees, VARIABLES, range(3), self.params)(None)
+
+
 def _parse_tree(text, params):
     parser = _Parser(text, params)
-    tree = parser.parse_expr()
+    tree = parser.expr()
     kind, val, off = parser.peek()
     if kind != "end":
         raise ExpressionSyntaxError(f"trailing input {val!r}", off)
@@ -380,11 +409,6 @@ def _split_components(text):
     return parts
 
 
-def parse_expr(text, params=None):
-    """Parse a single scalar expression."""
-    return ScalarExpr(text, params)
-
-
 def parse_field(source, params=None):
     """Parse a three-component vector field.
 
@@ -399,13 +423,6 @@ def parse_field(source, params=None):
         raise ExpressionSyntaxError(
             f"a field needs exactly 3 components, got {len(parts)}", 0)
     return VectorFieldExpr([ScalarExpr(p, params) for p in parts], VARIABLES)
-
-
-def _rows(value, like):
-    """``value`` as a float array shaped like ``like``: an expression that
-    folded to a constant evaluates to a scalar."""
-    out = np.asarray(value, dtype=float)
-    return out if out.shape == like.shape else np.full(like.shape, out)
 
 
 class VectorFieldExpr:
@@ -435,8 +452,8 @@ class VectorFieldExpr:
     def stages(self):
         """The stage kernel of one integration step (``_compile_stages``):
         called with the component rows at the start of the step."""
-        return _compile_stages([c.tree for c in self.components], self.variables,
-                               self.varying, self.params)
+        return _compile_stages([self.components[k].tree for k in self.varying],
+                               self.variables, self.varying, self.params)
 
     def with_constants(self, names):
         """This field with the parameters ``names`` read as further state
@@ -449,54 +466,9 @@ class VectorFieldExpr:
         return VectorFieldExpr(components, self.variables + tuple(names))
 
     def lie(self, expr):
-        """The Lie derivative sum_i F_i d(expr)/dx_i as a compiled expression."""
+        """The Lie derivative sum_i F_i d(expr)/dx_i as a switching function."""
         tree = ZERO
         for comp, var in zip(self.components, self.variables):
             tree = _add(tree, _mul(comp.tree, expr.diff(var).tree))
-        return ScalarExpr(f"L({expr.text})", {**self.params, **expr.params}, tree)
+        return SwitchingFunction(f"L({expr.text})", {**self.params, **expr.params}, tree)
 
-
-class SwitchingFunction:
-    """A scalar function of the state with its compiled gradient.
-
-    Used for the switching function g and for Lie derivatives such as Xg.
-    Values always come back with the row shape of the points, also where
-    the expression folded to a constant.
-    """
-
-    def __init__(self, text_or_expr, params=None):
-        if isinstance(text_or_expr, ScalarExpr):
-            self.expr = text_or_expr
-        else:
-            self.expr = ScalarExpr(text_or_expr, params)
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        x = u[..., 0]
-        return _rows(self.expr.fn(x, u[..., 1], u[..., 2]), x)
-
-    def value_and_gradient(self, u):
-        """Values (...,) and gradients (..., 3) at points ``u`` of shape (..., 3)."""
-        u = np.asarray(u, dtype=float)
-        x = u[..., 0]
-        return _rows(self.expr.fn(x, u[..., 1], u[..., 2]), x), self._gradient(u.T).T
-
-    @cached_property
-    def _gradient(self):
-        trees = [self.expr.diff(v).tree for v in VARIABLES]
-        return _compile_stages(trees, VARIABLES, range(3), self.expr.params)(None)
-
-    @cached_property
-    def newton_step(self):
-        """One Newton step toward g = 0 along grad g, compiled once: it maps
-        points v (3, ...) to x_i - g / sum_j (dg/dx_j)^2 * dg/dx_i as one
-        fresh (3, ...) array, with the constants 0 and 1 folded (for g = z
-        it is (x, y, 0)).  It is the stage kernel of that map read as a
-        field whose components all vary, so it reads no start values."""
-        grad = [self.expr.diff(v).tree for v in VARIABLES]
-        norm2 = ZERO
-        for d in grad:
-            norm2 = _add(norm2, _mul(d, d))
-        ratio = _div(self.expr.tree, norm2)
-        trees = [_sub(("var", v), _mul(ratio, d)) for v, d in zip(VARIABLES, grad)]
-        return _compile_stages(trees, VARIABLES, range(3), self.expr.params)(None)

@@ -71,28 +71,28 @@ class FilippovSystem:
 
     @property
     def params(self):
-        return self.g.expr.params or self.X.params
+        return self.g.params or self.X.params
 
     @cached_property
     def xg(self):
-        return SwitchingFunction(self.X.lie(self.g.expr))
+        return self.X.lie(self.g)
 
     @cached_property
     def yg(self):
-        return SwitchingFunction(self.Y.lie(self.g.expr))
+        return self.Y.lie(self.g)
 
     @cached_property
     def xxg(self):
-        return SwitchingFunction(self.X.lie(self.xg.expr))
+        return self.X.lie(self.xg)
 
     @cached_property
     def yyg(self):
-        return SwitchingFunction(self.Y.lie(self.yg.expr))
+        return self.Y.lie(self.yg)
 
     @cached_property
     def sliding(self):
         """The sliding field (Yg X - Xg Y)/(Yg - Xg), compiled as one kernel."""
-        xg, yg = self.xg.expr, self.yg.expr
+        xg, yg = self.xg, self.yg
         den = _sub(yg.tree, xg.tree)
         return VectorFieldExpr([
             ScalarExpr(f"Z~_{v}", {**xg.params, **yg.params},
@@ -387,7 +387,7 @@ def fold_events(sys):
     folds.  Where Yg folds to a constant (Y = (0, 0, 1) on g = z) its event
     is left out: it can never cross or land."""
     events = [odeint.EventSpec(sys.xg)]
-    if _variables(sys.yg.expr.tree):
+    if _variables(sys.yg.tree):
         events.append(odeint.EventSpec(sys.yg))
     return events
 

@@ -33,7 +33,7 @@ from .errors import (BackwardDivergence, BranchResolutionExceeded,
                      ConnectionResidualTooLarge, CurveEscapesDomain,
                      FoldRegularityLost, LambdaDisagreement, NoHit, NotAFocus,
                      NoValidCutoff)
-from .filippov import (find_pseudo_equilibrium, fly, fold_events,
+from .filippov import (FilippovSystem, find_pseudo_equilibrium, fly, fold_events,
                        is_visible_fold_regular, slide, winding_frame)
 # not called here: perfbench/tracing.py wraps this name in every module that imports it
 from .filippov import manifold_project  # noqa: F401
@@ -46,6 +46,7 @@ END_MISS = 1e-3       # largest |pi(psi_0(x_j)) - x_j| at the sweep nodes x_j
 N_CHECK = 24          # held-out round-trip nodes per branch in the precise sweep
 NEWTON_STEPS = 20     # Newton steps of BranchInverseMap.solve
 FOLD_MAX_ITER = 40    # Newton steps of project_to_fold
+FOLD_NEWTON = 30      # Newton steps of _fold_newton
 FOLD_N_PER_SIDE = 64  # fold-segment nodes on each side of q
 N_DECAY_TURNS = 8     # focus turns of the backward sliding decay estimate
 # integration control of precise(): rtol, atol and the event tolerance
@@ -66,38 +67,54 @@ def project_to_fold(sys, seed):
     raise NoHit("could not project the seed onto the fold curve")
 
 
+def _fold_newton(sys, pred, t):
+    """Newton onto {g = 0, Xg = 0} of points ``pred`` (..., 3), each kept in
+    the plane through it normal to its row of ``t`` (..., 3), a tangent of
+    the fold of any length."""
+    u = pred
+    for _ in range(FOLD_NEWTON):
+        gval, ggrad = sys.g.value_and_gradient(u)
+        xg, xggrad = sys.xg.value_and_gradient(u)
+        if max(np.max(np.abs(gval)), np.max(np.abs(xg))) < 1e-13:
+            return u
+        r3 = np.stack([gval, xg, np.sum((u - pred) * t, axis=-1)], axis=-1)
+        jac = np.stack([ggrad, xggrad, t], axis=-2)
+        u = u - np.linalg.solve(jac, r3[..., None])[..., 0]
+    raise FoldRegularityLost("fold-curve corrector failed to converge")
+
+
 # --- fold segment with its arclength chart -------------------------------------
 
 
 def _natural_cubic(xs, ys):
-    """Natural cubic spline coefficients; returns an evaluator f(x)."""
+    """Natural cubic spline through the rows of ``ys`` (n + 1, m) at ``xs``,
+    fitted one coordinate at a time; returns an evaluator
+    f(x) -> (values (..., m), derivatives (..., m))."""
     n = len(xs) - 1
     h = np.diff(xs)
-    rhs = np.zeros(n + 1)
-    rhs[1:n] = 3 * ((ys[2:] - ys[1:-1]) / h[1:] - (ys[1:-1] - ys[:-2]) / h[:-1])
     mat = np.zeros((n + 1, n + 1))
     mat[0, 0] = mat[n, n] = 1.0
     for i in range(1, n):
         mat[i, i - 1] = h[i - 1]
         mat[i, i] = 2 * (h[i - 1] + h[i])
         mat[i, i + 1] = h[i]
-    c = np.linalg.solve(mat, rhs)
-    b = (ys[1:] - ys[:-1]) / h - h * (2 * c[:-1] + c[1:]) / 3
-    d = (c[1:] - c[:-1]) / (3 * h)
+    coefs = []
+    for y in ys.T:
+        rhs = np.zeros(n + 1)
+        rhs[1:n] = 3 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
+        c = np.linalg.solve(mat, rhs)
+        coefs.append(((y[1:] - y[:-1]) / h - h * (2 * c[:-1] + c[1:]) / 3, c[:-1],
+                      (c[1:] - c[:-1]) / (3 * h)))
+    b, c, d = (np.stack(k, axis=-1) for k in zip(*coefs))
 
     def f(x):
         x = np.asarray(x, dtype=float)
         i = np.clip(np.searchsorted(xs, x) - 1, 0, n - 1)
-        t = x - xs[i]
-        return ys[i] + b[i] * t + c[i] * t * t + d[i] * t ** 3
+        t = (x - xs[i])[..., None]
+        return (ys[i] + b[i] * t + c[i] * t * t + d[i] * t ** 3,
+                b[i] + 2 * c[i] * t + 3 * d[i] * t * t)
 
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(xs, x) - 1, 0, n - 1)
-        t = x - xs[i]
-        return b[i] + 2 * c[i] * t + 3 * d[i] * t * t
-
-    return f, df
+    return f
 
 
 @dataclass
@@ -106,32 +123,28 @@ class FoldSegment:
 
     The chart is normalized arclength: h maps the segment onto [-1, 1] with
     |h'| = 1/r, and extends linearly along the end tangents so that points
-    slightly (or far) beyond the segment still get a coordinate.
+    slightly (or far) beyond the segment still get a coordinate.  A cubic
+    spline through the nodes carries the chart; the fold point of
+    coordinate w is the one in the spline's normal plane at arclength w r.
     """
 
     q: np.ndarray
     r: float
     arcs: np.ndarray       # signed arclength of the nodes, in [-r, r]
     nodes: np.ndarray      # (M, 3)
+    sys: FilippovSystem    # whose fold this is
 
     def __post_init__(self):
-        self._fx, self._dfx = _natural_cubic(self.arcs, self.nodes[:, 0])
-        self._fy, self._dfy = _natural_cubic(self.arcs, self.nodes[:, 1])
-        self._fz, self._dfz = _natural_cubic(self.arcs, self.nodes[:, 2])
-
-    def _curve(self, s):
-        return np.stack([self._fx(s), self._fy(s), self._fz(s)], axis=-1)
-
-    def _tangent(self, s):
-        t = np.stack([self._dfx(s), self._dfy(s), self._dfz(s)], axis=-1)
-        return t / np.linalg.norm(t, axis=-1, keepdims=True)
+        self._spline = _natural_cubic(self.arcs, self.nodes)
 
     def point_at(self, w):
-        """Chart coordinate(s) in [-1, 1] to point(s) on the segment."""
+        """Chart coordinate(s) in [-1, 1] to point(s) on the fold: the
+        spline point corrected onto the fold in its normal plane, so that
+        ``coord_of``, the foot of the perpendicular, inverts it."""
         w = np.asarray(w, dtype=float)
         if np.any(np.abs(w) > 1 + 1e-12):
             raise ValueError("chart coordinate outside [-1, 1]")
-        return self._curve(np.clip(w, -1, 1) * self.r)
+        return _fold_newton(self.sys, *self._spline(np.clip(w, -1, 1) * self.r))
 
     def coord_of(self, pts):
         """Signed arclength/r of points on (or beyond) the fold curve.
@@ -152,8 +165,7 @@ class FoldSegment:
             best[closer] = d2[closer]
             s[closer] = arc
         for _ in range(40):
-            c = self._curve(s)
-            tvec = np.stack([self._dfx(s), self._dfy(s), self._dfz(s)], axis=-1)
+            c, tvec = self._spline(s)
             num = np.sum((p - c) * tvec, axis=-1)
             den = np.sum(tvec * tvec, axis=-1)
             step = num / den
@@ -164,8 +176,8 @@ class FoldSegment:
             s = s_next
             if done:
                 break
-        c = self._curve(s)
-        tang = self._tangent(s)
+        c, tvec = self._spline(s)
+        tang = tvec / np.linalg.norm(tvec, axis=-1, keepdims=True)
         overshoot = np.sum((p - c) * tang, axis=-1)
         w = (s + overshoot) / self.r
         return float(w[0]) if single else w
@@ -192,18 +204,6 @@ def build_fold_segment(sys, q, r):
             t = -t
         return t
 
-    def correct(pred, t):
-        u = pred
-        for _ in range(30):
-            gval, ggrad = sys.g.value_and_gradient(u)
-            xg, xggrad = sys.xg.value_and_gradient(u)
-            r3 = np.array([float(gval), float(xg), float(np.dot(u - pred, t))])
-            if np.max(np.abs(r3[:2])) < 1e-13:
-                return u
-            jac = np.vstack([ggrad, xggrad, t])
-            u = u - np.linalg.solve(jac, r3)
-        raise FoldRegularityLost("fold-curve corrector failed to converge")
-
     def walk(direction):
         pts, arcs = [], []
         u, s = q.copy(), 0.0
@@ -211,7 +211,7 @@ def build_fold_segment(sys, q, r):
         while s < r - 1e-14:
             step = min(ds, r - s)
             t = tangent_at(u, ref=t)
-            u_next = correct(u + step * t, t)
+            u_next = _fold_newton(sys, u + step * t, t)
             if np.any(u_next < lo) or np.any(u_next > hi):
                 raise CurveEscapesDomain(f"fold curve left the domain at {u_next}")
             if not is_visible_fold_regular(sys, u_next):
@@ -228,7 +228,7 @@ def build_fold_segment(sys, q, r):
     arcs = np.array([-a for a in reversed(arcs_m)] + [0.0] + arcs_p)
     # normalize ends exactly to +-r (arclength accumulation is chordal)
     arcs = arcs / max(arcs[-1], -arcs[0]) * r if arcs[-1] != r else arcs
-    return FoldSegment(q, r, arcs, nodes)
+    return FoldSegment(q, r, arcs, nodes, sys)
 
 
 # --- connection certificate -------------------------------------------------------

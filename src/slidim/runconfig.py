@@ -37,8 +37,8 @@ class RunConfig:
     domain: tuple = None
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ConfigError("analysis.r must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ConfigError("analysis.r must be positive and finite")
         if self.i_max < 1:
             raise ConfigError("analysis.i_max must be >= 1")
         if self.depth < 1:
@@ -49,8 +49,8 @@ class RunConfig:
             if size < 1:
                 raise ConfigError(f"analysis.schedule[{i}] must be >= 1")
         for name in _TOLERANCE_FIELDS:
-            if getattr(self.tolerances, name) <= 0:
-                raise ConfigError(f"tolerances.{name} must be positive")
+            if not 0 < getattr(self.tolerances, name) < np.inf:
+                raise ConfigError(f"tolerances.{name} must be positive and finite")
 
     def build_system(self):
         try:

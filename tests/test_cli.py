@@ -191,7 +191,10 @@ def test_config_sections_and_values_are_checked(tmp_path, override, path):
     # a fixture run has no run configuration to check its depth
     (("--depth", "0", "dimension", "--model", "middle-thirds"), "--depth"),
     (("--depth", "0", "attractor", "--model", "middle-thirds"), "--depth"),
-], ids=["scan", "depth-dimension", "depth-attractor"])
+    # argparse reads nan and inf as floats; the run configuration refuses them
+    (("--radius", "nan", "return-map"), "analysis.r"),
+    (("--tol-event", "inf", "return-map"), "tolerances.event"),
+], ids=["scan", "depth-dimension", "depth-attractor", "radius-nan", "tol-event-inf"])
 def test_an_option_out_of_range_is_a_one_line_config_error(tmp_path, args, option):
     # the front end says which option
     r = run_cli("--out", str(tmp_path), *args)

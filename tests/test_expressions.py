@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
-from slidim.errors import ExpressionSyntaxError, UnknownIdentifier
+from slidim.errors import ExpressionSyntaxError, NonFinite, UnknownIdentifier
 from slidim.bench import BENCH_G, BENCH_X, BENCH_Y
-from slidim.expressions import (SwitchingFunction, parse_expr, parse_field)
+from slidim.expressions import SwitchingFunction, parse_field
 from slidim.filippov import make_system
 
 
+def _at(text, point, params=None):
+    """The scalar ``text`` evaluated at one point (x, y, z)."""
+    return SwitchingFunction(text, params)(np.array(point, dtype=float))
+
+
 def test_parse_basic_arithmetic():
-    e = parse_expr("a*x - b*y", {"a": 1, "b": 2})
-    assert e(3.0, 1.0, 0.0) == 1.0
+    assert _at("a*x - b*y", (3.0, 1.0, 0.0), {"a": 1, "b": 2}) == 1.0
 
 
 def test_parse_power_and_builtin():
-    assert parse_expr("x^2 + sin(0)")(2.0, 0.0, 0.0) == 4.0
+    assert _at("x^2 + sin(0)", (2.0, 0.0, 0.0)) == 4.0
 
 
 @pytest.mark.parametrize("text, offset", [
@@ -23,29 +27,35 @@ def test_parse_power_and_builtin():
 ], ids=["unbalanced-paren", "overflowing-literal"])
 def test_a_syntax_error_names_its_offset(text, offset):
     with pytest.raises(ExpressionSyntaxError) as err:
-        parse_expr(text)
+        SwitchingFunction(text)
     assert err.value.offset == offset
 
 
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifier) as err:
-        parse_expr("x + w")
+        SwitchingFunction("x + w")
     assert err.value.name == "w"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_parameter_is_refused_when_the_system_is_built(value):
+    # it would compile to the bare name nan or inf, undefined in the kernel
+    with pytest.raises(NonFinite, match="parameter a "):
+        make_system("a*x, y, z", "0, 0, -1", "z", params={"a": value})
+
+
 def test_operator_precedence():
-    e = parse_expr("2 + 3 * 4 ^ 2 / 8")
-    assert e(0.0, 0.0, 0.0) == 2 + 3 * 16 / 8
+    assert _at("2 + 3 * 4 ^ 2 / 8", (0.0, 0.0, 0.0)) == 2 + 3 * 16 / 8
 
 
 def test_unary_minus_binds_before_power():
     # the grammar parses -x^2 as (-x)^2
-    assert parse_expr("-2^2")(0.0, 0.0, 0.0) == 4.0
+    assert _at("-2^2", (0.0, 0.0, 0.0)) == 4.0
 
 
 def test_whitespace_insignificant():
-    a = parse_expr("x + 2*y")(1.0, 3.0, 0.0)
-    b = parse_expr("x+2 * y")(1.0, 3.0, 0.0)
+    a = _at("x + 2*y", (1.0, 3.0, 0.0))
+    b = _at("x+2 * y", (1.0, 3.0, 0.0))
     assert a == b == 7.0
 
 
@@ -58,11 +68,11 @@ def test_whitespace_insignificant():
     ("tanh", 0.5, np.tanh(0.5)),
 ])
 def test_builtins(fn, arg, want):
-    assert parse_expr(f"{fn}(x)")(arg, 0.0, 0.0) == pytest.approx(want, abs=1e-15)
+    assert _at(f"{fn}(x)", (arg, 0.0, 0.0)) == pytest.approx(want, abs=1e-15)
 
 
 def test_scientific_numbers():
-    assert parse_expr("1.5e-3 + .5")(0, 0, 0) == pytest.approx(0.5015)
+    assert _at("1.5e-3 + .5", (0, 0, 0)) == pytest.approx(0.5015)
 
 
 def test_field_takes_per_row_parameters():
@@ -90,11 +100,11 @@ def test_field_commas_respect_parens():
 
 
 def test_vectorized_matches_scalar():
-    e = parse_expr("sin(x)*exp(-y) + z^3 / (1 + x^2)")
+    e = SwitchingFunction("sin(x)*exp(-y) + z^3 / (1 + x^2)")
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(40, 3))
-    batch = e(pts[:, 0], pts[:, 1], pts[:, 2])
-    single = np.array([e(*p) for p in pts])
+    batch = e(pts)
+    single = np.array([e(p) for p in pts])
     assert np.array_equal(batch, single)
 
 
@@ -131,9 +141,9 @@ PARAMS = {"a": 0.7, "b": 1.3}
 
 def _field_and_components(k):
     """Three consecutive CORPUS entries as one field kernel and as three
-    separately compiled expressions."""
+    separately compiled scalars."""
     srcs = [CORPUS[(k + i) % len(CORPUS)] for i in range(3)]
-    return parse_field(srcs, PARAMS), [parse_expr(s, PARAMS) for s in srcs]
+    return parse_field(srcs, PARAMS), [SwitchingFunction(s, PARAMS) for s in srcs]
 
 
 @pytest.mark.parametrize("k", range(len(CORPUS)))
@@ -141,7 +151,7 @@ def test_field_kernel_equals_per_component_evaluation(k):
     field, comps = _field_and_components(k)
 
     def each(u):
-        return np.stack([c(u[..., 0], u[..., 1], u[..., 2]) for c in comps], axis=-1)
+        return np.stack([c(u) for c in comps], axis=-1)
 
     pts = np.random.default_rng(k).uniform(-0.8, 0.8, size=(7, 3))
     assert np.array_equal(field(pts[0]), each(pts[0]))
@@ -198,6 +208,6 @@ def test_gradient_of_constant_independent_component():
 
 
 def test_symbolic_second_derivative_closed_form():
-    f = parse_expr("x^3")
-    assert f.diff("x").diff("x")(2.0, 0.0, 0.0) == 12.0
+    f = SwitchingFunction("x^3")
+    assert f.diff("x").diff("x")(np.array([2.0, 0.0, 0.0])) == 12.0
     assert f.diff("y").tree == ("num", 0.0)

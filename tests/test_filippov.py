@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from slidim import odeint
-from slidim.errors import (DegenerateTangency, DenominatorVanishes, NoConvergence,
-                           NonUniqueForward, OffManifold, StepFailure)
+from slidim.config import Tolerances
+from slidim.errors import (DegenerateTangency, DenominatorVanishes, LeftSlidingRegion,
+                           NoConvergence, NonUniqueForward, OffManifold, StepFailure)
 from slidim.filippov import (Mode, Region, TerminalEvent, classify_region,
                              classify_tangency, filippov_trajectory,
                              find_pseudo_equilibrium, fly, fold_events,
@@ -27,7 +28,7 @@ def test_lie_derivative_trivials():
 
 def test_folded_lie_derivatives_keep_the_row_shape():
     s = canonical()
-    assert s.xg.expr.tree == s.X.components[2].tree  # g = z: Xg is X's third component
+    assert s.xg.tree == s.X.components[2].tree  # g = z: Xg is X's third component
     pts = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [1.0, 0.5, 0.0]])
     xg, yg = s.xg(pts), s.yg(pts)
     assert xg.shape == yg.shape == (3,)
@@ -380,6 +381,14 @@ def test_trajectory_escaping_needs_policy():
     segs = filippov_trajectory(s, [2.0, 0.0, 0.0], 0.5,
                                escaping_policy=Mode.FLOW_X)
     assert segs[0].mode == Mode.FLOW_X
+
+
+def test_trajectory_drifting_off_the_manifold_left_the_sliding_region():
+    # on the parabola g = z - x^2 each sliding step's projection leaves g at
+    # its rounding, 1e-16, above a manifold tolerance of 1e-18
+    s = make_system("1, 0, -1", "0, 0, 1", "z - x^2", tol=Tolerances(manifold=1e-18))
+    with pytest.raises(LeftSlidingRegion, match="manifold drift"):
+        filippov_trajectory(s, [0.5, 0.0, 0.25], 1.0)
 
 
 def test_trajectory_slide_exits_through_visible_fold():

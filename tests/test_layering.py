@@ -46,7 +46,6 @@ OPTION_TEST_ONLY_ALLOWED = {
     "cifs.cover_tower(budget)": "a small budget cuts a cover tower short",
     "cifs.cantor_certify(q_coord)": "a scaffold of a marked point other than 0",
     "cli.main(argv)": "the tests run the front end in-process",
-    "expressions.parse_expr(params)": "parametrized expressions in the parser tests",
     "oracle.box_counting(scales)": "a scale grid too narrow to fit",
     "oracle.box_counting(r2_floor)": "the fit of a sample whose R^2 is below the floor",
     "returnmap.enumerate_branches(n_samples)": "short sweeps on a synthetic return map",

@@ -4,9 +4,12 @@ import pytest
 from slidim import bench as bench_module
 from slidim import odeint, returnmap
 from slidim.cifs import TailModel
-from slidim.errors import (BranchResolutionExceeded, LambdaDisagreement,
-                           NoValidCutoff, SlidimError)
-from slidim.filippov import Region, classify_region, fly, slide
+from slidim.config import Tolerances
+from slidim.errors import (BackwardDivergence, BranchResolutionExceeded,
+                           CurveEscapesDomain, FoldRegularityLost,
+                           LambdaDisagreement, NoHit, NotAFocus, NoValidCutoff,
+                           SlidimError)
+from slidim.filippov import Region, classify_region, fly, make_system, slide
 from slidim.returnmap import (Branch, branch_width_lambda,
                               build_fold_segment, check_lambda_agreement,
                               enumerate_branches, first_return_batch,
@@ -88,11 +91,11 @@ def _coord_of_all_steps(fold, p):
     d2 = np.stack([np.einsum("ij,ij->i", p - node, p - node) for node in fold.nodes])
     s = np.asarray(fold.arcs)[np.argmin(d2, axis=0)]
     for _ in range(40):
-        c = fold._curve(s)
-        tvec = np.stack([fold._dfx(s), fold._dfy(s), fold._dfz(s)], axis=-1)
+        c, tvec = fold._spline(s)
         step = np.sum((p - c) * tvec, axis=-1) / np.sum(tvec * tvec, axis=-1)
         s = np.clip(s + step, -fold.r, fold.r)
-    overshoot = np.sum((p - fold._curve(s)) * fold._tangent(s), axis=-1)
+    c, tvec = fold._spline(s)
+    overshoot = np.sum((p - c) * tvec / np.linalg.norm(tvec, axis=-1, keepdims=True), axis=-1)
     return (s + overshoot) / fold.r
 
 
@@ -104,12 +107,13 @@ def test_fold_coord_stops_once_no_point_moves(bench_pipeline, monkeypatch):
     fold = bench_pipeline.fold
     w = np.random.default_rng(11).uniform(-3.0, 3.0, 400)
     ends = np.clip(w, -1, 1)
+    tangent = fold._spline(ends * fold.r)[1]
     pts = (fold.point_at(ends) + ((w - ends) * fold.r)[:, None]
-           * fold._tangent(ends * fold.r))
+           * tangent / np.linalg.norm(tangent, axis=-1, keepdims=True))
     full = _coord_of_all_steps(fold, pts)
     calls = []
-    curve = fold._curve
-    monkeypatch.setattr(fold, "_curve", lambda s: calls.append(1) or curve(s))
+    spline = fold._spline
+    monkeypatch.setattr(fold, "_spline", lambda s: calls.append(1) or spline(s))
     got = fold.coord_of(pts)
     assert len(calls) <= 5
     assert np.array_equal(got, full)
@@ -130,6 +134,61 @@ def test_fold_nodes_are_visible_fold_regular(bench, bench_pipeline):
     fold = bench_pipeline.fold
     for node in fold.nodes[:: len(fold.nodes) // 8]:
         assert is_visible_fold_regular(bench.system, node)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.25])
+def test_points_of_a_curved_fold_stay_on_it(r):
+    # the unit circle x^2 + y^2 = 1 of z = 0 is X's fold; a natural spline
+    # through the nodes has zero curvature at its ends, where its own points
+    # lie up to 6e-6 off the circle, so point_at corrects them onto the fold
+    # in the spline's normal plane, where coord_of finds them again
+    s = make_system("x, y, x^2 + y^2 - 1", "0, 0, 1", "z")
+    fold = build_fold_segment(s, np.array([1.0, 0.0, 0.0]), r)
+    w = np.linspace(-1.0, 1.0, 2001)
+    pts = fold.point_at(w)
+    assert np.abs(s.xg(pts)).max() < 1e-14 and np.abs(s.g(pts)).max() < 1e-14
+    assert np.abs(fold.coord_of(pts) - w).max() < 1e-14
+
+
+# --- typed errors of the certificate stage ------------------------------------------
+
+
+def test_a_fold_curve_leaving_the_domain_is_refused():
+    box = (np.full(3, -1.5), np.full(3, 1.5))
+    s = make_system("1, 0, x - y^2 - 1", "0, 0, 1", "z", domain=box)
+    with pytest.raises(CurveEscapesDomain):
+        build_fold_segment(s, np.array([1.0, 0.0, 0.0]), 1.5)
+
+
+def test_a_fold_curve_losing_its_visibility_is_refused():
+    # X^2 g = y changes sign at y = 0, 0.3 from q along the fold x = 1
+    s = make_system("y, 0, x - 1", "0, 0, 1", "z")
+    with pytest.raises(FoldRegularityLost, match="arclength 0.3047"):
+        build_fold_segment(s, np.array([1.0, 0.3, 0.0]), 0.5)
+
+
+def test_a_connection_needs_a_focus():
+    # the sliding field (x, 2 y) / (2 - x) has an unstable node at 0
+    s = make_system("x, 2*y, x - 1", "0, 0, 1", "z")
+    with pytest.raises(NotAFocus):
+        verify_connection(s, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+
+
+def test_a_connection_needs_a_flight_back_to_the_manifold():
+    # z' = z + x - 1 grows faster than the flight from q turns back
+    s = make_system("0.1*x - y, x + 0.1*y, x - 1 + z", "0, 0, 1", "z")
+    with pytest.raises(NoHit, match="no manifold return"):
+        verify_connection(s, np.zeros(3), np.array([1.0, -2.0, 0.0]))
+
+
+def test_a_connection_needs_a_backward_orbit_into_the_focus():
+    # the sliding field's stable cycle r = 1/2 repels backward orbits from
+    # outside it: the one from q leaves the domain within a half-turn; the
+    # landing's distance from p is let pass to reach the decay check
+    s = make_system("x*(0.25 - x^2 - y^2) - 3*y, y*(0.25 - x^2 - y^2) + 3*x, x - 1",
+                    "0, 0, 1", "z", tol=Tolerances(connection=1e3))
+    with pytest.raises(BackwardDivergence, match="too few half-turns"):
+        verify_connection(s, np.zeros(3), np.array([1.0, -1.5, 0.0]))
 
 
 # --- flight map and first return -------------------------------------------------------
