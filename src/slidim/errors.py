@@ -85,11 +85,11 @@ class NotAFocus(SlidimError):
 
 
 class FoldRegularityLost(SlidimError):
-    """Fold-curve continuation met a non visible-fold-regular node."""
+    """A fold-section point is not visible fold-regular, or not found."""
 
 
 class CurveEscapesDomain(SlidimError):
-    """Fold-curve continuation left the domain box."""
+    """A fold-section point lies outside the domain box."""
 
 
 class BranchResolutionExceeded(SlidimError):

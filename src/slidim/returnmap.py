@@ -4,7 +4,8 @@ Given a system with an unstable pseudo-saddle-focus p in the sliding region
 whose backward sliding orbit through a visible fold-regular point q reaches
 p, and whose X-flight from q lands on p in finite time, the machinery here
 
-* builds the fold segment through q with its arclength chart onto [-1, 1],
+* builds the fold section through q with its tangent chart onto [-1, 1]:
+  the coordinate along the unit fold tangent t at q, over r,
 * certifies the connection (flight residual, backward decay, focus rate),
 * evaluates the first return map pi = (sliding flow back to the section)
   after (X-flight off the section) as one contract,
@@ -45,190 +46,106 @@ MIN_PAIRS = 8         # scan points a branch needs for its first inverse series
 END_MISS = 1e-3       # largest |pi(psi_0(x_j)) - x_j| at the sweep nodes x_j
 N_CHECK = 24          # held-out round-trip nodes per branch in the precise sweep
 NEWTON_STEPS = 20     # Newton steps of BranchInverseMap.solve
-FOLD_MAX_ITER = 40    # Newton steps of project_to_fold
 FOLD_NEWTON = 30      # Newton steps of _fold_newton
-FOLD_N_PER_SIDE = 64  # fold-segment nodes on each side of q
+FOLD_N_PER_SIDE = 64  # checked fold-section points on each side of q
 N_DECAY_TURNS = 8     # focus turns of the backward sliding decay estimate
 # integration control of precise(): rtol, atol and the event tolerance
 PRECISE_TOL = {"rtol": 1e-13, "atol": 1e-18, "event": 1e-14}
 
 
-def project_to_fold(sys, seed):
-    """Newton refinement of a point onto {g = 0, Xg = 0} (min-norm steps)."""
-    u = np.asarray(seed, dtype=float)
-    for _ in range(FOLD_MAX_ITER):
-        gval, ggrad = sys.g.value_and_gradient(u)
-        xg, xggrad = sys.xg.value_and_gradient(u)
-        r = np.array([float(gval), float(xg)])
-        if np.max(np.abs(r)) < 1e-13:
-            return u
-        jac = np.vstack([ggrad, xggrad])
-        u = u - np.linalg.pinv(jac) @ r
-    raise NoHit("could not project the seed onto the fold curve")
+def _fold_tangent(sys, u):
+    """Unit fold tangent grad g x grad Xg at the point u (3,)."""
+    _, ggrad = sys.g.value_and_gradient(u)
+    _, xggrad = sys.xg.value_and_gradient(u)
+    t = np.cross(ggrad, xggrad)
+    norm = np.linalg.norm(t)
+    if norm == 0:
+        raise FoldRegularityLost(f"no fold tangent at {u}: grad g and grad Xg are parallel")
+    return t / norm
 
 
 def _fold_newton(sys, pred, t):
     """Newton onto {g = 0, Xg = 0} of points ``pred`` (..., 3), each kept in
-    the plane through it normal to its row of ``t`` (..., 3), a tangent of
-    the fold of any length."""
+    the plane through it normal to ``t`` (3,), a fold tangent of any length.
+    A residual of exactly 0 returns at once; once it is below 1e-13, one
+    more step is the last."""
     u = pred
+    t = np.broadcast_to(t, np.shape(pred))
     for _ in range(FOLD_NEWTON):
         gval, ggrad = sys.g.value_and_gradient(u)
         xg, xggrad = sys.xg.value_and_gradient(u)
-        if max(np.max(np.abs(gval)), np.max(np.abs(xg))) < 1e-13:
+        res = max(np.max(np.abs(gval)), np.max(np.abs(xg)))
+        if res == 0:
             return u
         r3 = np.stack([gval, xg, np.sum((u - pred) * t, axis=-1)], axis=-1)
         jac = np.stack([ggrad, xggrad, t], axis=-2)
         u = u - np.linalg.solve(jac, r3[..., None])[..., 0]
+        if res < 1e-13:
+            return u
     raise FoldRegularityLost("fold-curve corrector failed to converge")
 
 
-# --- fold segment with its arclength chart -------------------------------------
-
-
-def _natural_cubic(xs, ys):
-    """Natural cubic spline through the rows of ``ys`` (n + 1, m) at ``xs``,
-    fitted one coordinate at a time; returns an evaluator
-    f(x) -> (values (..., m), derivatives (..., m))."""
-    n = len(xs) - 1
-    h = np.diff(xs)
-    mat = np.zeros((n + 1, n + 1))
-    mat[0, 0] = mat[n, n] = 1.0
-    for i in range(1, n):
-        mat[i, i - 1] = h[i - 1]
-        mat[i, i] = 2 * (h[i - 1] + h[i])
-        mat[i, i + 1] = h[i]
-    coefs = []
-    for y in ys.T:
-        rhs = np.zeros(n + 1)
-        rhs[1:n] = 3 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
-        c = np.linalg.solve(mat, rhs)
-        coefs.append(((y[1:] - y[:-1]) / h - h * (2 * c[:-1] + c[1:]) / 3, c[:-1],
-                      (c[1:] - c[:-1]) / (3 * h)))
-    b, c, d = (np.stack(k, axis=-1) for k in zip(*coefs))
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(xs, x) - 1, 0, n - 1)
-        t = (x - xs[i])[..., None]
-        return (ys[i] + b[i] * t + c[i] * t * t + d[i] * t ** 3,
-                b[i] + 2 * c[i] * t + 3 * d[i] * t * t)
-
-    return f
+# --- fold segment with its tangent chart ---------------------------------------
 
 
 @dataclass
 class FoldSegment:
-    """Curve of visible fold-regular points through q with chart h(q) = 0.
+    """Fold section through q with the tangent chart h(q) = 0.
 
-    The chart is normalized arclength: h maps the segment onto [-1, 1] with
-    |h'| = 1/r, and extends linearly along the end tangents so that points
-    slightly (or far) beyond the segment still get a coordinate.  A cubic
-    spline through the nodes carries the chart; the fold point of
-    coordinate w is the one in the spline's normal plane at arclength w r.
+    ``t`` is the unit fold tangent grad g x grad Xg at q.  The fold point of
+    coordinate w in [-1, 1] is the one in the plane normal to t through
+    q + w r t, and h(u) = (u - q) . t / r reads it back; the same formula
+    continues the chart linearly beyond the segment.  On a straight fold,
+    such as the bench's, h is arclength / r.
     """
 
     q: np.ndarray
     r: float
-    arcs: np.ndarray       # signed arclength of the nodes, in [-r, r]
-    nodes: np.ndarray      # (M, 3)
+    t: np.ndarray          # unit fold tangent at q
     sys: FilippovSystem    # whose fold this is
 
-    def __post_init__(self):
-        self._spline = _natural_cubic(self.arcs, self.nodes)
-
     def point_at(self, w):
-        """Chart coordinate(s) in [-1, 1] to point(s) on the fold: the
-        spline point corrected onto the fold in its normal plane, so that
-        ``coord_of``, the foot of the perpendicular, inverts it."""
+        """Chart coordinate(s) in [-1, 1] to point(s) on the fold."""
         w = np.asarray(w, dtype=float)
         if np.any(np.abs(w) > 1 + 1e-12):
             raise ValueError("chart coordinate outside [-1, 1]")
-        return _fold_newton(self.sys, *self._spline(np.clip(w, -1, 1) * self.r))
+        s = np.clip(w, -1, 1) * self.r
+        return _fold_newton(self.sys, self.q + s[..., None] * self.t, self.t)
 
     def coord_of(self, pts):
-        """Signed arclength/r of points on (or beyond) the fold curve.
-
-        Beyond the built segment the coordinate continues linearly along the
-        end tangents; only its sign and rough size matter out there.
-        """
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        p = pts[None, :] if single else pts
-        # nearest node, one node at a time: no (points, nodes, 3) temporary
-        best = np.full(len(p), np.inf)
-        s = np.empty(len(p))
-        for node, arc in zip(self.nodes, self.arcs):
-            d = p - node
-            d2 = np.einsum("ij,ij->i", d, d)
-            closer = d2 < best
-            best[closer] = d2[closer]
-            s[closer] = arc
-        for _ in range(40):
-            c, tvec = self._spline(s)
-            num = np.sum((p - c) * tvec, axis=-1)
-            den = np.sum(tvec * tvec, axis=-1)
-            step = num / den
-            s_next = np.clip(s + step, -self.r, self.r)
-            # rows clipped at -+r keep a step forever: stop once no s moves,
-            # a fixed point of the remaining iterations
-            done = np.array_equal(s_next, s) or np.max(np.abs(step)) < 1e-15
-            s = s_next
-            if done:
-                break
-        c, tvec = self._spline(s)
-        tang = tvec / np.linalg.norm(tvec, axis=-1, keepdims=True)
-        overshoot = np.sum((p - c) * tang, axis=-1)
-        w = (s + overshoot) / self.r
-        return float(w[0]) if single else w
+        """Chart coordinate (u - q) . t / r of points on (or beyond) the fold."""
+        w = (np.asarray(pts, dtype=float) - self.q) @ self.t / self.r
+        return float(w) if w.ndim == 0 else w
 
 
 def build_fold_segment(sys, q, r):
-    """Predictor-corrector continuation of {g = 0, Xg = 0} through q.
+    """The fold section of half-width r about q, with its tangent chart.
 
-    Every node is re-verified as a visible fold-regular point; the chart is
-    normalized cumulative arclength.
+    q is refined onto the fold; then the points of 2 ``FOLD_N_PER_SIDE`` + 1
+    evenly spaced coordinates, nearest to q first, must lie in the domain
+    and be visible fold-regular.
     """
-    q = project_to_fold(sys, q)
+    q = np.asarray(q, dtype=float)
+    q = _fold_newton(sys, q, _fold_tangent(sys, q))
     if not is_visible_fold_regular(sys, q):
         raise FoldRegularityLost("base point is not visible fold-regular")
-    ds = r / FOLD_N_PER_SIDE
+    fold = FoldSegment(q, r, _fold_tangent(sys, q), sys)
+    w = np.linspace(-1.0, 1.0, 2 * FOLD_N_PER_SIDE + 1)
+    w = w[np.argsort(np.abs(w), kind="stable")]
+    try:
+        pts = fold.point_at(w)
+    except FoldRegularityLost:
+        raise FoldRegularityLost(
+            f"the fold turns away from its tangent at q within r = {r:.4g}: "
+            "take a smaller radius") from None
     lo, hi = sys.domain
-
-    def tangent_at(u, ref=None):
-        _, ggrad = sys.g.value_and_gradient(u)
-        _, xggrad = sys.xg.value_and_gradient(u)
-        t = np.cross(ggrad, xggrad)
-        t = t / np.linalg.norm(t)
-        if ref is not None and np.dot(t, ref) < 0:
-            t = -t
-        return t
-
-    def walk(direction):
-        pts, arcs = [], []
-        u, s = q.copy(), 0.0
-        t = tangent_at(q) * direction
-        while s < r - 1e-14:
-            step = min(ds, r - s)
-            t = tangent_at(u, ref=t)
-            u_next = _fold_newton(sys, u + step * t, t)
-            if np.any(u_next < lo) or np.any(u_next > hi):
-                raise CurveEscapesDomain(f"fold curve left the domain at {u_next}")
-            if not is_visible_fold_regular(sys, u_next):
-                raise FoldRegularityLost(f"node at arclength {s + step:.4g} degenerated")
-            s += float(np.linalg.norm(u_next - u))
-            pts.append(u_next)
-            arcs.append(s)
-            u = u_next
-        return pts, arcs
-
-    pts_p, arcs_p = walk(+1.0)
-    pts_m, arcs_m = walk(-1.0)
-    nodes = np.array(list(reversed(pts_m)) + [q] + pts_p)
-    arcs = np.array([-a for a in reversed(arcs_m)] + [0.0] + arcs_p)
-    # normalize ends exactly to +-r (arclength accumulation is chordal)
-    arcs = arcs / max(arcs[-1], -arcs[0]) * r if arcs[-1] != r else arcs
-    return FoldSegment(q, r, arcs, nodes, sys)
+    for wi, u in zip(w, pts):
+        if np.any(u < lo) or np.any(u > hi):
+            raise CurveEscapesDomain(f"fold curve left the domain at {u}")
+        if not is_visible_fold_regular(sys, u):
+            raise FoldRegularityLost(
+                f"fold point at distance {abs(wi) * r:.4g} from q degenerated")
+    return fold
 
 
 # --- connection certificate -------------------------------------------------------
@@ -257,7 +174,8 @@ def verify_connection(sys, p_seed, q_seed):
     lambda_hat = float(np.exp(2 * np.pi * mu.real / abs(mu.imag)))
     turn_time = 2 * np.pi / abs(mu.imag)
 
-    q = project_to_fold(sys, q_seed)
+    q_seed = np.asarray(q_seed, dtype=float)
+    q = _fold_newton(sys, q_seed, _fold_tangent(sys, q_seed))
     if not is_visible_fold_regular(sys, q):
         raise FoldRegularityLost("refined q is not visible fold-regular")
 

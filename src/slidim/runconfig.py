@@ -48,6 +48,9 @@ class RunConfig:
         for i, size in enumerate(self.schedule or ()):
             if size < 1:
                 raise ConfigError(f"analysis.schedule[{i}] must be >= 1")
+            if i and size <= self.schedule[i - 1]:
+                raise ConfigError(f"analysis.schedule[{i}] must exceed "
+                                  f"analysis.schedule[{i - 1}]")
         for name in _TOLERANCE_FIELDS:
             if not 0 < getattr(self.tolerances, name) < np.inf:
                 raise ConfigError(f"tolerances.{name} must be positive and finite")

@@ -4,7 +4,7 @@ import pytest
 from slidim import cifs, pipeline
 from slidim.errors import (CertificateFailure, ConditionViolated,
                            DegenerateSystem, EquivalenceFailure,
-                           InsufficientData, NoRootInUnitInterval,
+                           InsufficientData, NonMonotone, NoRootInUnitInterval,
                            ParameterInfeasible, TailDiverges)
 
 LN2_LN3 = np.log(2) / np.log(3)
@@ -84,6 +84,12 @@ def test_dimension_sup_single_entry():
     sys_ = cifs.middle_thirds()
     sched = cifs.dimension_sup(sys_, schedule=[1])
     assert sched == [(1, 0.0)]
+
+
+def test_dimension_sup_refuses_a_shrinking_prefix():
+    # the strongest four maps bound the dimension above the strongest two
+    with pytest.raises(NonMonotone, match="prefix of 2 maps"):
+        cifs.dimension_sup(cifs.make_geometric_model(1, 4, 1, 3), schedule=[4, 2])
 
 
 # --- pressure -------------------------------------------------------------------

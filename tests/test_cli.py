@@ -172,6 +172,8 @@ def test_config_errors_exit_one(tmp_path):
      "connection.p_seed"),
     ({"system": {**ESCAPE_CONFIG["system"], "X": "1e400*x - y, x + 0.4*y, x - 1"}},
      "system: number 1e400 overflows"),
+    # a decreasing prefix size would lower the Moran bound after the whole run
+    ({"analysis": {"schedule": [4, 2]}}, "analysis.schedule[1] must exceed"),
 ])
 def test_config_sections_and_values_are_checked(tmp_path, override, path):
     # a section that is not an object, or a value of the wrong type (a

@@ -86,37 +86,26 @@ def test_fold_segment_chart(bench_pipeline):
     assert np.linalg.norm(ends[1] - fold.q) == pytest.approx(fold.r, rel=1e-9)
 
 
-def _coord_of_all_steps(fold, p):
-    """``FoldSegment.coord_of`` with all 40 projection steps, no early exit."""
-    d2 = np.stack([np.einsum("ij,ij->i", p - node, p - node) for node in fold.nodes])
-    s = np.asarray(fold.arcs)[np.argmin(d2, axis=0)]
-    for _ in range(40):
-        c, tvec = fold._spline(s)
-        step = np.sum((p - c) * tvec, axis=-1) / np.sum(tvec * tvec, axis=-1)
-        s = np.clip(s + step, -fold.r, fold.r)
-    c, tvec = fold._spline(s)
-    overshoot = np.sum((p - c) * tvec / np.linalg.norm(tvec, axis=-1, keepdims=True), axis=-1)
-    return (s + overshoot) / fold.r
+def test_fold_chart_is_exact_on_the_bench(bench_pipeline):
+    # the bench's fold is the line x = 1, z = 0 through q = (1, 0, 0) with
+    # tangent (0, 1, 0), so the chart is y / r in both directions, bit for bit
+    fold = bench_pipeline.fold
+    rng = np.random.default_rng(26)
+    w = np.concatenate([10.0 ** rng.uniform(-8.0, 0.0, 20000),
+                        -10.0 ** rng.uniform(-8.0, 0.0, 20000),
+                        rng.uniform(-1.0, 1.0, 20000)])
+    pts = fold.point_at(w)
+    assert np.array_equal(pts[:, 1], w * fold.r)
+    assert np.array_equal(fold.coord_of(pts), w)
 
 
-def test_fold_coord_stops_once_no_point_moves(bench_pipeline, monkeypatch):
-    # points on the segment and beyond it along the end tangents, as the
-    # sliding orbits' exits are: the rows clipped at -+r never take a step
-    # below 1e-15, so only the no-move exit ends the projection early, with
-    # the same coordinates as all 40 steps
+def test_fold_coord_is_linear_beyond_the_segment(bench_pipeline):
+    # the sliding orbits' exits can lie beyond the segment: their coordinate
+    # continues along the tangent at q
     fold = bench_pipeline.fold
     w = np.random.default_rng(11).uniform(-3.0, 3.0, 400)
-    ends = np.clip(w, -1, 1)
-    tangent = fold._spline(ends * fold.r)[1]
-    pts = (fold.point_at(ends) + ((w - ends) * fold.r)[:, None]
-           * tangent / np.linalg.norm(tangent, axis=-1, keepdims=True))
-    full = _coord_of_all_steps(fold, pts)
-    calls = []
-    spline = fold._spline
-    monkeypatch.setattr(fold, "_spline", lambda s: calls.append(1) or spline(s))
-    got = fold.coord_of(pts)
-    assert len(calls) <= 5
-    assert np.array_equal(got, full)
+    got = fold.coord_of(fold.q + (w * fold.r)[:, None] * fold.t)
+    assert np.abs(got - w).max() <= 1e-15
     assert np.sum(np.abs(got) > 1) > 100
 
 
@@ -132,16 +121,14 @@ def test_fold_chart_derivative_is_arclength_normalized(bench_pipeline):
 def test_fold_nodes_are_visible_fold_regular(bench, bench_pipeline):
     from slidim.filippov import is_visible_fold_regular
     fold = bench_pipeline.fold
-    for node in fold.nodes[:: len(fold.nodes) // 8]:
-        assert is_visible_fold_regular(bench.system, node)
+    for u in fold.point_at(np.linspace(-1.0, 1.0, 9)):
+        assert is_visible_fold_regular(bench.system, u)
 
 
 @pytest.mark.parametrize("r", [0.5, 0.25])
 def test_points_of_a_curved_fold_stay_on_it(r):
-    # the unit circle x^2 + y^2 = 1 of z = 0 is X's fold; a natural spline
-    # through the nodes has zero curvature at its ends, where its own points
-    # lie up to 6e-6 off the circle, so point_at corrects them onto the fold
-    # in the spline's normal plane, where coord_of finds them again
+    # the unit circle x^2 + y^2 = 1 of z = 0 is X's fold; point_at corrects
+    # q + w r t onto it in the plane normal to t, where coord_of finds it again
     s = make_system("x, y, x^2 + y^2 - 1", "0, 0, 1", "z")
     fold = build_fold_segment(s, np.array([1.0, 0.0, 0.0]), r)
     w = np.linspace(-1.0, 1.0, 2001)
@@ -163,8 +150,28 @@ def test_a_fold_curve_leaving_the_domain_is_refused():
 def test_a_fold_curve_losing_its_visibility_is_refused():
     # X^2 g = y changes sign at y = 0, 0.3 from q along the fold x = 1
     s = make_system("y, 0, x - 1", "0, 0, 1", "z")
-    with pytest.raises(FoldRegularityLost, match="arclength 0.3047"):
+    with pytest.raises(FoldRegularityLost, match="distance 0.3047 from q"):
         build_fold_segment(s, np.array([1.0, 0.3, 0.0]), 0.5)
+
+
+def test_a_fold_turning_away_from_its_tangent_is_refused():
+    # the fold x = 1 + 0.1 sin(20 y) turns perpendicular to its tangent at q
+    # about 0.13 along it: within r = 0.1 the chart is exact, at r = 0.25
+    # some plane normal to the tangent meets no nearby fold point
+    s = make_system("1, 0, x - 1 - 0.1*sin(20*y)", "0, 0, 1", "z")
+    q = np.array([1.0, 0.0, 0.0])
+    fold = build_fold_segment(s, q, 0.1)
+    w = np.linspace(-1.0, 1.0, 2001)
+    assert np.abs(fold.coord_of(fold.point_at(w)) - w).max() <= 1e-14
+    with pytest.raises(FoldRegularityLost, match="turns away from its tangent at q.*smaller"):
+        build_fold_segment(s, q, 0.25)
+
+
+def test_a_seed_without_a_fold_tangent_is_refused():
+    # grad Xg = (2 x, 0, 0) vanishes at the seed: no plane to correct in
+    s = make_system("1, 0, x^2", "0, 0, 1", "z")
+    with pytest.raises(FoldRegularityLost, match="no fold tangent"):
+        build_fold_segment(s, np.zeros(3), 0.1)
 
 
 def test_a_connection_needs_a_focus():
