@@ -94,67 +94,51 @@ def _landings(field, pairs, tol):
 def solve_connection_params(alpha=0.4, beta=1.0):
     """Find (u1, u2) landing the flight from q on the origin.
 
-    Deterministic damped finite-difference Newton from (0, 0), with a coarse
-    grid fallback for parameter sets where the plain start stalls.  Once
-    the landing is within ``SHOOTING_TARGET``, Newton goes on while each
-    step at least halves it and returns the last point that did: the root
-    of the landing map to its rounding floor (about 1e-15), whatever path
-    Newton took.  The landing is insensitive to one direction in (u1, u2)
-    (smaller singular value about 3.5e-4), so the first point within the
-    target is fixed only to about 1e-9, by the path.  The root does not
-    depend on the path, but it is the root of the landing map integrated
-    at the default tolerances, so it carries the tableau's truncation
-    error: u1 = -98.72275981668264 with a Dormand-Prince 5(4) pair and
+    Deterministic damped finite-difference Newton from (0, 0); a stall (a
+    probe flight that does not land, a singular Jacobian, or 40 steps short
+    of ``SHOOTING_TARGET``) raises NoConvergence.  Once the landing is
+    within ``SHOOTING_TARGET``, Newton goes on while each step at least
+    halves it and returns the last point that did: the root of the landing
+    map to its rounding floor (about 1e-15), whatever path Newton took.
+    The landing is insensitive to one direction in (u1, u2) (smaller
+    singular value about 3.5e-4), so the first point within the target is
+    fixed only to about 1e-9, by the path.  The root does not depend on
+    the path, but it is the root of the landing map integrated at the
+    default tolerances, so it carries the tableau's truncation error:
+    u1 = -98.72275981668264 with a Dormand-Prince 5(4) pair and
     -98.72275993175184 with DOP853, against -98.72275993178165 at rtol
     1e-13.
     """
     tol = Tolerances()
     field = _shooting_field(alpha, beta)
-
-    def residuals(pairs):
-        land, ok, ts = _landings(field, pairs, tol)
-        norm = np.where(ok, np.hypot(land[:, 0], land[:, 1]), np.inf)
-        return land, norm, ts
-
-    def newton(v):
-        delta = 1e-6
-        best = None
-        for _ in range(40):
-            probes = np.array([v,
-                               v + [delta, 0], v - [delta, 0],
-                               v + [0, delta], v - [0, delta]])
-            land, norm, ts = residuals(probes)
-            rnorm = norm[0]
-            if not np.isfinite(rnorm):
-                return best
-            if best is not None and best[3] < SHOOTING_TARGET and not rnorm < best[3] / 2:
-                return best
-            if best is None or rnorm < best[3]:
-                best = (float(v[0]), float(v[1]), float(ts[0]), float(rnorm))
-            jac = np.column_stack([(land[1] - land[2]) / (2 * delta),
-                                   (land[3] - land[4]) / (2 * delta)])
-            try:
-                step = np.linalg.solve(jac, -land[0])
-            except np.linalg.LinAlgError:
-                return best
-            size = np.linalg.norm(step)
-            if size > 30.0:
-                step *= 30.0 / size
-            v = v + step
+    delta = 1e-6
+    v = np.zeros(2)
+    best = None
+    for _ in range(40):
+        probes = np.array([v,
+                           v + [delta, 0], v - [delta, 0],
+                           v + [0, delta], v - [0, delta]])
+        land, ok, ts = _landings(field, probes, tol)
+        if not ok[0]:
+            break
+        rnorm = np.hypot(land[0, 0], land[0, 1])
+        if best is not None and best[3] < SHOOTING_TARGET and not rnorm < best[3] / 2:
+            return best
+        if best is None or rnorm < best[3]:
+            best = (float(v[0]), float(v[1]), float(ts[0]), float(rnorm))
+        jac = np.column_stack([(land[1] - land[2]) / (2 * delta),
+                               (land[3] - land[4]) / (2 * delta)])
+        try:
+            step = np.linalg.solve(jac, -land[0])
+        except np.linalg.LinAlgError:
+            break
+        size = np.linalg.norm(step)
+        if size > 30.0:
+            step *= 30.0 / size
+        v = v + step
+    if best is not None and best[3] < SHOOTING_TARGET:
         return best
-
-    out = newton(np.zeros(2))
-    if out is not None and out[3] < SHOOTING_TARGET:
-        return out
-    grid = np.array([(a, b) for a in np.linspace(-24, 24, 9)
-                     for b in np.linspace(-24, 24, 9)])
-    _, norm, _ = residuals(grid)
-    order = np.argsort(norm)
-    for k in order[:8]:
-        out = newton(grid[k].astype(float))
-        if out is not None and out[3] < SHOOTING_TARGET:
-            return out
-    raise NoConvergence("connection shooting failed from all starts")
+    raise NoConvergence("connection shooting from (0, 0) stalled short of the target")
 
 
 @lru_cache(maxsize=8)

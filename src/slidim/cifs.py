@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CertificateFailure, ConditionViolated, DegenerateSystem,
-                     EquivalenceFailure, InsufficientData, NonMonotone,
-                     NoRootInUnitInterval, ParameterInfeasible, TailDiverges)
+from .errors import (ConditionViolated, DegenerateSystem, EquivalenceFailure,
+                     InsufficientData, NonMonotone, NoRootInUnitInterval,
+                     ParameterInfeasible, TailDiverges)
 
 AMBIENT = (-1.0, 1.0)
 CONDITION_SAMPLES = 64             # C1: grid points per map
@@ -354,7 +354,6 @@ class ScaffoldSet:
 
     points: np.ndarray
     word_lengths: np.ndarray
-    truncated: bool = False
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -365,15 +364,17 @@ class ScaffoldSet:
 
 
 def closure_scaffold(sys, q_coord, k):
-    """All psi-word images of q up to word length k, plus q itself."""
+    """All psi-word images of q up to word length k, plus q itself.  Raises
+    InsufficientData, naming the last word length built, when the next
+    would hold more than ``INTERVAL_BUDGET`` points."""
     pts = [np.array([float(q_coord)])]
     lengths = [np.array([0])]
     frontier = pts[0]
-    truncated = False
     for depth in range(1, k + 1):
         if frontier.size * len(sys.maps) > INTERVAL_BUDGET:
-            truncated = True
-            break
+            raise InsufficientData(
+                f"closure scaffold stopped at word length {depth - 1} of {k}: the "
+                f"next would exceed the interval budget {INTERVAL_BUDGET}")
         # map by map in image order, a decreasing map's block reversed: sorted
         frontier = np.concatenate([x[::-1] if x[0] > x[-1] else x for x in (
             np.asarray(m.eval(frontier), dtype=float) for m in sys.maps)])
@@ -387,7 +388,7 @@ def closure_scaffold(sys, q_coord, k):
     points, word_lengths = points[order], word_lengths[order]
     keep = np.ones(points.size, dtype=bool)
     keep[1:] = np.abs(np.diff(points)) > 1e-14
-    return ScaffoldSet(points[keep], word_lengths[keep], truncated)
+    return ScaffoldSet(points[keep], word_lengths[keep])
 
 
 def word_intervals(sys, k):
@@ -481,12 +482,6 @@ class CantorCertificate:
     passed: bool
     depth: int
     clauses: dict
-
-    def require(self):
-        for name, clause in self.clauses.items():
-            if not clause["passed"]:
-                raise CertificateFailure(name, clause)
-        return self
 
 
 def cantor_certify(covers, scaffold, q_coord=0.0):

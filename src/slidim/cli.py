@@ -244,9 +244,7 @@ def cmd_attractor(cfg, system, out, args):
                _covers_rows(covers))
     _write_csv(os.path.join(out, "scaffold.csv"), ["coordinate", "word_length"],
                list(zip(scaffold.points, scaffold.word_lengths)))
-    doc = _cantor_dict(cantor)
-    doc["truncated"] = bool(scaffold.truncated)
-    _write_json(os.path.join(out, "certificate.json"), doc)
+    _write_json(os.path.join(out, "certificate.json"), _cantor_dict(cantor))
     return 0
 
 

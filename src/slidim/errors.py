@@ -143,21 +143,14 @@ class EquivalenceFailure(SlidimError):
     """Forward-iteration membership disagrees with the cover prediction."""
 
 
-class CertificateFailure(SlidimError):
-    """A clause of the Cantor-structure certificate failed."""
-
-    def __init__(self, clause, message):
-        super().__init__(f"clause {clause}: {message}")
-        self.clause = clause
-
-
 class DegenerateFit(SlidimError):
     """Box-count regression below the R^2 threshold."""
 
 
 class InsufficientData(SlidimError, ValueError):
     """Too few points or scale decades for a fit, too few cover levels for
-    the Cantor certificate, or a cover tower cut short by its budget."""
+    the Cantor certificate, or a cover tower or closure scaffold cut short
+    by its budget."""
 
 
 # --- front end ----------------------------------------------------------------

@@ -410,15 +410,9 @@ def _split_components(text):
 
 
 def parse_field(source, params=None):
-    """Parse a three-component vector field.
-
-    ``source`` is either one string with three top-level comma-separated
-    component expressions, or a sequence of three component strings.
-    """
-    if isinstance(source, str):
-        parts = _split_components(source)
-    else:
-        parts = list(source)
+    """Parse a three-component vector field: ``source`` is one string with
+    three top-level comma-separated component expressions."""
+    parts = _split_components(source)
     if len(parts) != 3:
         raise ExpressionSyntaxError(
             f"a field needs exactly 3 components, got {len(parts)}", 0)

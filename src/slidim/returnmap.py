@@ -343,27 +343,20 @@ def enumerate_branches(sys, fold, cert, i_max, n_scan=3000, n_samples=65):
             if clipped:
                 continue  # drops the possibly non-surjective outermost piece
             gi = idx[a:b + 1]
-            spans.append([gi[0], gi[-1], float(np.median(turns[gi]))])
+            spans.append((gi[0], gi[-1], float(np.median(turns[gi]))))
         if not spans:
             continue
-        # scan dropouts can split one branch; merge spans with equal winding
-        spans.sort(key=lambda s: s[2])
-        merged = [spans[0]]
-        for s in spans[1:]:
-            if abs(s[2] - merged[-1][2]) < 0.4:
-                merged[-1][0] = min(merged[-1][0], s[0])
-                merged[-1][1] = max(merged[-1][1], s[1])
-            else:
-                merged.append(s)
-        merged.sort(key=lambda s: -abs(ws[s[0]]))  # outermost first
-        merged = merged[:i_max]
-        base = merged[0][2]
-        for rank, (a, b, turn) in enumerate(merged):
+        # outermost first; a scan dropout splitting a branch breaks the
+        # consecutive windings
+        spans.sort(key=lambda s: -abs(ws[s[0]]))
+        spans = spans[:i_max]
+        base = spans[0][2]
+        for rank, (a, b, turn) in enumerate(spans):
             if not (-0.25 < turn - base - rank < 0.25):
                 raise BranchResolutionExceeded(
                     f"{side}-branch windings not consecutive: rank {rank + 1} "
                     f"has {turn:.2f} turns vs base {base:.2f}; refine the scan")
-        for rank, (a, b, turn) in enumerate(merged):
+        for rank, (a, b, turn) in enumerate(spans):
             rows = a + np.flatnonzero(ok[a:b + 1])
             if rows.size < MIN_PAIRS:
                 raise BranchResolutionExceeded(
@@ -456,8 +449,6 @@ def select_u(branches, lam, a_hat=None):
     i_top = max(b.index for b in branches)
     for i_min in range(1, i_top + 1):
         chosen = [b for b in branches if b.index >= i_min]
-        if not chosen:
-            break
         if not all(b.deriv_hi < 1 for b in chosen):
             continue
         tail = 2.0 * lam ** (-(i_min - 1)) / (a_hat * (1 - 1 / lam))

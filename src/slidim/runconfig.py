@@ -133,9 +133,9 @@ def parse_config(doc):
         kwargs["schedule"] = [_typed(v, f"analysis.schedule[{i}]", int, "an integer")
                               for i, v in enumerate(schedule)]
     return RunConfig(
-        x_src=_need(system, "X", "system"),
-        y_src=_need(system, "Y", "system"),
-        g_src=_need(system, "g", "system"),
+        x_src=_typed(_need(system, "X", "system"), "system.X", str, "a string"),
+        y_src=_typed(_need(system, "Y", "system"), "system.Y", str, "a string"),
+        g_src=_typed(_need(system, "g", "system"), "system.g", str, "a string"),
         params=params,
         p_seed=_point(_need(conn, "p_seed", "connection"), "connection.p_seed"),
         q_seed=_point(_need(conn, "q_seed", "connection"), "connection.q_seed"),

@@ -174,6 +174,21 @@ def test_config_errors_exit_one(tmp_path):
      "system: number 1e400 overflows"),
     # a decreasing prefix size would lower the Moran bound after the whole run
     ({"analysis": {"schedule": [4, 2]}}, "analysis.schedule[1] must exceed"),
+    # an expression source is one string
+    ({"system": {**ESCAPE_CONFIG["system"], "X": 5}}, "system.X must be a string"),
+    ({"system": {**ESCAPE_CONFIG["system"], "Y": None}}, "system.Y must be a string"),
+    ({"system": {**ESCAPE_CONFIG["system"], "g": ["z"]}}, "system.g must be a string"),
+], ids=[
+    # the names the first cases had when pytest numbered them by position
+    "override0-system", "override1-connection", "override2-analysis",
+    "override3-tolerances", "override4-analysis.i_max", "override5-analysis.schedule[1]",
+    "override6-tolerances.rtol", "override7-system.params.a", "override8-analysis.i_max",
+    "override9-analysis.schedule[1]", "override10-analysis.schedule[1]",
+    "override11-system.params.a", "override12-system.params.a",
+    "override13-system.params.a", "override14-tolerances.event", "override15-analysis.r",
+    "override16-connection.p_seed", "override17-system: number 1e400 overflows",
+    "override18-analysis.schedule[1] must exceed",
+    "system.X-number", "system.Y-null", "system.g-list",
 ])
 def test_config_sections_and_values_are_checked(tmp_path, override, path):
     # a section that is not an object, or a value of the wrong type (a
@@ -271,8 +286,8 @@ def test_attractor_system_path_writes_the_pipeline_result(tmp_path, monkeypatch,
                           bench_pipeline.scaffold.word_lengths)
     doc = json.loads((tmp_path / "certificate.json").read_text())
     cantor = bench_pipeline.cantor
-    assert (doc["passed"], doc["depth"], doc["truncated"]) == \
-        (cantor.passed, cantor.depth, False)
+    assert set(doc) == {"passed", "depth", "clauses"}
+    assert (doc["passed"], doc["depth"]) == (cantor.passed, cantor.depth)
     assert doc["clauses"] == json.loads(json.dumps(cli._jsonable(cantor.clauses)))
 
 
@@ -283,7 +298,8 @@ def test_attractor_system_path_writes_the_pipeline_result(tmp_path, monkeypatch,
      "cover tower stopped at level"),
     (("--depth", "1", "attractor", "--model", "middle-thirds"),
      "need at least two cover levels, got 1"),
-])
+], ids=["args0-need at least 1000 points, got 32", "args1-cover tower stopped at level",
+        "args2-need at least two cover levels, got 1"])
 def test_too_small_inputs_are_one_line_dynamics_errors(tmp_path, args, message):
     r = run_cli("--out", str(tmp_path), *args)
     assert r.returncode == 2

@@ -143,7 +143,8 @@ def _field_and_components(k):
     """Three consecutive CORPUS entries as one field kernel and as three
     separately compiled scalars."""
     srcs = [CORPUS[(k + i) % len(CORPUS)] for i in range(3)]
-    return parse_field(srcs, PARAMS), [SwitchingFunction(s, PARAMS) for s in srcs]
+    return (parse_field(", ".join(srcs), PARAMS),
+            [SwitchingFunction(s, PARAMS) for s in srcs])
 
 
 @pytest.mark.parametrize("k", range(len(CORPUS)))

@@ -184,6 +184,19 @@ def test_classify_tangency_visible_and_invisible():
     assert lab.second_lie == pytest.approx(-1.0)
 
 
+def test_classify_tangency_of_a_fold_of_y():
+    # Yg = x vanishes on the line x = 0 of M, and Y^2g = Y . grad(x) = Y_x:
+    # the fold of Y is visible where Y_x < 0, and Xg = -+1 puts it on the
+    # boundary of the sliding or the escaping region
+    for x_src, y_src, visible, boundary in (("0, 0, -1", "-1, 0, x", True, "s"),
+                                            ("0, 0, 1", "-1, 0, x", True, "e"),
+                                            ("0, 0, -1", "1, 0, x", False, "s")):
+        lab = classify_tangency(make_system(x_src, y_src, "z"), [0.0, 0.5, 0.0])
+        assert (lab.field, lab.visible, lab.regular, lab.boundary) == \
+            ("Y", visible, True, boundary)
+        assert abs(lab.second_lie) == abs(lab.other_lie) == 1.0
+
+
 def test_classify_tangency_degenerate():
     s = make_system("0, 1, x", "0, 0, 1", "z")  # X^2g = 0 on the fold
     with pytest.raises(DegenerateTangency):

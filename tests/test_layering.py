@@ -14,11 +14,12 @@ precise sweep also holds the held-out round-trip nodes.
 
 The package has no linter, so an import left behind by a deletion is
 caught here: every name a module imports must be used in it.  Likewise
-every public top-level function must have a caller outside the tests,
-unless it is an oracle or a fixture the tests check the package against,
-and each of its keyword options (parameters with a default) must be passed
-by some caller outside the tests, unless it is a seam the tests need: an
-option that no caller sets is a module constant.
+every public top-level function, and every public method and property of
+a class, must have a caller outside the tests, unless it is an oracle or
+a fixture the tests check the package against, and each keyword option of
+a function (a parameter with a default) must be passed by some caller
+outside the tests, unless it is a seam the tests need: an option that no
+caller sets is a module constant.
 """
 
 import ast
@@ -213,34 +214,52 @@ def test_every_imported_name_is_used():
 
 def _names_by_scope(path):
     """Names a file refers to (names, attributes, and strings, which is how
-    perfbench patches a function), per top-level def; key None: the rest."""
+    perfbench patches a function), per top-level def and per method
+    (``Class.method``); key None: the rest."""
     scopes = {}
+
+    def collect(key, node):
+        names = scopes.setdefault(key, set())
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names.add(sub.value)
+
     for top in ast.parse(path.read_text(), filename=str(path)).body:
-        names = scopes.setdefault(top.name if isinstance(top, ast.FunctionDef) else None,
-                                  set())
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
+        if isinstance(top, ast.FunctionDef):
+            collect(top.name, top)
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    collect(f"{top.name}.{node.name}", node)
+                else:
+                    collect(None, node)
+            for node in top.decorator_list + top.bases + top.keywords:
+                collect(None, node)
+        else:
+            collect(None, top)
     return scopes
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
+    # module functions, and the methods and properties of the package's
+    # classes (dunders aside), which are found by attribute name
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
     others = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     scopes = {path: _names_by_scope(path) for path in modules + others}
     test_only = set()
     for home in modules:
-        for name in scopes[home]:
+        for key in scopes[home]:
+            name = None if key is None else key.rpartition(".")[2]
             if name is None or name.startswith("_"):
                 continue
             # a function's own body does not count as its caller
             if not any(name in names for path, by_def in scopes.items()
-                       for key, names in by_def.items() if (path, key) != (home, name)):
-                test_only.add(f"{home.stem}.{name}")
+                       for other, names in by_def.items() if (path, other) != (home, key)):
+                test_only.add(f"{home.stem}.{key}")
     assert test_only == set(TEST_ONLY_ALLOWED), test_only
 
 
