@@ -19,6 +19,7 @@ truncation error is exact rather than estimated.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,13 @@ class ContractionMap:
             raise DegenerateSystem(f"map {self.tag!r}: bounds b={self.b}, c={self.c}")
         if self.c >= 1:
             raise ValueError(f"map {self.tag!r}: not a contraction (c={self.c})")
+
+    @cached_property
+    def decreasing(self):
+        """Whether the map reverses order, decided once from its values at
+        the ends of [-1, 1]: covers and scaffolds reverse its block by it."""
+        left, right = np.asarray(self.eval(np.array(AMBIENT)), dtype=float)
+        return bool(left > right)
 
 
 @dataclass(frozen=True)
@@ -321,7 +329,7 @@ def _map_interval_batch(m, intervals):
     lo = np.asarray(m.eval(intervals[:, 0]), dtype=float)
     hi = np.asarray(m.eval(intervals[:, 1]), dtype=float)
     block = np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=1)
-    return block[::-1] if block[0, 0] > block[-1, 0] else block
+    return block[::-1] if m.decreasing else block
 
 
 def attractor_iterate(sys, cover):
@@ -349,8 +357,8 @@ def cover_tower(sys, depth, budget=INTERVAL_BUDGET):
 
 @dataclass
 class ScaffoldSet:
-    """Preimage-tree points of the marked point q with word lengths, kept
-    sorted by point (stably, so equal points keep their order)."""
+    """Preimage-tree points of the marked point q with their word lengths,
+    in word order as ``closure_scaffold`` returns them."""
 
     points: np.ndarray
     word_lengths: np.ndarray
@@ -358,37 +366,26 @@ class ScaffoldSet:
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         self.word_lengths = np.asarray(self.word_lengths)
-        if np.any(self.points[1:] < self.points[:-1]):
-            order = np.argsort(self.points, kind="stable")
-            self.points, self.word_lengths = self.points[order], self.word_lengths[order]
 
 
 def closure_scaffold(sys, q_coord, k):
-    """All psi-word images of q up to word length k, plus q itself.  Raises
-    InsufficientData, naming the last word length built, when the next
-    would hold more than ``INTERVAL_BUDGET`` points."""
-    pts = [np.array([float(q_coord)])]
-    lengths = [np.array([0])]
-    frontier = pts[0]
+    """All psi-word images of q up to word length k in word order: q, then
+    each word length's block, built from the last as the cover levels are.
+    With b maps, the point at position i of the length-L block lies in
+    level-j interval i // b^(L-j), its own prefix's.  Raises InsufficientData,
+    naming the last word length built, when the next would hold more than
+    ``INTERVAL_BUDGET`` points."""
+    blocks = [np.array([float(q_coord)])]
     for depth in range(1, k + 1):
-        if frontier.size * len(sys.maps) > INTERVAL_BUDGET:
+        if blocks[-1].size * len(sys.maps) > INTERVAL_BUDGET:
             raise InsufficientData(
                 f"closure scaffold stopped at word length {depth - 1} of {k}: the "
                 f"next would exceed the interval budget {INTERVAL_BUDGET}")
-        # map by map in image order, a decreasing map's block reversed: sorted
-        frontier = np.concatenate([x[::-1] if x[0] > x[-1] else x for x in (
-            np.asarray(m.eval(frontier), dtype=float) for m in sys.maps)])
-        pts.append(frontier)
-        lengths.append(np.full(frontier.size, depth))
-    points = np.concatenate(pts)
-    word_lengths = np.concatenate(lengths)
-    del pts, lengths, frontier
-    # sorted runs by word length: a stable sort keeps the shortest word first
-    order = np.argsort(points, kind="stable")
-    points, word_lengths = points[order], word_lengths[order]
-    keep = np.ones(points.size, dtype=bool)
-    keep[1:] = np.abs(np.diff(points)) > 1e-14
-    return ScaffoldSet(points[keep], word_lengths[keep])
+        images = [np.asarray(m.eval(blocks[-1]), dtype=float) for m in sys.maps]
+        blocks.append(np.concatenate([x[::-1] if m.decreasing else x
+                                      for m, x in zip(sys.maps, images)]))
+    word_lengths = np.repeat(np.arange(k + 1), [x.size for x in blocks])
+    return ScaffoldSet(np.concatenate(blocks), word_lengths)
 
 
 def word_intervals(sys, k):
@@ -487,23 +484,33 @@ class CantorCertificate:
 def cantor_certify(covers, scaffold, q_coord=0.0):
     """Four finite-resolution clauses for the Cantor structure of the closure.
 
-    ``covers`` is a tower from level 1 down, as ``cover_tower`` returns it.
+    ``covers`` (from level 1 down) and ``scaffold`` are in word order, as
+    ``cover_tower`` and ``closure_scaffold`` return them: with b maps, b^j
+    intervals at level j and b^L points of word length L, else ValueError.
 
     (i) cover lengths decay geometrically toward zero; (ii) every interval
     contains at least two disjoint children (perfectness surrogate);
     (iii) neighboring intervals are separated by positive gaps (total
-    disconnectedness surrogate); (iv) each cover level j holds every scaffold
-    point of word length >= j (one check per level), and the marked point
-    is approximated by cover midpoints down to the truncation resolution.
-
-    Clauses (ii) and (iv) count points in intervals by the rule of
-    ``CoverSet.contains`` (a point belongs to the last interval whose lower
-    end is <= it, if it is also <= that interval's upper end), by sorted
-    search (``_interval_counts``): children by their midpoints, the scaffold
-    by its sorted points.
+    disconnectedness surrogate); (iv) every scaffold point of word length
+    L >= j lies in the level-j interval of its own length-j prefix, and the
+    marked point is approximated by cover midpoints down to the truncation
+    resolution.  Both (ii), by child midpoint, and (iv) check each point in
+    its own interval only (``_in_own_interval``).
     """
     if len(covers) < 2:
         raise InsufficientData(f"need at least two cover levels, got {len(covers)}")
+    n_maps = len(covers[0].intervals)
+    for c in covers:
+        if len(c.intervals) != n_maps ** c.level:
+            raise ValueError(f"cover level {c.level} holds {len(c.intervals)} "
+                             f"intervals, not {n_maps}^{c.level}")
+    blocks = []   # scaffold points of word length 1, 2, ...
+    for length in range(1, int(scaffold.word_lengths.max(initial=0)) + 1):
+        blocks.append(scaffold.points[scaffold.word_lengths == length])
+        if blocks[-1].size != n_maps ** length:
+            raise ValueError(f"scaffold word length {length} holds {blocks[-1].size} "
+                             f"points, not {n_maps}^{length}")
+
     depth = covers[-1].level
     lengths = np.array([c.total_length for c in covers])
     ratios = lengths[1:] / lengths[:-1]
@@ -513,10 +520,9 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
         "max_ratio": float(ratios.max()) if ratios.size else None,
     }
 
-    min_children = np.inf
-    for parent, child in zip(covers, covers[1:]):
-        counts = _children_counts(parent.intervals, child.intervals)
-        min_children = min(min_children, counts.min())
+    mids = [0.5 * (c.intervals[:, 0] + c.intervals[:, 1]) for c in covers]
+    min_children = min(_in_own_interval(parent.intervals, m).sum(axis=1).min()
+                       for parent, m in zip(covers, mids[1:]))
     clause_ii = {"passed": bool(min_children >= 2), "min_children": int(min_children)}
 
     min_gap = np.inf
@@ -526,10 +532,9 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
             min_gap = min(min_gap, float(gaps.min()))
     clause_iii = {"passed": bool(min_gap > 0), "min_gap": min_gap}
 
-    in_level = ((c, scaffold.points[scaffold.word_lengths >= c.level]) for c in covers)
-    ok = all(_interval_counts(c.intervals, pts).sum() == pts.size for c, pts in in_level)
-    mids = 0.5 * (covers[-1].intervals[:, 0] + covers[-1].intervals[:, 1])
-    d_q = float(np.min(np.abs(mids - q_coord)))
+    ok = all(_in_own_interval(c.intervals, pts).all()
+             for c in covers for pts in blocks[c.level - 1:])
+    d_q = float(np.min(np.abs(mids[-1] - q_coord)))
     lvl1 = covers[0].intervals
     gap_q = float(np.min(np.maximum(lvl1[:, 0] - q_coord, q_coord - lvl1[:, 1]).clip(0))
                   + np.min(lvl1[:, 1] - lvl1[:, 0]))
@@ -541,23 +546,12 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
     return CantorCertificate(all(c["passed"] for c in clauses.values()), depth, clauses)
 
 
-def _children_counts(parents, children):
-    """Children per parent by midpoint containment (scale-free)."""
-    mids = 0.5 * (children[:, 0] + children[:, 1])
-    if np.any(mids[1:] < mids[:-1]):   # only a child nested in its neighbour
-        mids.sort()
-    return _interval_counts(parents, mids)
-
-
-def _interval_counts(intervals, points):
-    """Sorted ``points`` in each interval by the rule of ``CoverSet.contains``:
-    the last interval whose lower end is <= the point holds it if the point
-    is also <= its upper end.  Interval i holds the points of [lo_i, hi_i]
-    below lo_(i+1), so two searches per interval count it."""
-    start = np.searchsorted(points, intervals[:, 0], side="left")
-    stop = np.searchsorted(points, intervals[:, 1], side="right")
-    np.minimum(stop[:-1], start[1:], out=stop[:-1])
-    return stop - start
+def _in_own_interval(intervals, points):
+    """Whether each point lies in its own interval, for points in word order
+    under M intervals of one level: with n = M r points, point p belongs to
+    interval p // r.  Returns the (M, r) table, row i for interval i."""
+    rows = points.reshape(len(intervals), -1)
+    return (rows >= intervals[:, :1]) & (rows <= intervals[:, 1:])
 
 
 # --- analytic fixtures -------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,23 @@ def test_scaffold_points_inside_ancestor_covers():
             assert cover.contains(np.array([pt]))[0]
 
 
+def test_scaffold_word_position_names_its_cover_interval():
+    # the mirrored right-side maps are decreasing, so their blocks are reversed
+    sys_ = cifs.make_geometric_model(1.0, 4.0, 1, 2)
+    assert {m.tag[0] for m in sys_.maps if m.decreasing} == {"R"}
+    b, depth = len(sys_.maps), 5
+    covers = cifs.cover_tower(sys_, depth)
+    scaffold = cifs.closure_scaffold(sys_, 0.0, depth)
+    assert scaffold.points[0] == 0.0 and scaffold.word_lengths[0] == 0
+    for length in range(1, depth + 1):
+        block = scaffold.points[scaffold.word_lengths == length]
+        assert block.size == b ** length
+        for i, x in enumerate(block):
+            for j in range(1, length + 1):
+                lo, hi = covers[j - 1].intervals[i // b ** (length - j)]
+                assert lo <= x <= hi, (length, i, j)
+
+
 # --- conditions ----------------------------------------------------------------------
 
 
@@ -347,12 +366,40 @@ def _moved(scaffold, i, x):
     return cifs.ScaffoldSet(pts, scaffold.word_lengths.copy())
 
 
-def _scaffold_in_covers_loop(covers, scaffold):
-    """Per-point reference for clause (iv): each point in every level up to
-    its word length."""
-    for pt, wl in zip(scaffold.points, scaffold.word_lengths):
-        for c in covers:
-            if c.level <= wl and not c.contains(np.array([pt]))[0]:
+def _prefix_intervals(sys_, scaffold, depth):
+    """Per point of ``scaffold`` (in word order, q = 0), the intervals of its
+    word's prefixes of length 1..min(L, depth), each composed along the
+    prefix from the innermost map's image.  A point's word is found by value
+    among the explicit compositions of q."""
+    words = {}
+    for length in range(int(scaffold.word_lengths.max()) + 1):
+        for w in itertools.product(sys_.maps, repeat=length):
+            x = 0.0
+            for m in reversed(w):
+                x = float(m.eval(x))
+            words[x] = w
+    assert len(words) == scaffold.points.size
+    table = []
+    for x in scaffold.points:
+        w, ends = words[x], []
+        for j in range(1, min(len(w), depth) + 1):
+            lo, hi = w[j - 1].image
+            for m in reversed(w[:j - 1]):
+                lo, hi = sorted((float(m.eval(lo)), float(m.eval(hi))))
+            ends.append((lo, hi))
+        table.append((len(w), ends))
+    return table
+
+
+def _own_prefix_loop(table, scaffold):
+    """Per-point reference for clause (iv): the k-th point of word length L
+    in ``scaffold`` lies in every prefix interval of the k-th word of
+    length L in ``table``."""
+    for length in range(1, int(scaffold.word_lengths.max()) + 1):
+        ref = [ends for wl, ends in table if wl == length]
+        pts = scaffold.points[scaffold.word_lengths == length]
+        for x, ends in zip(pts, ref, strict=True):
+            if not all(lo <= x <= hi for lo, hi in ends):
                 return False
     return True
 
@@ -375,41 +422,61 @@ def test_cantor_clause_iv_matches_per_point_loop():
     covers = cifs.cover_tower(sys_, 5)
     scaffold = cifs.closure_scaffold(sys_, 0.0, 4)
     rng = np.random.default_rng(3)
-    cases = [scaffold] + [
-        _moved(scaffold, i, scaffold.points[i] + rng.uniform(-0.02, 0.02))
+    cases = [(scaffold, scaffold)] + [
+        (scaffold, _moved(scaffold, i, scaffold.points[i] + rng.uniform(-0.02, 0.02)))
         for i in rng.choice(scaffold.points.size, 20, replace=False)]
-    # word length 5 is checked against every level, the deepest included
+    # word length 5 is checked against every level, the deepest included;
+    # the last word's own level-5 interval is the last one, top[-1]
     deep = cifs.closure_scaffold(sys_, 0.0, 5)
-    i = int(np.flatnonzero(deep.word_lengths == 5)[7])
+    i = int(np.flatnonzero(deep.word_lengths == 5)[-1])
     top = covers[-1].intervals
-    gaps = 0.5 * (top[1:, 0] + top[:-1, 1])
-    only_deepest = gaps[covers[-2].contains(gaps)][0]
+    only_deepest = 0.5 * (top[-2, 1] + top[-1, 0])   # a gap in its own level-4 interval
+    lo4, hi4 = covers[-2].intervals[-1]
+    assert lo4 <= only_deepest <= hi4
     designed = {  # moved point -> whether clause (iv) still holds
-        top[5, 0]: True, top[5, 1]: True, top[-1, 1]: True,
+        top[-1, 0]: True, top[-1, 1]: True, top[5, 0]: False, top[5, 1]: False,
         top[0, 0] - 1e-9: False, top[-1, 1] + 1e-9: False, only_deepest: False}
-    cases += [deep] + [_moved(deep, i, x) for x in designed]
-    # an unsorted hand-built set
+    cases += [(deep, deep)] + [(deep, _moved(deep, i, x)) for x in designed]
+    # a permuted hand-built set: points leave their words' intervals
     perm = rng.permutation(deep.points.size)
-    cases += [cifs.ScaffoldSet(deep.points[perm], deep.word_lengths[perm])]
+    cases += [(deep, cifs.ScaffoldSet(deep.points[perm], deep.word_lengths[perm]))]
+    tables = {id(sc): _prefix_intervals(sys_, sc, len(covers)) for sc in (scaffold, deep)}
     verdicts = []
-    for sc in cases:
+    for ref, sc in cases:
         clause = cifs.cantor_certify(covers, sc).clauses["iv"]
-        want = (_scaffold_in_covers_loop(covers, sc)
+        want = (_own_prefix_loop(tables[id(ref)], sc)
                 and clause["marked_point_distance"] <= clause["resolution_bound"])
         assert clause["passed"] == want
         verdicts.append(want)
-    assert verdicts[0] and not all(verdicts)
-    assert verdicts[21:] == [True] + list(designed.values()) + [True]
+    assert verdicts[0] and not all(verdicts[1:21])
+    assert verdicts[21:] == [True] + list(designed.values()) + [False]
+    # words longer than the tower is deep are checked against its levels
+    shallow = covers[:4]
+    assert cifs.cantor_certify(shallow, deep).clauses["iv"]["passed"]
+    moved = _moved(deep, i, shallow[-1].intervals[0, 0])
+    assert not cifs.cantor_certify(shallow, moved).clauses["iv"]["passed"]
 
 
-def _children_counts_reference(parents, children):
-    """The per-midpoint rule: the last parent whose lower end is <= the
-    midpoint holds it if the midpoint is also <= that parent's upper end."""
-    mids = 0.5 * (children[:, 0] + children[:, 1])
-    idx = np.searchsorted(parents[:, 0], mids, side="right") - 1
-    idx = np.clip(idx, 0, len(parents) - 1)
-    inside = (mids >= parents[idx, 0]) & (mids <= parents[idx, 1])
-    return np.bincount(idx[inside], minlength=len(parents))
+def test_cantor_refuses_a_cover_level_of_another_size():
+    mt = cifs.middle_thirds()
+    covers = cifs.cover_tower(mt, 4)
+    scaffold = cifs.closure_scaffold(mt, 0.0, 4)
+    covers[2] = cifs.CoverSet(covers[2].intervals[:-1], 3)
+    with pytest.raises(ValueError, match=r"^cover level 3 holds 7 intervals, not 2\^3$"):
+        cifs.cantor_certify(covers, scaffold)
+
+
+def test_cantor_refuses_a_scaffold_block_of_another_size():
+    mt = cifs.middle_thirds()
+    covers = cifs.cover_tower(mt, 4)
+    scaffold = cifs.closure_scaffold(mt, 0.0, 4)
+    short = cifs.ScaffoldSet(scaffold.points[:-1], scaffold.word_lengths[:-1])
+    with pytest.raises(ValueError, match=r"^scaffold word length 4 holds 15 points, not 2\^4$"):
+        cifs.cantor_certify(covers, short)
+    keep = scaffold.word_lengths != 2
+    gap = cifs.ScaffoldSet(scaffold.points[keep], scaffold.word_lengths[keep])
+    with pytest.raises(ValueError, match=r"^scaffold word length 2 holds 0 points, not 2\^2$"):
+        cifs.cantor_certify(covers, gap)
 
 
 def _parent_family(rng, n):
@@ -427,48 +494,48 @@ def _parent_family(rng, n):
 
 
 def test_children_counts_match_the_per_midpoint_rule():
+    # each parent counts its own children only, by midpoint, ends included;
+    # a midpoint in a neighbour's interval does not count
     rng = np.random.default_rng(19)
     for trial in range(300):
         parents = _parent_family(rng, int(rng.integers(1, 12)))
         assert np.array_equal(cifs.CoverSet(parents, 1).intervals, parents)
-        ends = parents.ravel()
+        per = int(rng.integers(1, 6))
         span = (parents[0, 0] - 0.05, parents[-1, 1] + 0.05)
-        lo = rng.uniform(*span, int(rng.integers(0, 60)))
-        children = np.concatenate([
-            np.stack([lo, lo + rng.choice([0.0, 1e-13, 1e-4, 0.02], lo.size)], axis=1),
-            # zero-width children: midpoints exactly on parent ends
-            np.repeat(rng.choice(ends, 5)[:, None], 2, axis=1),
-            # beyond the first and the last parent
-            [[span[0] - 0.1, span[0]], [span[1], span[1] + 0.1]]])
-        children = children[np.argsort(children[:, 0])]
-        if trial % 3 == 0 and len(children) > 2:   # a thin child nested in its neighbour
-            hi = children[1, 1]
-            children = np.insert(children, 2, [[hi - 1e-13, hi - 5e-14]], axis=0)
-        want = _children_counts_reference(parents, children)
-        assert cifs._children_counts(parents, children).tolist() == want.tolist()
+        mids = []
+        for lo, hi in parents:
+            choices = [rng.uniform(*span), rng.uniform(lo, hi), lo, hi,
+                       np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                       rng.choice(parents.ravel())]
+            mids += [choices[k] for k in rng.integers(len(choices), size=per)]
+        mids = np.array(mids)
+        want = [sum(lo <= x <= hi for x in mids[i * per:(i + 1) * per])
+                for i, (lo, hi) in enumerate(parents)]
+        got = cifs._in_own_interval(parents, mids)
+        assert got.shape == (len(parents), per)
+        assert got.sum(axis=1).tolist() == want
 
 
 def test_cantor_clause_iv_checks_each_level_once(monkeypatch):
     sys_ = cifs.make_geometric_model(1.0, 4.0, 2, 5)
-    covers = cifs.cover_tower(sys_, 6)
-    scaffold = cifs.closure_scaffold(sys_, 0.0, 6)
-    calls, searches = [], []
-    contains, interval_counts = cifs.CoverSet.contains, cifs._interval_counts
+    b, depth = len(sys_.maps), 6
+    covers = cifs.cover_tower(sys_, depth)
+    scaffold = cifs.closure_scaffold(sys_, 0.0, depth)
+    calls = []
+    in_own = cifs._in_own_interval
 
-    def counted(self, points):
-        calls.append(self.level)
-        return contains(self, points)
+    def counted(intervals, points):
+        calls.append((len(intervals), points.size))
+        return in_own(intervals, points)
 
-    def counted_search(intervals, points):
-        searches.append(len(intervals))
-        return interval_counts(intervals, points)
-
-    monkeypatch.setattr(cifs.CoverSet, "contains", counted)
-    monkeypatch.setattr(cifs, "_interval_counts", counted_search)
+    monkeypatch.setattr(cifs, "_in_own_interval", counted)
+    monkeypatch.setattr(cifs.CoverSet, "contains", None)   # no probe per point
     assert cifs.cantor_certify(covers, scaffold).passed
-    assert len(calls) <= len(covers)
-    # one search per level for clause (iv), one per parent level for (ii)
-    assert len(searches) <= 2 * len(covers) - 1
+    # (ii): each parent level once, with its children's midpoints;
+    # (iv): each level j once per word length L >= j, with the b^L points
+    children = [(b ** j, b ** (j + 1)) for j in range(1, depth)]
+    points = [(b ** j, b ** L) for j in range(1, depth + 1) for L in range(j, depth + 1)]
+    assert sorted(calls) == sorted(children + points)
 
 
 # --- fixtures ---------------------------------------------------------------------------------
