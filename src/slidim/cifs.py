@@ -59,11 +59,12 @@ class ContractionMap:
     def __post_init__(self):
         lo, hi = self.image
         if not (AMBIENT[0] - 1e-12 <= lo < hi <= AMBIENT[1] + 1e-12):
-            raise ValueError(f"map {self.tag!r}: image {self.image} outside the ambient interval")
+            raise ConditionViolated("C1", self.tag,
+                                    f"image {self.image} outside the ambient interval")
         if not 0 < self.b <= self.c:
             raise DegenerateSystem(f"map {self.tag!r}: bounds b={self.b}, c={self.c}")
         if self.c >= 1:
-            raise ValueError(f"map {self.tag!r}: not a contraction (c={self.c})")
+            raise ConditionViolated("C2", self.tag, f"not a contraction (c={self.c})")
 
     @cached_property
     def decreasing(self):
@@ -98,28 +99,30 @@ class IfsSystem:
 
     def __post_init__(self):
         self.maps = sorted(self.maps, key=lambda m: m.image[0])
-        _check_disjoint(self.maps)
-
-    @property
-    def uniform_contraction(self):
-        return max(m.c for m in self.maps)
+        for a, b in zip(self.maps, self.maps[1:]):
+            if a.image[1] > b.image[0] + 1e-14:
+                raise ConditionViolated("C3", (a.tag, b.tag), "image interiors overlap")
 
 
 @dataclass
 class CoverSet:
     """Finite union of disjoint closed intervals: one cover level, given
-    sorted by lower end (checked here, not sorted)."""
+    sorted by lower end (checked here, not sorted), with the smallest gap
+    between neighbours (inf for one interval)."""
 
     intervals: np.ndarray         # (M, 2) sorted by lower endpoint
     level: int
+    min_gap: float = field(init=False)
 
     def __post_init__(self):
         self.intervals = np.asarray(self.intervals, dtype=float).reshape(-1, 2)
         if np.any(self.intervals[1:, 0] < self.intervals[:-1, 0]):
-            raise ValueError(f"cover level {self.level}: lower ends not in order")
+            raise InsufficientData(f"cover level {self.level}: lower ends not in order")
         gaps = self.intervals[1:, 0] - self.intervals[:-1, 1]
-        if gaps.size and gaps.min() < -1e-12:
-            raise ValueError(f"cover level {self.level}: intervals overlap by {-gaps.min():.3e}")
+        self.min_gap = float(gaps.min()) if gaps.size else np.inf
+        if self.min_gap < -1e-12:
+            raise InsufficientData(
+                f"cover level {self.level}: intervals overlap by {-self.min_gap:.3e}")
 
     @property
     def total_length(self):
@@ -144,10 +147,8 @@ class DimensionReport:
 
     def __post_init__(self):
         if not 0 <= self.moran_lower <= self.moran_upper:
-            raise ValueError("Moran bracket out of order")
-        lowers = [s for _, s in self.truncation_schedule]
-        if any(b < a - 1e-13 for a, b in zip(lowers, lowers[1:])):
-            raise NonMonotone("truncation lower bounds decreased")
+            raise NonMonotone(f"Moran bracket out of order: [{self.moran_lower}, "
+                              f"{self.moran_upper}]")
 
 
 # --- conformality conditions -----------------------------------------------------
@@ -160,13 +161,14 @@ class ConditionReport:
 
 
 def check_conditions(sys):
-    """Evaluate the conformality conditions C1-C6 on sampled data.
+    """Evaluate the conformality conditions C1, C4-C6 on sampled data.
 
-    C1 injectivity (strict monotonicity on a grid), C2 uniform contraction,
-    C3 open set condition via image disjointness, C4 derivative data
-    available, C5 the interior-density constant of an interval (1/2 at the
-    endpoints), C6 a finite-sample Hoelder surrogate for the derivative
-    modulus.  Raises ConditionViolated with the id and a witness.
+    C1 injectivity (strict monotonicity on a grid, values in [-1, 1]), C4
+    derivative data available, C5 the interior-density constant of an
+    interval (1/2 at the endpoints), C6 a finite-sample Hoelder surrogate
+    for the derivative modulus.  C2 (every c < 1) and C3 (disjoint images)
+    hold by construction: ``ContractionMap`` and ``IfsSystem`` check them.
+    Raises ConditionViolated with the id and a witness.
     """
     grid = np.linspace(AMBIENT[0], AMBIENT[1], CONDITION_SAMPLES)
     details = {}
@@ -178,13 +180,6 @@ def check_conditions(sys):
         if vals.min() < AMBIENT[0] - 1e-12 or vals.max() > AMBIENT[1] + 1e-12:
             raise ConditionViolated("C1", m.tag, "image leaves the ambient interval")
     details["C1"] = {"maps": len(sys.maps)}
-
-    worst = sys.uniform_contraction
-    if worst >= 1:
-        raise ConditionViolated("C2", worst, "no uniform contraction constant below 1")
-    details["C2"] = {"s": worst}
-
-    details["C3"] = {"min_gap": _check_disjoint(sys.maps)}
 
     missing = [m.tag for m in sys.maps if m.deriv is None]
     if missing:
@@ -208,16 +203,6 @@ def check_conditions(sys):
                                     f"Hoelder surrogate constant {lmax:.3g} above cap")
     details["C6"] = {"alpha": HOLDER_ALPHA, "constant": worst_l}
     return ConditionReport(True, details)
-
-
-def _check_disjoint(maps):
-    """Smallest gap between neighbouring images of maps in image order; an
-    overlap violates C3."""
-    for a, b in zip(maps, maps[1:]):
-        if a.image[1] > b.image[0] + 1e-14:
-            raise ConditionViolated("C3", (a.tag, b.tag), "image interiors overlap")
-    gaps = [b.image[0] - a.image[1] for a, b in zip(maps, maps[1:])]
-    return float(min(gaps)) if gaps else np.inf
 
 
 # --- Moran equations and pressure ---------------------------------------------------
@@ -259,26 +244,20 @@ def moran_bounds(sys):
     """(s, t) with sum b_i^s = 1 and sum c_i^t = 1 over the listed maps."""
     bs = np.array([m.b for m in sys.maps])
     cs = np.array([m.c for m in sys.maps])
-    if np.any(bs <= 0):
-        raise DegenerateSystem("a lower derivative bound is zero")
-    s = _sum_root(bs)
-    t = _sum_root(cs)
-    return s, t
+    return _sum_root(bs), _sum_root(cs)
 
 
-def dimension_sup(sys, schedule=None):
-    """Nondecreasing Moran lower bounds over finite prefixes.
+def dimension_sup(sys):
+    """Nondecreasing Moran lower bounds over the prefixes of 1..n maps.
 
     Prefixes take the strongest maps first; the resulting curve converges
-    to the countable system's dimension from below.
+    to the countable system's dimension from below.  Adding a map cannot
+    lower the root, so a decrease beyond 1e-13 is solver error (NonMonotone).
     """
     maps = sorted(sys.maps, key=lambda m: -m.b)   # stable: ties stay in image order
-    if schedule is None:
-        schedule = list(range(1, len(maps) + 1))
     out = []
     prev = -np.inf
-    for size in schedule:
-        size = min(size, len(maps))
+    for size in range(1, len(maps) + 1):
         bs = [m.b for m in maps[:size]]
         s = _sum_root(bs)
         if s < prev - 1e-13:
@@ -307,9 +286,9 @@ def pressure_root(sys):
     return _sum_root([m.c for m in sys.maps], tail=sys.tail)
 
 
-def dimension_report(sys, schedule=None):
+def dimension_report(sys):
     """Bracket + root + truncation curve for one system."""
-    sched = dimension_sup(sys, schedule)
+    sched = dimension_sup(sys)
     lower = sched[-1][1]
     upper_raw = _sum_root([m.c for m in sys.maps], tail=sys.tail)
     root = upper_raw if pressure(sys, 1.0) < 1.0 else None
@@ -525,11 +504,7 @@ def cantor_certify(covers, scaffold, q_coord=0.0):
                        for parent, m in zip(covers, mids[1:]))
     clause_ii = {"passed": bool(min_children >= 2), "min_children": int(min_children)}
 
-    min_gap = np.inf
-    for c in covers:
-        gaps = c.intervals[1:, 0] - c.intervals[:-1, 1]
-        if gaps.size:
-            min_gap = min(min_gap, float(gaps.min()))
+    min_gap = min(c.min_gap for c in covers)
     clause_iii = {"passed": bool(min_gap > 0), "min_gap": min_gap}
 
     ok = all(_in_own_interval(c.intervals, pts).all()

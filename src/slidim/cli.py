@@ -4,8 +4,9 @@ One command per process; outputs are machine-readable (CSV with 17
 significant digits, JSON reports with sorted keys) and written atomically,
 so identical configurations reproduce bit-identical files.
 
-Exit codes: 0 success (and verdict PASS where one exists), 1 configuration
-error, 2 dynamics error, 3 oracle verdict FAIL.
+Exit codes: 0 success (and verdict and Cantor certificate PASS where they
+exist), 1 configuration error, 2 dynamics error, 3 oracle verdict or Cantor
+certificate FAIL; the output files are written either way.
 """
 
 import argparse
@@ -185,7 +186,7 @@ def _cantor_dict(cert):
 def _run_pipeline(cfg, system, **depths):
     return pipeline.run_dimension_pipeline(
         system, cfg.p_seed, cfg.q_seed, radius=cfg.radius, i_max=cfg.i_max,
-        n_scan=cfg.n_scan, schedule=cfg.schedule, **depths)
+        n_scan=cfg.n_scan, **depths)
 
 
 def cmd_dimension(cfg, system, out, args):
@@ -213,6 +214,7 @@ def cmd_dimension(cfg, system, out, args):
             "decay_cap": res.sum_c,
         }
         print("verdict:", "PASS" if res.verdict.passed else "FAIL",
+              "cantor:", "PASS" if res.cantor.passed else "FAIL",
               "timings:", {k: round(v, 1) for k, v in res.timings.items()},
               file=_sys.stderr)
     doc.update({
@@ -226,7 +228,7 @@ def cmd_dimension(cfg, system, out, args):
     _write_json(os.path.join(out, "report.json"), doc)
     _write_csv(os.path.join(out, "covers.csv"), ["lo", "hi", "level"],
                _covers_rows(res.covers))
-    return 0 if res.verdict.passed else 3
+    return 0 if res.verdict.passed and res.cantor.passed else 3
 
 
 def cmd_attractor(cfg, system, out, args):
@@ -245,7 +247,7 @@ def cmd_attractor(cfg, system, out, args):
     _write_csv(os.path.join(out, "scaffold.csv"), ["coordinate", "word_length"],
                list(zip(scaffold.points, scaffold.word_lengths)))
     _write_json(os.path.join(out, "certificate.json"), _cantor_dict(cantor))
-    return 0
+    return 0 if cantor.passed else 3
 
 
 def cmd_model(cfg, system, out, args):

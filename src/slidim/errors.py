@@ -124,7 +124,8 @@ class DegenerateSystem(SlidimError):
 
 
 class NonMonotone(SlidimError):
-    """Internal consistency failure: truncation bounds decreased."""
+    """Internal consistency failure: a Moran bound out of order (a longer
+    prefix lowered the lower bound, or it exceeds the upper one)."""
 
 
 class TailDiverges(SlidimError):

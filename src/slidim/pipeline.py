@@ -59,7 +59,7 @@ def certify_cantor(sys, covers, depth):
     return scaffold, cifs.cantor_certify(covers[:depth], scaffold)
 
 
-def analyze_ifs(ifs, certified, *, cover_depth, cantor_depth, box_depth, schedule=None):
+def analyze_ifs(ifs, certified, *, cover_depth, cantor_depth, box_depth):
     """Conditions and dimension report on ``ifs``; one cover tower, the
     scaffold and the Cantor certificate on ``certified``; then the
     box-counting cross-check against the first ``cover_depth`` levels.
@@ -68,7 +68,7 @@ def analyze_ifs(ifs, certified, *, cover_depth, cantor_depth, box_depth, schedul
     short by its interval budget fails before a sample of that size is built.
     """
     cifs.check_conditions(ifs)
-    report = cifs.dimension_report(ifs, schedule=schedule)
+    report = cifs.dimension_report(ifs)
     covers = cifs.cover_tower(certified, max(cover_depth, cantor_depth))
     scaffold, cantor = certify_cantor(certified, covers, cantor_depth)
     sample = oracle.sample_word_images(ifs, box_depth)
@@ -100,7 +100,7 @@ def branch_ifs(branches, maps, lam, a_hat, i_tail_start):
 
 
 def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
-                           n_scan=3000, cover_depth=8, cantor_depth=6, schedule=None):
+                           n_scan=3000, cover_depth=8, cantor_depth=6):
     """Full analysis for one system; deterministic for fixed arguments."""
     timings = {}
     t0 = time.perf_counter()
@@ -134,8 +134,7 @@ def run_dimension_pipeline(system, p_seed, q_seed, *, radius=0.25, i_max=3,
     t0 = time.perf_counter()
     ifs = branch_ifs(selected, inv_maps, cert.lambda_hat, a_hat, i_max + 1)
     analysis = analyze_ifs(ifs, _subsystem(ifs), cover_depth=cover_depth,
-                           cantor_depth=cantor_depth, box_depth=BOX_DEPTH,
-                           schedule=schedule)
+                           cantor_depth=cantor_depth, box_depth=BOX_DEPTH)
     timings["analysis"] = time.perf_counter() - t0
     return DimensionPipelineResult(
         **vars(analysis), cert=cert, fold=fold, branches=branches, i_min=i_min,

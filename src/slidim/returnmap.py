@@ -30,6 +30,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import odeint
+from .cifs import TailModel
 from .errors import (BackwardDivergence, BranchResolutionExceeded,
                      ConnectionResidualTooLarge, CurveEscapesDomain,
                      FoldRegularityLost, LambdaDisagreement, NoHit, NotAFocus,
@@ -212,12 +213,11 @@ def verify_connection(sys, p_seed, q_seed):
                                 lambda_decay, pe.eigenvalues, turn_time)
 
 
-def check_lambda_agreement(values, rel=0.10):
+def check_lambda_agreement(values, rel):
     """Abort when independent estimates of the focus rate disagree."""
     lo, hi = min(values), max(values)
     if hi / lo - 1 > rel:
         raise LambdaDisagreement(f"focus-rate estimates disagree beyond {rel:.0%}: {values}")
-    return values[0]
 
 
 # --- the first return map -----------------------------------------------------------
@@ -440,7 +440,8 @@ def select_u(branches, lam, a_hat=None):
 
     Requires every branch with index >= i_min to have contraction bound
     < 1, and the modeled tail sum
-    sum_{i >= i_min, both sides} (a_hat * lam^(i-1))^(-1) < 1.
+    sum_{i >= i_min, both sides} (a_hat * lam^(i-1))^(-1) < 1, which is
+    ``TailModel(a_hat, lam, i_min).pressure(1)``.
     """
     if lam <= 1:
         raise NoValidCutoff("focus rate must exceed 1")
@@ -451,8 +452,7 @@ def select_u(branches, lam, a_hat=None):
         chosen = [b for b in branches if b.index >= i_min]
         if not all(b.deriv_hi < 1 for b in chosen):
             continue
-        tail = 2.0 * lam ** (-(i_min - 1)) / (a_hat * (1 - 1 / lam))
-        if tail < 1:
+        if TailModel(a_hat, lam, i_min).pressure(1.0) < 1:
             return i_min, float(a_hat)
     raise NoValidCutoff("no enumerated index satisfies the smallness condition")
 

@@ -2,7 +2,7 @@
 
 A single versioned JSON document describes the system, the connection
 seeds, the analysis knobs and tolerance overrides; every field is
-validated with a path-qualified diagnostic.
+validated with a path-qualified diagnostic, and an unknown key is refused.
 """
 
 import json
@@ -18,6 +18,15 @@ from .filippov import make_system
 
 SCHEMA_VERSION = 1
 _TOLERANCE_FIELDS = ("event", "manifold", "tangency", "rtol", "atol")
+# the keys of each object; no command draws random numbers, so an old
+# config's top-level seed is read and ignored
+_KEYS = {
+    "document": ("version", "seed", "system", "connection", "analysis", "tolerances"),
+    "system": ("X", "Y", "g", "params"),
+    "connection": ("p_seed", "q_seed"),
+    "analysis": ("r", "i_max", "depth", "n_scan"),
+    "tolerances": _TOLERANCE_FIELDS,
+}
 
 
 @dataclass
@@ -32,7 +41,6 @@ class RunConfig:
     i_max: int = 3
     depth: int = 6
     n_scan: int = 3000
-    schedule: list = None
     tolerances: Tolerances = field(default_factory=Tolerances)
     domain: tuple = None
 
@@ -45,12 +53,6 @@ class RunConfig:
             raise ConfigError("analysis.depth must be >= 1")
         if self.n_scan < 2:
             raise ConfigError("analysis.n_scan must be >= 2")
-        for i, size in enumerate(self.schedule or ()):
-            if size < 1:
-                raise ConfigError(f"analysis.schedule[{i}] must be >= 1")
-            if i and size <= self.schedule[i - 1]:
-                raise ConfigError(f"analysis.schedule[{i}] must exceed "
-                                  f"analysis.schedule[{i - 1}]")
         for name in _TOLERANCE_FIELDS:
             if not 0 < getattr(self.tolerances, name) < np.inf:
                 raise ConfigError(f"tolerances.{name} must be positive and finite")
@@ -90,6 +92,14 @@ def _typed(value, path, types=(int, float), what="a number"):
     return value
 
 
+def _section(value, path):
+    """``value`` as an object whose keys are all known at ``path``."""
+    for key in _typed(value, path, dict, "an object"):
+        if key not in _KEYS[path]:
+            raise ConfigError(f"unknown field {path}.{key}")
+    return value
+
+
 def _point(value, path):
     try:
         arr = np.asarray(value, dtype=float)
@@ -114,12 +124,11 @@ def load_config(path):
 
 
 def parse_config(doc):
-    if _typed(doc, "document", dict, "an object").get("version") != SCHEMA_VERSION:
+    if _section(doc, "document").get("version") != SCHEMA_VERSION:
         raise ConfigError(f"version must be {SCHEMA_VERSION}")
-    system, conn = (_typed(_need(doc, key, "document"), key, dict, "an object")
+    system, conn = (_section(_need(doc, key, "document"), key)
                     for key in ("system", "connection"))
-    analysis, tols = (_typed(doc.get(key, {}), key, dict, "an object")
-                      for key in ("analysis", "tolerances"))
+    analysis, tols = (_section(doc.get(key, {}), key) for key in ("analysis", "tolerances"))
     params = {k: float(_typed(v, f"system.params.{k}")) for k, v in
               _typed(system.get("params", {}), "system.params", dict, "an object").items()}
     tol = replace(Tolerances(), **{name: float(_typed(tols[name], f"tolerances.{name}"))
@@ -128,10 +137,6 @@ def parse_config(doc):
               for key in ("i_max", "depth", "n_scan") if key in analysis}
     if "r" in analysis:
         kwargs["radius"] = float(_typed(analysis["r"], "analysis.r"))
-    if "schedule" in analysis:
-        schedule = _typed(analysis["schedule"], "analysis.schedule", list, "a list")
-        kwargs["schedule"] = [_typed(v, f"analysis.schedule[{i}]", int, "an integer")
-                              for i, v in enumerate(schedule)]
     return RunConfig(
         x_src=_typed(_need(system, "X", "system"), "system.X", str, "a string"),
         y_src=_typed(_need(system, "Y", "system"), "system.Y", str, "a string"),

@@ -82,15 +82,23 @@ def test_dimension_sup_monotone_convergence():
 
 
 def test_dimension_sup_single_entry():
-    sys_ = cifs.middle_thirds()
-    sched = cifs.dimension_sup(sys_, schedule=[1])
-    assert sched == [(1, 0.0)]
+    # one map: one prefix, whose Moran root is 0
+    sys_ = cifs.IfsSystem([cifs._affine_map(-0.5, 0.0, "only")])
+    assert cifs.dimension_sup(sys_) == [(1, 0.0)]
 
 
-def test_dimension_sup_refuses_a_shrinking_prefix():
-    # the strongest four maps bound the dimension above the strongest two
-    with pytest.raises(NonMonotone, match="prefix of 2 maps"):
-        cifs.dimension_sup(cifs.make_geometric_model(1, 4, 1, 3), schedule=[4, 2])
+def test_dimension_sup_refuses_a_shrinking_prefix(monkeypatch):
+    # a longer prefix cannot lower the root, so only solver error can: a
+    # solver that returns a smaller root for the third prefix is caught there
+    roots = iter([0.1, 0.5, 0.4, 0.6])
+    monkeypatch.setattr(cifs, "_sum_root", lambda ratios: next(roots))
+    with pytest.raises(NonMonotone, match="prefix of 3 maps"):
+        cifs.dimension_sup(cifs.make_geometric_model(1, 4, 1, 2))
+
+
+def test_dimension_report_refuses_a_bracket_out_of_order():
+    with pytest.raises(NonMonotone, match="Moran bracket out of order"):
+        cifs.DimensionReport(0.4, 0.3)
 
 
 # --- pressure -------------------------------------------------------------------
@@ -196,8 +204,15 @@ def test_scaffold_past_the_budget_names_its_depth():
 
 
 def test_cover_set_rejects_unsorted_lower_ends():
-    with pytest.raises(ValueError, match="lower ends not in order"):
+    with pytest.raises(InsufficientData, match="^cover level 2: lower ends not in order$"):
         cifs.CoverSet([[0.2, 0.3], [-0.5, -0.4]], 2)
+
+
+def test_cover_set_refuses_an_overlap_and_keeps_its_min_gap():
+    with pytest.raises(InsufficientData, match="^cover level 7: intervals overlap by 1.000e-01$"):
+        cifs.CoverSet([[-0.5, 0.1], [0.0, 0.4]], 7)
+    assert cifs.CoverSet([[-0.5, -0.4], [0.2, 0.3]], 2).min_gap == pytest.approx(0.6)
+    assert cifs.CoverSet([[-0.5, -0.4]], 1).min_gap == np.inf
 
 
 def test_fixture_pipeline_builds_each_level_once(monkeypatch):
@@ -260,6 +275,16 @@ def test_conditions_pass_on_middle_thirds():
     assert rep.passed
     assert rep.details["C5"]["density_constant"] == 0.5
     assert rep.details["C6"]["constant"] == 0.0  # affine maps
+
+
+def test_contraction_map_checks_c1_and_c2():
+    ev = lambda x: 0.5 * np.asarray(x)
+    with pytest.raises(ConditionViolated, match="outside the ambient interval") as err:
+        cifs.ContractionMap(ev, (-0.5, 1.5), 0.5, 0.5, tag="wide")
+    assert (err.value.condition, err.value.witness) == ("C1", "wide")
+    with pytest.raises(ConditionViolated, match="not a contraction") as err:
+        cifs.ContractionMap(ev, (-0.5, 0.5), 0.5, 1.0, tag="flat")
+    assert (err.value.condition, err.value.witness) == ("C2", "flat")
 
 
 def test_conditions_overlap_violates_c3():

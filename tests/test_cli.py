@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from slidim import cli, pipeline
+from slidim import bench, cli, pipeline
 from slidim.config import Tolerances
 from slidim.errors import ConfigError
 from slidim.runconfig import load_config, parse_config
@@ -151,13 +151,13 @@ def test_config_errors_exit_one(tmp_path):
     ({"analysis": [1]}, "analysis"),
     ({"tolerances": "tight"}, "tolerances"),
     ({"analysis": {"i_max": "three"}}, "analysis.i_max"),
-    ({"analysis": {"schedule": [2, "four"]}}, "analysis.schedule[1]"),
+    # a retired or misspelt key would otherwise run with the defaults
+    ({"analysis": {"schedule": [2, 4]}}, "unknown field analysis.schedule"),
     ({"tolerances": {"rtol": "tight"}}, "tolerances.rtol"),
     ({"system": {**ESCAPE_CONFIG["system"], "params": {"a": True}}}, "system.params.a"),
     ({"analysis": {"i_max": 2.7}}, "analysis.i_max"),
-    ({"analysis": {"schedule": [2, 4.5]}}, "analysis.schedule[1]"),
-    # a prefix of no maps has no Moran root
-    ({"analysis": {"schedule": [1, 0]}}, "analysis.schedule[1]"),
+    ({"analysis": {"imax": 2}}, "unknown field analysis.imax"),
+    ({"tolerances": {"reltol": 1e-9}}, "unknown field tolerances.reltol"),
     # a number that is not finite, or that overflows a float, would compile
     # into the kernels as a bare name (nan, inf) or pass the range checks
     ({"system": {**ESCAPE_CONFIG["system"], "params": {"a": float("nan")}}},
@@ -172,28 +172,31 @@ def test_config_errors_exit_one(tmp_path):
      "connection.p_seed"),
     ({"system": {**ESCAPE_CONFIG["system"], "X": "1e400*x - y, x + 0.4*y, x - 1"}},
      "system: number 1e400 overflows"),
-    # a decreasing prefix size would lower the Moran bound after the whole run
-    ({"analysis": {"schedule": [4, 2]}}, "analysis.schedule[1] must exceed"),
+    ({"schedule": [1, 2]}, "unknown field document.schedule"),
     # an expression source is one string
     ({"system": {**ESCAPE_CONFIG["system"], "X": 5}}, "system.X must be a string"),
     ({"system": {**ESCAPE_CONFIG["system"], "Y": None}}, "system.Y must be a string"),
     ({"system": {**ESCAPE_CONFIG["system"], "g": ["z"]}}, "system.g must be a string"),
+    ({"system": {**ESCAPE_CONFIG["system"], "Z": "0"}}, "unknown field system.Z"),
+    ({"connection": {**ESCAPE_CONFIG["connection"], "p": [0, 0, 0]}},
+     "unknown field connection.p"),
 ], ids=[
     # the names the first cases had when pytest numbered them by position
     "override0-system", "override1-connection", "override2-analysis",
-    "override3-tolerances", "override4-analysis.i_max", "override5-analysis.schedule[1]",
+    "override3-tolerances", "override4-analysis.i_max", "unknown-analysis.schedule",
     "override6-tolerances.rtol", "override7-system.params.a", "override8-analysis.i_max",
-    "override9-analysis.schedule[1]", "override10-analysis.schedule[1]",
+    "unknown-analysis.imax", "unknown-tolerances.reltol",
     "override11-system.params.a", "override12-system.params.a",
     "override13-system.params.a", "override14-tolerances.event", "override15-analysis.r",
     "override16-connection.p_seed", "override17-system: number 1e400 overflows",
-    "override18-analysis.schedule[1] must exceed",
+    "unknown-document.schedule",
     "system.X-number", "system.Y-null", "system.g-list",
+    "unknown-system.Z", "unknown-connection.p",
 ])
 def test_config_sections_and_values_are_checked(tmp_path, override, path):
-    # a section that is not an object, or a value of the wrong type (a
-    # count that is not an integer) or out of range, is a one-line config
-    # error naming its field path
+    # a section that is not an object, an unknown key, or a value of the
+    # wrong type (a count that is not an integer) or out of range, is a
+    # one-line config error naming its field path
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**ESCAPE_CONFIG, **override}))
     r = run_cli("--config", str(cfg), "--out", str(tmp_path), "classify")
@@ -221,8 +224,7 @@ def test_an_option_out_of_range_is_a_one_line_config_error(tmp_path, args, optio
 
 
 def test_config_seed_key_is_ignored():
-    # no command draws random numbers; an old config's seed loads like any
-    # other unknown key
+    # no command draws random numbers; an old config's seed is read and ignored
     cfg = parse_config({**ESCAPE_CONFIG, "seed": 7})
     assert not hasattr(cfg, "seed")
 
@@ -307,6 +309,41 @@ def test_too_small_inputs_are_one_line_dynamics_errors(tmp_path, args, message):
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("dynamics error:") and message in lines[0]
+
+
+def _bench_config(tmp_path, alpha):
+    b = bench.make_bench(alpha=alpha)
+    doc = {"version": 1,
+           "system": {"X": bench.BENCH_X, "Y": bench.BENCH_Y, "g": bench.BENCH_G,
+                      "params": dict(b.system.params)},
+           "connection": {"p_seed": b.p_seed.tolist(), "q_seed": b.q_seed.tolist()}}
+    path = tmp_path / f"bench-{alpha}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_bench_at_alpha_one_half_fails_its_cantor_certificate(tmp_path, capsys):
+    # the box slope passes, but cover level 6 has touching neighbours (clause
+    # iii): both commands write their files and exit 3
+    cfg = _bench_config(tmp_path, 0.5)
+    assert cli.main(["--config", cfg, "--out", str(tmp_path / "d"), "dimension"]) == 3
+    doc = json.loads((tmp_path / "d" / "report.json").read_text())
+    assert doc["verdict"]["passed"] and not doc["cantor"]["passed"]
+    assert doc["cantor"]["clauses"]["iii"] == {"passed": False, "min_gap": 0.0}
+    assert cli.main(["--config", cfg, "--out", str(tmp_path / "a"), "--depth", "6",
+                     "attractor"]) == 3
+    cert = json.loads((tmp_path / "a" / "certificate.json").read_text())
+    assert not cert["passed"] and not cert["clauses"]["iii"]["passed"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_bench_at_alpha_six_tenths_is_a_one_line_dynamics_error(tmp_path, capsys):
+    # at i_max 2 the images of cover level 7 fall below float resolution
+    cfg = _bench_config(tmp_path, 0.6)
+    assert cli.main(["--config", cfg, "--out", str(tmp_path), "--imax", "2",
+                     "dimension"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["dynamics error: cover level 7: lower ends not in order"]
 
 
 def test_return_map_command(tmp_path):

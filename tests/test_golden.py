@@ -55,10 +55,15 @@ free choice; each one follows from a budget the pipeline itself states:
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from slidim.bench import BENCH_DOMAIN, BENCH_G, BENCH_X, BENCH_Y
+from slidim.filippov import make_system
+from slidim.pipeline import run_dimension_pipeline
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "bench_report.json"
 
@@ -165,9 +170,60 @@ def test_box_slope_and_round_trip(pair):
     _within(pair, ("box_slope", "roundtrip_max"))
 
 
+# --- invariance oracles ---------------------------------------------------------
+#
+# The bench is exact or special in several places: g = z, so the projection
+# onto M is (x, y, 0); Y is constant, so its fold event is left out; the fold
+# is the line x = 1, so the chart coordinate is the y of a point.  Two
+# transforms of the bench keep its dimension and its branch ends but leave
+# that structure:
+# * a time change: X and Y both times h = exp(0.3 x) > 0, so Y is no longer
+#   constant.  Orbits, and so pi, stay the same; h(p) = 1 and the fields
+#   vanish at p, so the focus rate stays the same too;
+# * a rotation of (x, y) by 0.7 rad: the branches rotate with the system, the
+#   tangent chart is isometric, so the branch ends stay the same, and the fold
+#   runs off the axes.
+
+
+def _components(src):
+    return [c.strip() for c in src.split(",")]
+
+
+def _time_change():
+    h = "exp(0.3*x)"
+    x_src, y_src = (", ".join(f"{h}*({c})" for c in _components(src))
+                    for src in (BENCH_X, BENCH_Y))
+    return x_src, y_src, np.eye(3)
+
+
+def _rotation(theta=0.7):
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    # each component at R^T u, then the vector rotated by R
+    inverse = {"x": f"({c!r}*x + {s!r}*y)", "y": f"({-s!r}*x + {c!r}*y)"}
+    a, b, z = (re.sub(r"\b[xy]\b", lambda m: inverse[m.group()], comp)
+               for comp in _components(BENCH_X))
+    x_src = f"{c!r}*({a}) - {s!r}*({b}), {s!r}*({a}) + {c!r}*({b}), {z}"
+    return x_src, BENCH_Y, np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("transform", [_time_change, _rotation],
+                         ids=["time-change", "rotation"])
+def test_transformed_bench_keeps_every_golden_number(bench, bench_pipeline, transform):
+    x_src, y_src, rot = transform()
+    system = make_system(x_src, y_src, BENCH_G, params=dict(bench.system.params),
+                         domain=BENCH_DOMAIN)
+    got = golden_values(run_dimension_pipeline(system, rot @ bench.p_seed,
+                                               rot @ bench.q_seed))
+    want = golden_values(bench_pipeline)
+    assert [(b["side"], b["index"]) for b in got["branches"]] == \
+        [(b["side"], b["index"]) for b in want["branches"]]
+    assert got["i_min"] == want["i_min"]
+    for name, (delta, budget) in budget_table(got, want).items():
+        assert delta <= budget, (name, delta, budget)
+
+
 if __name__ == "__main__":
     from slidim.bench import make_bench
-    from slidim.pipeline import run_dimension_pipeline
 
     bench = make_bench()
     got = golden_values(run_dimension_pipeline(bench.system, bench.p_seed, bench.q_seed))

@@ -19,7 +19,10 @@ a class, must have a caller outside the tests, unless it is an oracle or
 a fixture the tests check the package against, and each keyword option of
 a function (a parameter with a default) must be passed by some caller
 outside the tests, unless it is a seam the tests need: an option that no
-caller sets is a module constant.
+caller sets is a module constant.  Finally, a failure that a run can reach
+raises a typed ``SlidimError``, which the front end turns into one line and
+an exit code: every bare ``ValueError`` left in the package is a caller's
+misuse that no run reaches, listed with its reason.
 """
 
 import ast
@@ -40,6 +43,17 @@ UNUSED_IMPORTS_ALLOWED = {"returnmap.manifold_project"}
 TEST_ONLY_ALLOWED = {
     "filippov.lie_derivative": "oracle of the sliding kernel's Lie derivatives",
     "cifs.equal_ratio_system": "analytic fixture with a closed-form Moran root",
+}
+
+# bare ValueErrors, by enclosing function: caller-contract errors, each with its reason
+VALUE_ERROR_ALLOWED = {
+    "cifs._sum_root": "the Moran solver's bracket cap and residual",
+    "cifs.pressure": "P(t) at t <= 0, where it is not defined; callers pass t = 1",
+    "cifs.cover_tower": "a cover depth below 1; the run configuration refuses it first",
+    "cifs.cantor_certify": "a cover level or scaffold word length not of b^j entries",
+    "cifs.piecewise_expanding": "a fixture map without its exact inverse",
+    "expressions.VectorFieldExpr.__init__": "one component per variable",
+    "returnmap.FoldSegment.point_at": "a chart coordinate outside [-1, 1]",
 }
 
 # keyword options of public functions that only the tests pass, each with its reason
@@ -192,6 +206,36 @@ def test_illinois_is_called_only_by_event_localization():
 def test_precise_is_called_only_by_the_branch_enumeration():
     callers = _callers("precise")
     assert callers == ["returnmap.enumerate_branches"], callers
+
+
+class _ValueErrors(ast.NodeVisitor):
+    """The enclosing scope (``module.Class.function``) of each ``raise ValueError``."""
+
+    def __init__(self, module):
+        self.stack = [module]
+        self.scopes = set()
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Raise(self, node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if getattr(exc, "id", None) == "ValueError":
+            self.scopes.add(".".join(self.stack))
+        self.generic_visit(node)
+
+
+def test_bare_value_errors_are_caller_contract_errors():
+    scopes = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _ValueErrors(path.stem)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        scopes |= visitor.scopes
+    assert scopes == set(VALUE_ERROR_ALLOWED), scopes
 
 
 def _unused_imports(path):

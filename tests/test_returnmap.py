@@ -57,7 +57,7 @@ def test_lambda_cross_validation(bench_pipeline):
     vals = list(bench_pipeline.lambda_estimates.values())
     assert max(vals) / min(vals) - 1 < 0.10
     with pytest.raises(LambdaDisagreement) as err:
-        check_lambda_agreement([1.0, 1.2])
+        check_lambda_agreement([1.0, 1.2], 0.10)
     assert isinstance(err.value, SlidimError)
 
 
