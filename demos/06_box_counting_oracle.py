@@ -17,7 +17,7 @@ for name, sys_ in (("middle thirds", middle_thirds()),
     sample = sample_word_images(sys_, 12)
     fit = box_counting(sample)
     rep = dimension_report(sys_)
-    print(f"{name}: {sample.points.size} points, slope {fit.slope:.4f} "
+    print(f"{name}: {sample.size} points, slope {fit.slope:.4f} "
           f"(R^2 {fit.r_squared:.4f}), bracket [{rep.moran_lower:.4f}, "
           f"{rep.moran_upper:.4f}]")
     covers = cover_tower(sys_, 12)

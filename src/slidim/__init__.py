@@ -21,8 +21,8 @@ from .filippov import (FilippovSystem, Mode, Region, TerminalEvent,
                        TrajectorySegment, classify_region, classify_tangency,
                        filippov_trajectory, find_pseudo_equilibrium,
                        lie_derivative, make_system, sliding_field)
-from .oracle import (BoxCountFit, PointSample, box_counting, cover_length,
-                     crosscheck, sample_word_images)
+from .oracle import (BoxCountFit, box_counting, cover_length, crosscheck,
+                     sample_word_images)
 from .pipeline import (forward_backward_check, run_dimension_pipeline,
                        run_fixture_pipeline)
 from .returnmap import (Branch, FoldSegment, ShilnikovCertificate,

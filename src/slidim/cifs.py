@@ -154,24 +154,17 @@ class DimensionReport:
 # --- conformality conditions -----------------------------------------------------
 
 
-@dataclass
-class ConditionReport:
-    passed: bool
-    details: dict
-
-
 def check_conditions(sys):
-    """Evaluate the conformality conditions C1, C4-C6 on sampled data.
+    """Check the conformality conditions C1, C4 and C6 on sampled data.
 
     C1 injectivity (strict monotonicity on a grid, values in [-1, 1]), C4
-    derivative data available, C5 the interior-density constant of an
-    interval (1/2 at the endpoints), C6 a finite-sample Hoelder surrogate
-    for the derivative modulus.  C2 (every c < 1) and C3 (disjoint images)
-    hold by construction: ``ContractionMap`` and ``IfsSystem`` check them.
-    Raises ConditionViolated with the id and a witness.
+    derivative data available, C6 a finite-sample Hoelder surrogate for the
+    derivative modulus.  C2 (every c < 1) and C3 (disjoint images) hold by
+    construction: ``ContractionMap`` and ``IfsSystem`` check them.  C5, the
+    interior-density constant of an interval (1/2 at its ends), holds for
+    [-1, 1] itself.  Raises ConditionViolated with the id and a witness.
     """
     grid = np.linspace(AMBIENT[0], AMBIENT[1], CONDITION_SAMPLES)
-    details = {}
     for m in sys.maps:
         vals = np.asarray(m.eval(grid), dtype=float)
         steps = np.diff(vals)
@@ -179,17 +172,12 @@ def check_conditions(sys):
             raise ConditionViolated("C1", m.tag, "sampled map is not strictly monotone")
         if vals.min() < AMBIENT[0] - 1e-12 or vals.max() > AMBIENT[1] + 1e-12:
             raise ConditionViolated("C1", m.tag, "image leaves the ambient interval")
-    details["C1"] = {"maps": len(sys.maps)}
 
     missing = [m.tag for m in sys.maps if m.deriv is None]
     if missing:
         raise ConditionViolated("C4", missing, "maps without derivative data")
-    details["C4"] = {"declared": True}
-
-    details["C5"] = {"density_constant": 0.5}
 
     pairs = np.linspace(AMBIENT[0], AMBIENT[1], 17)
-    worst_l = 0.0
     for m in sys.maps:
         d = np.abs(np.asarray(m.deriv(pairs), dtype=float))
         dx = np.abs(pairs[:, None] - pairs[None, :])
@@ -197,12 +185,9 @@ def check_conditions(sys):
         mask = dx > 1e-12
         ratios = dd[mask] / (m.b * dx[mask] ** HOLDER_ALPHA)
         lmax = float(ratios.max()) if ratios.size else 0.0
-        worst_l = max(worst_l, lmax)
         if lmax > HOLDER_CAP:
             raise ConditionViolated("C6", m.tag,
                                     f"Hoelder surrogate constant {lmax:.3g} above cap")
-    details["C6"] = {"alpha": HOLDER_ALPHA, "constant": worst_l}
-    return ConditionReport(True, details)
 
 
 # --- Moran equations and pressure ---------------------------------------------------

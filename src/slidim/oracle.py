@@ -17,23 +17,18 @@ BOX_WINDOW = (1e-6, 1e-2)   # the scales of the slope fit, as fractions of the e
 BOX_MIN_POINTS = 1000       # smallest sample box counting accepts
 
 
-@dataclass
-class PointSample:
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=float))
-        keep = np.ones(pts.size, dtype=bool)
-        keep[1:] = np.diff(pts) > 1e-14
-        self.points = pts[keep]
-
-
 def sample_word_images(sys, depth):
-    """All depth-``depth`` word images of SAMPLE_POINT under the system's maps."""
+    """All b^depth word images of SAMPLE_POINT under the system's b maps, in
+    word order: map by map in image order, the block of a map that reverses
+    [-1, 1] (decided once, from its values at the ends) reversed, so the
+    sample comes out sorted without a sort."""
+    ends = [np.asarray(m.eval(np.array([-1.0, 1.0])), dtype=float) for m in sys.maps]
+    reverses = [left > right for left, right in ends]
     pts = np.array([SAMPLE_POINT])
     for _ in range(depth):
-        pts = np.concatenate([np.asarray(m.eval(pts), dtype=float) for m in sys.maps])
-    return PointSample(pts)
+        images = [np.asarray(m.eval(pts), dtype=float) for m in sys.maps]
+        pts = np.concatenate([x[::-1] if rev else x for rev, x in zip(reverses, images)])
+    return pts
 
 
 @dataclass
@@ -45,18 +40,16 @@ class BoxCountFit:
     window: tuple
 
 
-def box_counting(sample, scales=None, r2_floor=0.99):
+def box_counting(points, scales=None, r2_floor=0.99):
     """Least-squares slope of log N(eps) against log(1/eps).
 
-    ``scales`` defaults to 51 geometric scales from 1e-6 to 0.1.  Scales
-    below the sample's own resolution (set by the generating cover depth)
-    are excluded from the fit window.  A degenerate single-point sample
-    reports slope 0 by convention.
+    ``points`` must be in non-decreasing order, as ``sample_word_images``
+    returns them, else InsufficientData.  ``scales`` defaults to 51
+    geometric scales from 1e-6 to 0.1.  Scales below the sample's own
+    resolution (its smallest positive gap) are excluded from the fit window.
     """
-    pts = sample.points
+    pts = np.asarray(points, dtype=float)
     scales = np.geomspace(1e-6, 1e-1, 51) if scales is None else np.asarray(scales, dtype=float)
-    if pts.size == 1:
-        return BoxCountFit(0.0, 1.0, scales, np.ones(scales.size, dtype=int), BOX_WINDOW)
     if pts.size < BOX_MIN_POINTS:
         raise InsufficientData(f"need at least {BOX_MIN_POINTS} points, got {pts.size}")
     span = np.log10(scales.max() / scales.min())
@@ -68,16 +61,17 @@ def box_counting(sample, scales=None, r2_floor=0.99):
     # sample extent
     width = pts.max() - pts.min()
     norm = (pts - pts.min()) / width
-    # relies on PointSample points being sorted and deduplicated (floor stays
-    # sorted, so the boxes are the runs of equal floors)
+    gaps = np.diff(norm)
+    if gaps.min() < 0:
+        raise InsufficientData("box counting needs the sample points in order")
+    # floor keeps the order, so the boxes are the runs of equal floors
     boxes = np.empty_like(norm)
     counts = np.empty(scales.size, dtype=int)
     for k, eps in enumerate(scales):
         np.floor(np.divide(norm, eps, out=boxes), out=boxes)
         counts[k] = np.count_nonzero(boxes[1:] != boxes[:-1]) + 1
 
-    gaps = np.diff(norm)
-    resolution = gaps[gaps > 0].min()
+    resolution = gaps.min(where=gaps > 0, initial=np.inf)
     lo = max(BOX_WINDOW[0], 4.0 * resolution)
     hi = BOX_WINDOW[1]
     use = (scales >= lo) & (scales <= hi) & (counts > 1)

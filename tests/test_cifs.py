@@ -271,10 +271,7 @@ def test_scaffold_word_position_names_its_cover_interval():
 
 
 def test_conditions_pass_on_middle_thirds():
-    rep = cifs.check_conditions(cifs.middle_thirds())
-    assert rep.passed
-    assert rep.details["C5"]["density_constant"] == 0.5
-    assert rep.details["C6"]["constant"] == 0.0  # affine maps
+    assert cifs.check_conditions(cifs.middle_thirds()) is None
 
 
 def test_contraction_map_checks_c1_and_c2():

@@ -346,6 +346,16 @@ def test_bench_at_alpha_six_tenths_is_a_one_line_dynamics_error(tmp_path, capsys
     assert lines == ["dynamics error: cover level 7: lower ends not in order"]
 
 
+def test_bench_at_alpha_eight_tenths_is_a_one_line_dynamics_error(tmp_path, capsys):
+    # at i_max 2 the sample holds all 4^5 word images, and its box counts
+    # fit a line too poorly
+    cfg = _bench_config(tmp_path, 0.8)
+    assert cli.main(["--config", cfg, "--out", str(tmp_path), "--imax", "2",
+                     "dimension"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["dynamics error: R^2 = 0.9442 below 0.99"]
+
+
 def test_return_map_command(tmp_path):
     out = tmp_path / "rm"
     r = run_cli("--out", str(out), "--imax", "1", "--scan", "2000", "return-map")

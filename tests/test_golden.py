@@ -174,7 +174,7 @@ def test_box_slope_and_round_trip(pair):
 #
 # The bench is exact or special in several places: g = z, so the projection
 # onto M is (x, y, 0); Y is constant, so its fold event is left out; the fold
-# is the line x = 1, so the chart coordinate is the y of a point.  Two
+# is the line x = 1, so the chart coordinate is the y of a point.  Three
 # transforms of the bench keep its dimension and its branch ends but leave
 # that structure:
 # * a time change: X and Y both times h = exp(0.3 x) > 0, so Y is no longer
@@ -182,7 +182,11 @@ def test_box_slope_and_round_trip(pair):
 #   vanish at p, so the focus rate stays the same too;
 # * a rotation of (x, y) by 0.7 rad: the branches rotate with the system, the
 #   tangent chart is isometric, so the branch ends stay the same, and the fold
-#   runs off the axes.
+#   runs off the axes;
+# * g times k = 2 + y, positive near the connection: M, its sides and so the
+#   Filippov flow stay the same, but grad g is no longer (0, 0, 1), Yg is not
+#   constant, so its fold event is kept, and the sliding field keeps its z
+#   component.
 
 
 def _components(src):
@@ -193,7 +197,7 @@ def _time_change():
     h = "exp(0.3*x)"
     x_src, y_src = (", ".join(f"{h}*({c})" for c in _components(src))
                     for src in (BENCH_X, BENCH_Y))
-    return x_src, y_src, np.eye(3)
+    return x_src, y_src, BENCH_G, np.eye(3)
 
 
 def _rotation(theta=0.7):
@@ -203,14 +207,18 @@ def _rotation(theta=0.7):
     a, b, z = (re.sub(r"\b[xy]\b", lambda m: inverse[m.group()], comp)
                for comp in _components(BENCH_X))
     x_src = f"{c!r}*({a}) - {s!r}*({b}), {s!r}*({a}) + {c!r}*({b}), {z}"
-    return x_src, BENCH_Y, np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return x_src, BENCH_Y, BENCH_G, np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-@pytest.mark.parametrize("transform", [_time_change, _rotation],
-                         ids=["time-change", "rotation"])
+def _switching_scale():
+    return BENCH_X, BENCH_Y, "z*(2 + y)", np.eye(3)
+
+
+@pytest.mark.parametrize("transform", [_time_change, _rotation, _switching_scale],
+                         ids=["time-change", "rotation", "switching-scale"])
 def test_transformed_bench_keeps_every_golden_number(bench, bench_pipeline, transform):
-    x_src, y_src, rot = transform()
-    system = make_system(x_src, y_src, BENCH_G, params=dict(bench.system.params),
+    x_src, y_src, g_src, rot = transform()
+    system = make_system(x_src, y_src, g_src, params=dict(bench.system.params),
                          domain=BENCH_DOMAIN)
     got = golden_values(run_dimension_pipeline(system, rot @ bench.p_seed,
                                                rot @ bench.q_seed))

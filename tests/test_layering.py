@@ -10,7 +10,9 @@ Likewise only event localization (``odeint._localize``) calls the Illinois
 solver: branch boundaries come from the inverse-branch series, not from a
 second root solve on the return map.  And only the branch enumeration
 integrates at the tightened tolerances (``returnmap.precise``): its one
-precise sweep also holds the held-out round-trip nodes.
+precise sweep also holds the held-out round-trip nodes.  The box-counting
+oracle imports only the package's errors, so it shares no code with the
+contraction systems it checks.
 
 The package has no linter, so an import left behind by a deletion is
 caught here: every name a module imports must be used in it.  Likewise
@@ -206,6 +208,23 @@ def test_illinois_is_called_only_by_event_localization():
 def test_precise_is_called_only_by_the_branch_enumeration():
     callers = _callers("precise")
     assert callers == ["returnmap.enumerate_branches"], callers
+
+
+def test_the_oracle_shares_no_code_with_the_systems_it_checks():
+    # box counting is an independent check: it imports only the package's
+    # errors, and decides each map's reversal itself, not by the
+    # ``ContractionMap.decreasing`` that the covers and the scaffold read
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    relative = {(node.level, node.module) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert relative == {(1, "errors")}, relative
+    assert not any(name.split(".")[0] == "slidim" for name in absolute), absolute
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "decreasing" not in attributes
 
 
 class _ValueErrors(ast.NodeVisitor):

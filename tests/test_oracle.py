@@ -1,10 +1,35 @@
 import numpy as np
 import pytest
 
-from slidim import cifs, oracle
-from slidim.errors import DegenerateFit
+from slidim import cifs, oracle, pipeline
+from slidim.errors import DegenerateFit, InsufficientData
 
 LN2_LN3 = np.log(2) / np.log(3)
+
+
+def _naive_word_images(sys, depth):
+    pts = np.array([oracle.SAMPLE_POINT])
+    for _ in range(depth):
+        pts = np.concatenate([np.asarray(m.eval(pts), dtype=float) for m in sys.maps])
+    return pts
+
+
+@pytest.mark.parametrize("case", ["fixture-8-maps-depth-6", "middle-thirds-depth-12",
+                                  "bench-pipeline-ifs"])
+def test_word_order_is_the_sorted_sample_of_every_word_image(case, request):
+    # the fixture's R maps are mirrored, so their blocks come out reversed;
+    # every one of the b^depth images is kept, and a reversed sample is refused
+    if case == "bench-pipeline-ifs":
+        sys_, depth = request.getfixturevalue("bench_pipeline").ifs, pipeline.BOX_DEPTH
+    elif case == "middle-thirds-depth-12":
+        sys_, depth = cifs.middle_thirds(), 12
+    else:
+        sys_, depth = cifs.make_geometric_model(1.0, 4.0, 2, 5), 6
+    sample = oracle.sample_word_images(sys_, depth)
+    assert sample.size == len(sys_.maps) ** depth
+    assert sample.tobytes() == np.sort(_naive_word_images(sys_, depth)).tobytes()
+    with pytest.raises(InsufficientData, match="in order"):
+        oracle.box_counting(sample[::-1])
 
 
 def test_middle_thirds_slope():
@@ -15,19 +40,19 @@ def test_middle_thirds_slope():
 
 
 def test_uniform_interval_slope_one():
-    sample = oracle.PointSample(np.linspace(-1, 1, 200001))
+    sample = np.linspace(-1, 1, 200001)
     assert oracle.box_counting(sample).slope == pytest.approx(1.0, abs=0.01)
 
 
-def test_single_point_slope_zero():
-    sample = oracle.PointSample(np.array([0.25]))
-    assert oracle.box_counting(sample).slope == 0.0
+def test_single_point_is_too_small_a_sample():
+    with pytest.raises(InsufficientData, match="need at least 1000 points, got 1"):
+        oracle.box_counting(np.array([0.25]))
 
 
 def test_affine_rescale_invariance():
-    pts = oracle.sample_word_images(cifs.middle_thirds(), 12).points
-    a = oracle.box_counting(oracle.PointSample(pts))
-    b = oracle.box_counting(oracle.PointSample(0.37 * pts - 0.41))
+    pts = oracle.sample_word_images(cifs.middle_thirds(), 12)
+    a = oracle.box_counting(pts)
+    b = oracle.box_counting(0.37 * pts - 0.41)
     assert abs(a.slope - b.slope) < 1e-6
 
 
@@ -48,21 +73,20 @@ def _box_boundaries(eps):
 @pytest.mark.parametrize("make", [
     lambda: oracle.sample_word_images(cifs.make_geometric_model(1.0, 4.0, 2, 5), 6),
     lambda: oracle.sample_word_images(cifs.middle_thirds(), 12),
-    lambda: oracle.PointSample(np.random.default_rng(0).uniform(-1, 1, 200000)),
-    lambda: oracle.PointSample(_box_boundaries(np.geomspace(1e-6, 1e-1, 51)[20])),
+    lambda: np.sort(np.random.default_rng(0).uniform(-1, 1, 200000)),
+    lambda: _box_boundaries(np.geomspace(1e-6, 1e-1, 51)[20]),
 ], ids=["fixture-8-maps-depth-6", "middle-thirds-depth-12", "uniform-200000",
         "on-box-boundaries"])
 def test_counts_equal_distinct_boxes(make):
-    sample = make()
-    fit = oracle.box_counting(sample, r2_floor=0.0)
-    pts = sample.points
+    pts = make()
+    fit = oracle.box_counting(pts, r2_floor=0.0)
     norm = (pts - pts.min()) / (pts.max() - pts.min())
     want = [np.unique(np.floor(norm / eps)).size for eps in fit.scales]
     assert fit.counts.tolist() == want
 
 
 def test_needs_enough_points_and_decades():
-    small = oracle.PointSample(np.linspace(0, 1, 10))
+    small = np.linspace(0, 1, 10)
     with pytest.raises(ValueError):
         oracle.box_counting(small)
     sample = oracle.sample_word_images(cifs.middle_thirds(), 12)
@@ -74,7 +98,7 @@ def test_degenerate_fit_detected():
     # two clusters separated by a huge gap: log-log counts are a step
     pts = np.concatenate([np.linspace(0, 1e-5, 600), np.linspace(1, 1 + 1e-5, 600)])
     with pytest.raises(DegenerateFit):
-        oracle.box_counting(oracle.PointSample(pts))
+        oracle.box_counting(pts)
 
 
 def test_cover_length_values():
